@@ -2,8 +2,8 @@
 
 A circuit is a small DAG of grating couplers, 2x2 splitters, phase shifters,
 waveguide segments and ports.  Pump light is tracked as a list of pulses per
-node, each pulse carrying one power per pump line plus accumulated delay and
-phase.  Splitting is incoherent power bookkeeping: a 2x2 splitter with ratio
+node, each pulse carrying one power per pump line plus accumulated delay.
+Splitting is incoherent power bookkeeping: a 2x2 splitter with ratio
 r sends r of an input-0 pulse to output 0 and 1-r to output 1 (and mirrored
 for input 1); pulses arriving at a node with equal delays merge by adding
 powers, while pulses separated in time stay distinct, so a segment behind an
@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import inf
 
-from scipy.constants import c as C_VACUUM
-
-from .dispersion import PumpConfig, wavelength_from_angular_frequency
+from .dispersion import C_VACUUM, PumpConfig, wavelength_from_angular_frequency
 from .engine import (
     BiphotonSpectrum,
     SpectralGrid,
@@ -64,6 +62,8 @@ class SplitterNode:
 
 @dataclass(frozen=True)
 class PhaseShifterNode:
+    """Phase shifter; pump propagation is incoherent, so it passes power unchanged."""
+
     id: str
     phase_rad: float = 0.0
 
@@ -207,11 +207,10 @@ class CircuitGraph:
 
 @dataclass(frozen=True)
 class Pulse:
-    """One pump pulse: per-line powers (W) plus accumulated delay and phase."""
+    """One pump pulse: per-line powers (W) plus accumulated delay."""
 
     powers_w: tuple[float, ...]
     delay_s: float = 0.0
-    phase_rad: float = 0.0
 
     def scaled(self, factors) -> "Pulse":
         return replace(
@@ -225,9 +224,7 @@ def _merge_pulses(pulses: list[Pulse], tol_s: float) -> tuple[Pulse, ...]:
         if merged and abs(pulse.delay_s - merged[-1].delay_s) <= tol_s:
             prev = merged[-1]
             powers = tuple(a + b for a, b in zip(prev.powers_w, pulse.powers_w))
-            # Phase of the stronger component wins; powers add incoherently.
-            keep = prev if sum(prev.powers_w) >= sum(pulse.powers_w) else pulse
-            merged[-1] = Pulse(powers, prev.delay_s, keep.phase_rad)
+            merged[-1] = Pulse(powers, prev.delay_s)
         else:
             merged.append(pulse)
     return tuple(merged)
@@ -267,7 +264,7 @@ def propagate_pump(
     input_ports: str | tuple[str, str],
     merge_tol_s: float = PULSE_MERGE_TOL_S,
 ) -> PumpPropagation:
-    """Propagate pump power/delay/phase from the input ports through the DAG.
+    """Propagate pump power and delay from the input ports through the DAG.
 
     ``input_ports`` names one input port (both lines, or the single degenerate
     line) or a pair (one port per pump line).  Every segment must end up with
@@ -333,18 +330,10 @@ def propagate_pump(
         if isinstance(node, CouplerNode):
             factors = [node.transmission(w) for w in line_omegas]
             pulses = tuple(p.scaled(factors) for p in pulses)
-        elif isinstance(node, PhaseShifterNode):
-            pulses = tuple(
-                replace(p, phase_rad=p.phase_rad + node.phase_rad) for p in pulses
-            )
         elif isinstance(node, SegmentNode):
             transit = node.photon_transmission()
             pulses = tuple(
-                Pulse(
-                    tuple(pw * transit for pw in p.powers_w),
-                    p.delay_s + node.delay_s,
-                    p.phase_rad,
-                )
+                Pulse(tuple(pw * transit for pw in p.powers_w), p.delay_s + node.delay_s)
                 for p in pulses
             )
         emit(node_id, 0, pulses)
@@ -419,13 +408,18 @@ def segment_contributions(
     grid: SpectralGrid,
     input_ports: str | tuple[str, str],
     detection_node: str | None = None,
+    *,
+    propagation: PumpPropagation | None = None,
 ) -> tuple[SegmentContribution, ...]:
     """Per-segment SFWM spectra at local pump powers, scaled toward detection.
 
     With ``detection_node=None`` raw generation spectra are compared
-    (transmission 1 for every segment).
+    (transmission 1 for every segment).  ``propagation`` is the result of
+    ``propagate_pump`` for the same circuit, pump and ports, when the caller
+    already has it.
     """
-    propagation = propagate_pump(circuit, pump, input_ports)
+    if propagation is None:
+        propagation = propagate_pump(circuit, pump, input_ports)
     contributions = []
     for segment in circuit.segments():
         powers = propagation.peak_powers_w(segment.id)

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import photon_transmission, segment_contributions, selection_ratio
 from .coincidence import (
     RateModel,
     build_histogram,
@@ -26,7 +25,6 @@ from .coincidence import (
     write_timestamps_csv,
 )
 from .config import (
-    CircuitRun,
     config_hash,
     load_config,
     parse_car_config,
@@ -36,11 +34,11 @@ from .config import (
 )
 from .csvio import write_histogram_csv, write_mismatch_csv, write_spectrum_csv
 from .dispersion import wavelength_from_angular_frequency
-from .engine import bandwidth_3db_hz, biphoton_spectrum, detuning_band_to_omega, total_mismatch
+from .engine import bandwidth_3db_hz, biphoton_spectrum, total_mismatch
 from .errors import ConfigError, DataError, DomainError, SfwmError
 from .modefield import MaterialConstants, ModeFieldGrid, gamma_report, read_mode_field_csv
 from .svgplot import write_line_plot
-from .templates import build_template, evaluate_circuit
+from .templates import TEMPLATE_NAMES, evaluate_circuit
 
 
 def _out_dir(args) -> Path:
@@ -104,53 +102,29 @@ def _circuit_report_lines(report) -> list[str]:
 def cmd_circuit(args) -> int:
     if args.template is not None:
         doc = {"template": args.template, "all_strip": bool(args.all_strip)}
-        run = CircuitRun(
-            args.template, bool(args.all_strip), None, None, None, None, None, (),
-            None, config_hash(doc),
-        )
+    elif args.config is not None:
+        doc = load_config(args.config)
     else:
-        if args.config is None:
-            raise ConfigError("circuit: give --config FILE or --template NAME")
-        run = parse_circuit_config(load_config(args.config))
-        if args.all_strip:
-            if run.template is None:
-                raise ConfigError("--all-strip only applies to template runs")
-            run = CircuitRun(
-                run.template, True, None, None, None, None, None, (), None, run.doc_hash
-            )
+        raise ConfigError("circuit: give --config FILE or --template NAME")
+    doc_hash = config_hash(doc)
+    setup = parse_circuit_config({**doc, "all_strip": True} if args.all_strip else doc)
+    report = evaluate_circuit(setup)
     out = _out_dir(args)
-
-    if run.template is not None:
-        setup = build_template(run.template, all_strip=run.all_strip)
-        report = evaluate_circuit(setup)
-        contributions, band, ratio = report.contributions, report.band_omega, report.ratio
-        omega_c, grid = setup.pump.omega_c, setup.grid
-        name, designated = setup.name, set(setup.designated_segments)
-        lines = _circuit_report_lines(report)
-    else:
-        contributions = segment_contributions(
-            run.graph, run.pump, run.grid, run.input_ports, run.detection_node
-        )
-        band = detuning_band_to_omega(run.pump.omega_c, run.band_detuning_hz)
-        ratio = selection_ratio(contributions, band, run.designated_segments)
-        omega_c, grid = run.pump.omega_c, run.grid
-        name, designated = "circuit", set(run.designated_segments)
-        lines = [
-            f"circuit: custom graph ({len(run.graph.nodes)} nodes)",
-            f"selection ratio: {ratio:.6g}",
-        ]
+    name, omega_c = setup.name, setup.pump.omega_c
+    band, designated = report.band_omega, set(setup.designated_segments)
+    lines = _circuit_report_lines(report)
 
     summary_path = out / f"{name}_summary.csv"
     with summary_path.open("w") as fh:
-        fh.write(f"# config_sha256={run.doc_hash}\n")
-        fh.write(f"# selection_ratio={ratio!r}\n")
+        fh.write(f"# config_sha256={doc_hash}\n")
+        fh.write(f"# selection_ratio={report.ratio!r}\n")
         fh.write("segment,designated,pump_powers_w,transmission,band_flux_per_s\n")
-        for contrib in contributions:
+        for contrib in report.contributions:
             write_spectrum_csv(
                 out / f"{name}_{contrib.segment_id}_spectrum.csv",
                 contrib.spectrum,
                 omega_c,
-                run.doc_hash,
+                doc_hash,
             )
             powers = "/".join(repr(p) for p in contrib.pump_powers_w)
             fh.write(
@@ -159,17 +133,17 @@ def cmd_circuit(args) -> int:
             )
     report_path = out / f"{name}_report.txt"
     report_path.write_text(
-        f"# config_sha256={run.doc_hash}\n" + "\n".join(lines) + "\n"
+        f"# config_sha256={doc_hash}\n" + "\n".join(lines) + "\n"
     )
     for line in lines:
         print(line)
     print(f"summary -> {summary_path}")
 
     if args.svg:
-        series = {c.segment_id: c.spectrum.flux_density for c in contributions}
+        series = {c.segment_id: c.spectrum.flux_density for c in report.contributions}
         write_line_plot(
             out / f"{name}_contributions.svg",
-            grid.detunings_hz(omega_c) / 1e12,
+            setup.grid.detunings_hz(omega_c) / 1e12,
             series,
             "detuning (THz)",
             "flux density (photons/s/Hz)",
@@ -274,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_circuit = sub.add_parser("circuit", help="per-segment circuit contributions")
     common(p_circuit, config_required=False)
-    p_circuit.add_argument("--template", choices=("app1_timebin", "app2_path"), default=None)
+    p_circuit.add_argument("--template", choices=TEMPLATE_NAMES, default=None)
     p_circuit.add_argument(
         "--all-strip", action="store_true", help="force every waveguide to strip parameters"
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -358,9 +358,12 @@ def read_timestamps_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                     f"{path}:{lineno}: unknown channel {channel!r} (signal|idler)"
                 )
             try:
-                streams[channel].append(float(row[1]))
+                value = float(row[1])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad timestamp {row[1]!r}") from exc
+            if not isfinite(value):
+                raise DataError(f"{path}:{lineno}: timestamp {row[1]!r} is not finite")
+            streams[channel].append(value)
     if not streams["signal"] and not streams["idler"]:
         raise DataError(f"{path}: no timestamps found")
     signal = _check_sorted("signal", np.asarray(streams["signal"]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import pi
 from pathlib import Path
 
@@ -34,8 +34,8 @@ from .dispersion import (
 )
 from .engine import SpectralGrid, WaveguideSpec
 from .errors import ConfigError
-from .presets import PRESET_KINDS, coupler_defaults, preset_n_eff, preset_parameters
-from .templates import TEMPLATE_NAMES
+from .presets import PRESET_KINDS, coupler_defaults, preset_n_eff, preset_waveguide
+from .templates import CircuitSetup, build_template
 
 CONFIG_PATH_ENV = "SFWM_SIM_CONFIG_PATH"
 
@@ -112,6 +112,17 @@ def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     return float(value)
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _take_optional_number(sec: _Section, key: str) -> float | None:
+    value = sec.take(key, None)
+    return None if value is None else _number(value, f"{sec.where}.{key}")
 
 
 def take_wavelength_rad_s(sec: _Section, stem: str) -> float:
@@ -231,51 +242,34 @@ def parse_dispersion(sec: _Section, omega_c: float) -> DispersionModel:
 
 
 def parse_waveguide(sec: _Section, omega_c: float) -> tuple[WaveguideSpec, float, str]:
-    """Returns (spec, n_eff, label).  ``kind`` presets fill unset fields."""
+    """Returns (spec, n_eff, label).
+
+    A preset ``kind`` starts from the shipped preset and the config overrides
+    only the fields it gives; ``kind: custom`` needs gamma and dispersion.
+    """
     kind = str(sec.take("kind", "custom")).replace("-", "_")
     label = sec.take("label", kind)
     length = take_length_m(sec, "length")
-    preset = preset_parameters(kind) if kind in PRESET_KINDS else None
-    if preset is None and kind != "custom":
+    if kind not in PRESET_KINDS and kind != "custom":
         raise ConfigError(f"{sec.where}.kind: unknown kind {kind!r}")
-
-    gamma = sec.take("gamma_per_w_m", None)
-    if gamma is None:
-        if preset is None:
-            raise ConfigError(f"{sec.where}: custom waveguide needs gamma_per_w_m")
-        gamma = preset["gamma_per_w_m"]
-    else:
-        gamma = _number(gamma, f"{sec.where}.gamma_per_w_m")
-    attenuation = sec.take("attenuation_db_per_cm", None)
-    if attenuation is None:
-        attenuation = preset["attenuation_db_per_cm"] if preset else 0.0
-    else:
-        attenuation = _number(attenuation, f"{sec.where}.attenuation_db_per_cm")
-    n_eff = sec.take("n_eff", None)
-    if n_eff is None:
-        n_eff = preset["n_eff"] if preset else 2.5
-    else:
-        n_eff = _number(n_eff, f"{sec.where}.n_eff")
-
+    given = {
+        "gamma_per_w_m": _take_optional_number(sec, "gamma_per_w_m"),
+        "attenuation_db_per_cm": _take_optional_number(sec, "attenuation_db_per_cm"),
+    }
+    n_eff = _take_optional_number(sec, "n_eff")
     disp_sec = sec.take_section("dispersion")
     if disp_sec is not None:
-        dispersion = parse_dispersion(disp_sec, omega_c)
-    elif preset is not None:
-        d = preset["dispersion"]
-        dispersion = DispersionModel(
-            omega_c, (d["beta2_s2_per_m"], d["beta4_s4_per_m"])
-        )
-    else:
-        raise ConfigError(f"{sec.where}: custom waveguide needs a dispersion block")
+        given["dispersion"] = parse_dispersion(disp_sec, omega_c)
     sec.finish()
-    spec = WaveguideSpec(
-        kind=kind if kind in PRESET_KINDS else "custom",
-        length_m=length,
-        gamma_per_w_m=float(gamma),
-        dispersion=dispersion,
-        attenuation_db_per_cm=float(attenuation),
-    )
-    return spec, float(n_eff), str(label)
+    given = {key: value for key, value in given.items() if value is not None}
+    if kind == "custom":
+        for key in ("gamma_per_w_m", "dispersion"):
+            if key not in given:
+                raise ConfigError(f"{sec.where}: custom waveguide needs {key}")
+        spec = WaveguideSpec("custom", length, **given)
+        return spec, 2.5 if n_eff is None else n_eff, str(label)
+    spec = replace(preset_waveguide(kind, length, omega_c), **given)
+    return spec, preset_n_eff(kind) if n_eff is None else n_eff, str(label)
 
 
 def parse_grid(sec: _Section | None, omega_c: float, n_points_override: int | None = None) -> SpectralGrid:
@@ -283,9 +277,7 @@ def parse_grid(sec: _Section | None, omega_c: float, n_points_override: int | No
     n_points = 4096
     if sec is not None:
         span_hz = _number(sec.take("span_thz", span_hz / 1e12), f"{sec.where}.span_thz") * 1e12
-        n_points = sec.take("points", n_points)
-        if not isinstance(n_points, int) or isinstance(n_points, bool):
-            raise ConfigError(f"{sec.where}.points: expected an integer")
+        n_points = _integer(sec.take("points", n_points), f"{sec.where}.points")
         sec.finish()
     if n_points_override is not None:
         n_points = n_points_override
@@ -321,20 +313,6 @@ def parse_spectrum_config(doc: dict, n_points_override: int | None = None) -> Sp
     return SpectrumRun(pump, grid, tuple(waveguides), config_hash(doc))
 
 
-@dataclass(frozen=True)
-class CircuitRun:
-    template: str | None  # template name, or None for an explicit graph
-    all_strip: bool
-    graph: CircuitGraph | None
-    pump: PumpConfig | None
-    grid: SpectralGrid | None
-    input_ports: str | tuple[str, str] | None
-    detection_node: str | None
-    designated_segments: tuple[str, ...]
-    band_detuning_hz: tuple[float, float] | None
-    doc_hash: str
-
-
 def _parse_node(sec: _Section, omega_c: float):
     kind = sec.take("kind")
     node_id = str(sec.take("id"))
@@ -364,12 +342,13 @@ def _parse_node(sec: _Section, omega_c: float):
     elif kind == "segment":
         wg_sec = sec.take_section("waveguide", required=True)
         spec, n_eff_preset, _ = parse_waveguide(wg_sec, omega_c)
-        n_eff = sec.take("n_eff", n_eff_preset)
         node = SegmentNode(
             node_id,
             waveguide=spec,
-            n_eff=float(n_eff),
-            pair_loss_exponent=int(sec.take("pair_loss_exponent", 1)),
+            n_eff=_number(sec.take("n_eff", n_eff_preset), f"{sec.where}.n_eff"),
+            pair_loss_exponent=_integer(
+                sec.take("pair_loss_exponent", 1), f"{sec.where}.pair_loss_exponent"
+            ),
         )
     else:
         raise ConfigError(f"{sec.where}.kind: unknown node kind {kind!r}")
@@ -377,26 +356,28 @@ def _parse_node(sec: _Section, omega_c: float):
     return node
 
 
-def parse_circuit_config(doc: dict) -> CircuitRun:
+def parse_circuit_config(doc: dict) -> CircuitSetup:
+    """A built-in template (``template``, ``all_strip``) or an explicit graph.
+
+    Explicit graphs are named ``circuit``, the prefix of their output files.
+    """
     top = _Section(doc, "config")
     template = top.take("template", None)
-    all_strip = bool(top.take("all_strip", False))
+    all_strip = top.take("all_strip", None)
+    if all_strip is not None and not isinstance(all_strip, bool):
+        raise ConfigError(f"config.all_strip: expected true or false, got {all_strip!r}")
     if template is not None:
-        if template not in TEMPLATE_NAMES:
-            raise ConfigError(
-                f"config.template: unknown template {template!r}; expected {TEMPLATE_NAMES}"
-            )
         top.finish()
-        return CircuitRun(
-            template, all_strip, None, None, None, None, None, (), None, config_hash(doc)
-        )
+        return build_template(template, all_strip=bool(all_strip))
+    if all_strip is not None:
+        raise ConfigError("config.all_strip: applies only to templates, not to explicit graphs")
 
     pump = parse_pump(top.take_section("pump", required=True))
     grid = parse_grid(top.take_section("grid"), pump.omega_c)
     band = top.take("band_thz")
     if not (isinstance(band, list) and len(band) == 2):
         raise ConfigError("config.band_thz: expected [lo_thz, hi_thz]")
-    band_hz = (float(band[0]) * 1e12, float(band[1]) * 1e12)
+    band_hz = tuple(_number(v, f"config.band_thz[{i}]") * 1e12 for i, v in enumerate(band))
 
     nodes = []
     for i, item in enumerate(top.take("nodes")):
@@ -408,8 +389,8 @@ def parse_circuit_config(doc: dict) -> CircuitRun:
             Edge(
                 src=str(sec.take("from")),
                 dst=str(sec.take("to")),
-                src_port=int(sec.take("from_port", 0)),
-                dst_port=int(sec.take("to_port", 0)),
+                src_port=_integer(sec.take("from_port", 0), f"{sec.where}.from_port"),
+                dst_port=_integer(sec.take("to_port", 0), f"{sec.where}.to_port"),
             )
         )
         sec.finish()
@@ -427,17 +408,15 @@ def parse_circuit_config(doc: dict) -> CircuitRun:
     if not isinstance(designated, list) or not designated:
         raise ConfigError("config.designated_segments: expected a non-empty list")
     top.finish()
-    return CircuitRun(
-        None,
-        all_strip,
-        graph,
-        pump,
-        grid,
-        input_ports,
-        None if detection is None else str(detection),
-        tuple(str(s) for s in designated),
-        band_hz,
-        config_hash(doc),
+    return CircuitSetup(
+        name="circuit",
+        graph=graph,
+        pump=pump,
+        input_ports=input_ports,
+        detection_node=None if detection is None else str(detection),
+        designated_segments=tuple(str(s) for s in designated),
+        band_detuning_hz=band_hz,
+        grid=grid,
     )
 
 
@@ -476,7 +455,7 @@ def parse_car_config(doc: dict) -> CarRun:
     top = _Section(doc, "config")
     bin_width = take_time_s(top, "bin_width")
     window = take_time_s(top, "window")
-    guard = int(top.take("guard_bins", 0))
+    guard = _integer(top.take("guard_bins", 0), "config.guard_bins")
     ts_path = top.take("timestamps_csv", None)
     synth_sec = top.take_section("synthesize")
     if (ts_path is None) == (synth_sec is None):

@@ -28,9 +28,11 @@ from dataclasses import dataclass
 from math import factorial, pi
 
 import numpy as np
-from scipy.constants import c as C_VACUUM
 
 from .errors import ConfigError, DomainError
+
+# Speed of light in vacuum, m/s (exact by the SI definition of the metre).
+C_VACUUM = 299_792_458.0
 
 # Relative tolerance for "the dispersion model was taken at this pump's
 # average frequency".  Larger offsets invalidate the even-order expansion.

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import c as C_VACUUM
 
+from .dispersion import C_VACUUM
 from .errors import DataError, DomainError
 
 # Free-space wave impedance sqrt(mu0/eps0), ohm.

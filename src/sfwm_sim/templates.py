@@ -27,7 +27,6 @@ from .circuit import (
     Edge,
     PhaseShifterNode,
     PortNode,
-    PumpPropagation,
     SegmentContribution,
     SegmentNode,
     SplitterNode,
@@ -39,7 +38,6 @@ from .dispersion import PumpConfig, angular_frequency_from_wavelength
 from .engine import SpectralGrid, detuning_band_to_omega
 from .errors import ConfigError
 from .presets import preset_n_eff, preset_waveguide
-from .states import TwoModeState, path_entangled_state, time_bin_state
 
 TEMPLATE_NAMES = ("app1_timebin", "app2_path")
 
@@ -63,7 +61,7 @@ APP2_BAND_HZ = (-0.05e12, 0.05e12)
 
 @dataclass(frozen=True)
 class CircuitSetup:
-    """Everything needed to evaluate one circuit scenario."""
+    """Everything needed to evaluate one circuit: a template or a parsed config."""
 
     name: str
     graph: CircuitGraph
@@ -74,7 +72,6 @@ class CircuitSetup:
     band_detuning_hz: tuple[float, float]
     grid: SpectralGrid
     delay_probe_node: str | None = None
-    state: TwoModeState | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +81,6 @@ class CircuitReport:
     setup: CircuitSetup
     contributions: tuple[SegmentContribution, ...]
     ratio: float
-    propagation: PumpPropagation
     inter_pulse_delay_s: float
 
     @property
@@ -104,7 +100,7 @@ def _segment(
     )
 
 
-def app1_timebin(all_strip: bool = False, alpha_rad: float = 0.0) -> CircuitSetup:
+def app1_timebin(all_strip: bool = False) -> CircuitSetup:
     """Time-bin entanglement circuit (degenerate SFWM behind a UMZI)."""
     pump = PumpConfig.degenerate(
         angular_frequency_from_wavelength(APP1_PUMP_WAVELENGTH_M), APP1_PUMP_PEAK_W
@@ -115,7 +111,7 @@ def app1_timebin(all_strip: bool = False, alpha_rad: float = 0.0) -> CircuitSetu
         SplitterNode("umzi_split", 0.5),
         _segment("umzi_long", "shallow_ridge", APP1_LONG_ARM_M, wc, all_strip),
         _segment("umzi_short", "shallow_ridge", APP1_SHORT_ARM_M, wc, all_strip),
-        PhaseShifterNode("bin_phase", alpha_rad),
+        PhaseShifterNode("bin_phase"),
         SplitterNode("umzi_merge", 0.5),
         _segment("source_strip", "strip", APP1_STRIP_M, wc, all_strip),
         PortNode("to_filters", "output"),
@@ -140,13 +136,10 @@ def app1_timebin(all_strip: bool = False, alpha_rad: float = 0.0) -> CircuitSetu
         band_detuning_hz=APP1_BAND_HZ,
         grid=SpectralGrid.symmetric(wc, 2.0 * pi * 6.0e12, 4096),
         delay_probe_node="source_strip",
-        state=time_bin_state(alpha_rad),
     )
 
 
-def app2_path(
-    all_strip: bool = False, alpha_rad: float = 0.0, theta_rad: float = pi / 2
-) -> CircuitSetup:
+def app2_path(all_strip: bool = False) -> CircuitSetup:
     """Path entanglement circuit (non-degenerate SFWM in two source MZIs)."""
     w1 = angular_frequency_from_wavelength(APP2_PUMP_WAVELENGTHS_M[0])
     w2 = angular_frequency_from_wavelength(APP2_PUMP_WAVELENGTHS_M[1])
@@ -157,7 +150,7 @@ def app2_path(
         PortNode("pump1_in", "input"),
         PortNode("pump2_in", "input"),
         SplitterNode("pump_combiner", 0.5),
-        PhaseShifterNode("path_phase", alpha_rad),
+        PhaseShifterNode("path_phase"),
     ]
     edges: list = [
         Edge("pump1_in", "pump_combiner", dst_port=0),
@@ -173,7 +166,7 @@ def app2_path(
             SplitterNode(split, 0.5),
             _segment(arm1, "strip", APP2_STRIP_M, wc, all_strip),
             _segment(arm2, "strip", APP2_STRIP_M, wc, all_strip),
-            PhaseShifterNode(theta_ps, theta_rad),
+            PhaseShifterNode(theta_ps),
             SplitterNode(merge, 0.5),
         ]
         edges += [
@@ -230,7 +223,6 @@ def app2_path(
         band_detuning_hz=APP2_BAND_HZ,
         grid=SpectralGrid.symmetric(wc, 2.0 * pi * 5.0e12, 4096),
         delay_probe_node=None,
-        state=path_entangled_state(alpha_rad) if theta_rad == pi / 2 else None,
     )
 
 
@@ -246,7 +238,12 @@ def evaluate_circuit(setup: CircuitSetup) -> CircuitReport:
     """Run pump propagation, per-segment spectra and the selection ratio."""
     propagation = propagate_pump(setup.graph, setup.pump, setup.input_ports)
     contributions = segment_contributions(
-        setup.graph, setup.pump, setup.grid, setup.input_ports, setup.detection_node
+        setup.graph,
+        setup.pump,
+        setup.grid,
+        setup.input_ports,
+        setup.detection_node,
+        propagation=propagation,
     )
     band = detuning_band_to_omega(setup.pump.omega_c, setup.band_detuning_hz)
     ratio = selection_ratio(contributions, band, setup.designated_segments)
@@ -255,4 +252,4 @@ def evaluate_circuit(setup: CircuitSetup) -> CircuitReport:
         if setup.delay_probe_node
         else 0.0
     )
-    return CircuitReport(setup, contributions, ratio, propagation, delay)
+    return CircuitReport(setup, contributions, ratio, delay)

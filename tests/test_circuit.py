@@ -166,21 +166,6 @@ class TestPropagation:
         with pytest.raises(TopologyError):
             propagate_pump(graph, pump, "in")
 
-    def test_phase_shifter_accumulates(self):
-        from sfwm_sim import PhaseShifterNode
-
-        graph = CircuitGraph(
-            (
-                PortNode("in", "input"),
-                PhaseShifterNode("ps", 0.7),
-                seg("wg"),
-                PortNode("out", "output"),
-            ),
-            (Edge("in", "ps"), Edge("ps", "wg"), Edge("wg", "out")),
-        )
-        prop = propagate_pump(graph, PumpConfig.degenerate(OMEGA_P, 1.0), "in")
-        assert prop.pulses("out")[0].phase_rad == pytest.approx(0.7)
-
     def test_coupler_loss_at_center_and_band_edge(self):
         coupler = CouplerNode("gc", 1552.5e-9, min_loss_db=4.5, bandwidth_3db_m=50e-9)
         assert coupler.loss_db(1552.5e-9) == pytest.approx(4.5)
@@ -305,8 +290,3 @@ class TestTemplates:
             np.testing.assert_array_equal(
                 ca.spectrum.flux_density, cb.spectrum.flux_density
             )
-
-    def test_app1_carries_time_bin_state(self):
-        setup = app1_timebin(alpha_rad=0.3)
-        assert setup.state is not None
-        assert setup.state.phase_rad == pytest.approx(0.3)

@@ -280,6 +280,13 @@ class TestTimestampCsv:
         with pytest.raises(DataError):
             read_timestamps_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_rejected_with_line(self, tmp_path, value):
+        path = tmp_path / "ts.csv"
+        path.write_text(f"channel,timestamp_s\nsignal,0.1\nsignal,{value}\nidler,0.2\n")
+        with pytest.raises(DataError, match=r"ts\.csv:3: .*not finite"):
+            read_timestamps_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "ts.csv"
         path.write_text("")

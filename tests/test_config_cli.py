@@ -1,3 +1,4 @@
+import copy
 import subprocess
 import sys
 
@@ -16,6 +17,15 @@ from sfwm_sim.config import (
 )
 from sfwm_sim.csvio import read_histogram_csv, read_spectrum_csv
 from sfwm_sim.modefield import write_mode_field_csv
+from sfwm_sim.templates import (
+    APP1_LONG_ARM_M,
+    APP1_PUMP_PEAK_W,
+    APP1_SHORT_ARM_M,
+    APP1_STRIP_M,
+    CircuitSetup,
+    build_template,
+    evaluate_circuit,
+)
 
 from conftest import gaussian_mode
 
@@ -25,6 +35,30 @@ SPECTRUM_DOC = {
     "waveguides": [
         {"label": "strip_5mm", "kind": "strip", "length_mm": 5.0},
         {"label": "ridge_15mm", "kind": "shallow_ridge", "length_mm": 15.0},
+    ],
+}
+
+CIRCUIT_DOC = {
+    "pump": {"mode": "degenerate", "wavelength_nm": 1552.5, "power_w": 1.0},
+    "grid": {"span_thz": 12.0, "points": 512},
+    "band_thz": [2.5, 5.0],
+    "input_ports": "in",
+    "detection_node": "out",
+    "designated_segments": ["wg"],
+    "nodes": [
+        {"id": "in", "kind": "port", "direction": "input"},
+        {"id": "gc", "kind": "grating_coupler", "center_nm": 1552.5},
+        {
+            "id": "wg",
+            "kind": "segment",
+            "waveguide": {"kind": "strip", "length_mm": 5.0},
+        },
+        {"id": "out", "kind": "port", "direction": "output"},
+    ],
+    "edges": [
+        {"from": "in", "to": "gc"},
+        {"from": "gc", "to": "wg"},
+        {"from": "wg", "to": "out"},
     ],
 }
 
@@ -158,9 +192,64 @@ class TestConfigParsing:
         assert doc["pump"]["wavelength_nm"] == 1552.5
 
     def test_template_circuit_config(self):
-        run = parse_circuit_config({"template": "app1_timebin", "all_strip": True})
-        assert run.template == "app1_timebin"
-        assert run.all_strip is True
+        setup = parse_circuit_config({"template": "app1_timebin", "all_strip": True})
+        assert isinstance(setup, CircuitSetup)
+        assert setup.name == "app1_timebin_all_strip"
+
+    def test_all_strip_must_be_a_bool(self):
+        with pytest.raises(ConfigError, match="all_strip"):
+            parse_circuit_config({"template": "app1_timebin", "all_strip": "no"})
+
+    def test_explicit_graph_matches_template(self):
+        template = build_template("app1_timebin")
+
+        def segment(seg_id, kind, length_m):
+            waveguide = {"kind": kind, "length_m": length_m}
+            return {"id": seg_id, "kind": "segment", "waveguide": waveguide}
+
+        doc = {
+            "pump": {
+                "mode": "degenerate",
+                "wavelength_rad_s": template.pump.omega_p1,
+                "power_w": APP1_PUMP_PEAK_W,
+            },
+            "grid": {"span_thz": 12.0, "points": 4096},
+            "band_thz": [2.5, 5.0],
+            "input_ports": "pump_in",
+            "detection_node": "to_filters",
+            "designated_segments": ["source_strip"],
+            "nodes": [
+                {"id": "pump_in", "kind": "port", "direction": "input"},
+                {"id": "umzi_split", "kind": "splitter", "ratio": 0.5},
+                segment("umzi_long", "shallow_ridge", APP1_LONG_ARM_M),
+                segment("umzi_short", "shallow_ridge", APP1_SHORT_ARM_M),
+                {"id": "bin_phase", "kind": "phase_shifter"},
+                {"id": "umzi_merge", "kind": "splitter", "ratio": 0.5},
+                segment("source_strip", "strip", APP1_STRIP_M),
+                {"id": "to_filters", "kind": "port", "direction": "output"},
+            ],
+            "edges": [
+                {"from": "pump_in", "to": "umzi_split"},
+                {"from": "umzi_split", "from_port": 0, "to": "umzi_long"},
+                {"from": "umzi_split", "from_port": 1, "to": "umzi_short"},
+                {"from": "umzi_long", "to": "bin_phase"},
+                {"from": "bin_phase", "to": "umzi_merge", "to_port": 0},
+                {"from": "umzi_short", "to": "umzi_merge", "to_port": 1},
+                {"from": "umzi_merge", "from_port": 0, "to": "source_strip"},
+                {"from": "source_strip", "to": "to_filters"},
+            ],
+        }
+        explicit = parse_circuit_config(doc)
+        assert explicit.name == "circuit"
+        a, b = evaluate_circuit(template), evaluate_circuit(explicit)
+        assert a.band_omega == b.band_omega
+        assert [c.segment_id for c in a.contributions] == [c.segment_id for c in b.contributions]
+        for ca, cb in zip(a.contributions, b.contributions):
+            np.testing.assert_array_equal(ca.spectrum.flux_density, cb.spectrum.flux_density)
+            assert ca.pump_powers_w == cb.pump_powers_w
+            assert ca.transmission == cb.transmission
+            assert ca.band_flux(a.band_omega) == cb.band_flux(b.band_omega)
+        assert a.ratio == b.ratio
 
     def test_unknown_template_rejected(self):
         with pytest.raises(ConfigError):
@@ -243,33 +332,21 @@ class TestCircuitCommand:
         assert ratio <= 2.0
 
     def test_custom_graph_config(self, tmp_path):
-        doc = {
-            "pump": {"mode": "degenerate", "wavelength_nm": 1552.5, "power_w": 1.0},
-            "grid": {"span_thz": 12.0, "points": 512},
-            "band_thz": [2.5, 5.0],
-            "input_ports": "in",
-            "detection_node": "out",
-            "designated_segments": ["wg"],
-            "nodes": [
-                {"id": "in", "kind": "port", "direction": "input"},
-                {"id": "gc", "kind": "grating_coupler", "center_nm": 1552.5},
-                {
-                    "id": "wg",
-                    "kind": "segment",
-                    "waveguide": {"kind": "strip", "length_mm": 5.0},
-                },
-                {"id": "out", "kind": "port", "direction": "output"},
-            ],
-            "edges": [
-                {"from": "in", "to": "gc"},
-                {"from": "gc", "to": "wg"},
-                {"from": "wg", "to": "out"},
-            ],
-        }
-        cfg = write_yaml(tmp_path / "circ.yaml", doc)
+        cfg = write_yaml(tmp_path / "circ.yaml", CIRCUIT_DOC)
         out = tmp_path / "out"
         assert main(["circuit", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "circuit_wg_spectrum.csv").exists()
+        report = (out / "circuit_report.txt").read_text()
+        assert "selection ratio" in report and "selection threshold" in report
+
+    @pytest.mark.parametrize(
+        "extra_key, argv",
+        [({"all_strip": True}, []), ({"all_strip": False}, []), ({}, ["--all-strip"])],
+    )
+    def test_all_strip_on_explicit_graph_exits_2(self, tmp_path, capsys, extra_key, argv):
+        cfg = write_yaml(tmp_path / "circ.yaml", {**CIRCUIT_DOC, **extra_key})
+        assert main(["circuit", "--config", cfg, "--out", str(tmp_path), *argv]) == 2
+        assert "all_strip" in capsys.readouterr().err
 
     def test_requires_some_input(self):
         assert main(["circuit"]) == 2
@@ -356,6 +433,33 @@ class TestCarCommand:
         doc["window_ns"] = 41.5
         cfg = write_yaml(tmp_path / "car.yaml", doc)
         assert main(["car", "--config", cfg, "--out", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("circuit", ("edges", 1, "from_port"), "one"),
+        ("circuit", ("edges", 1, "to_port"), "zero"),
+        ("circuit", ("edges", 1, "to_port"), 0.5),
+        ("circuit", ("nodes", 2, "pair_loss_exponent"), "two"),
+        ("circuit", ("nodes", 2, "n_eff"), "high"),
+        ("circuit", ("band_thz", 0), "abc"),
+        ("car", ("guard_bins",), "two"),
+    ],
+)
+def test_bad_config_value_exits_2_naming_field(tmp_path, capsys, command, path, value):
+    if command == "circuit":
+        doc = copy.deepcopy(CIRCUIT_DOC)
+    else:
+        doc = {"bin_width_ps": 1000.0, "window_ns": 41.0, "timestamps_csv": "ts.csv"}
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    cfg = write_yaml(tmp_path / "run.yaml", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    field = [key for key in path if isinstance(key, str)][-1]
+    assert field in capsys.readouterr().err
 
 
 def test_console_script_wired():
