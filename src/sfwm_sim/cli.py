@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +33,11 @@ from .config import (
     parse_gamma_config,
     parse_spectrum_config,
 )
-from .csvio import write_histogram_csv, write_mismatch_csv, write_spectrum_csv
+from .csvio import write_histogram_csv, write_mismatch_csv, write_spectrum_csv, write_table
 from .dispersion import wavelength_from_angular_frequency
 from .engine import bandwidth_3db_hz, biphoton_spectrum, total_mismatch
 from .errors import ConfigError, DataError, DomainError, SfwmError
-from .modefield import MaterialConstants, ModeFieldGrid, gamma_report, read_mode_field_csv
+from .modefield import MaterialConstants, gamma_report, read_mode_field_csv
 from .svgplot import write_line_plot
 from .templates import TEMPLATE_NAMES, evaluate_circuit
 
@@ -77,6 +78,7 @@ def cmd_spectrum(args) -> int:
 
 
 SELECTION_THRESHOLD = 10.0
+SUMMARY_HEADER = ("segment", "designated", "pump_powers_w", "transmission", "band_flux_per_s")
 
 
 def _circuit_report_lines(report) -> list[str]:
@@ -114,23 +116,23 @@ def cmd_circuit(args) -> int:
     band, designated = report.band_omega, set(setup.designated_segments)
     lines = _circuit_report_lines(report)
 
+    contribs = report.contributions
+    for c in contribs:
+        spectrum_path = out / f"{name}_{c.segment_id}_spectrum.csv"
+        write_spectrum_csv(spectrum_path, c.spectrum, omega_c, doc_hash)
     summary_path = out / f"{name}_summary.csv"
-    with summary_path.open("w") as fh:
-        fh.write(f"# config_sha256={doc_hash}\n")
-        fh.write(f"# selection_ratio={report.ratio!r}\n")
-        fh.write("segment,designated,pump_powers_w,transmission,band_flux_per_s\n")
-        for contrib in report.contributions:
-            write_spectrum_csv(
-                out / f"{name}_{contrib.segment_id}_spectrum.csv",
-                contrib.spectrum,
-                omega_c,
-                doc_hash,
-            )
-            powers = "/".join(repr(p) for p in contrib.pump_powers_w)
-            fh.write(
-                f"{contrib.segment_id},{int(contrib.segment_id in designated)},"
-                f"{powers},{repr(contrib.transmission)},{repr(contrib.band_flux(band))}\n"
-            )
+    write_table(
+        summary_path,
+        SUMMARY_HEADER,
+        (
+            [c.segment_id for c in contribs],
+            [int(c.segment_id in designated) for c in contribs],
+            ["/".join(map(repr, c.pump_powers_w)) for c in contribs],
+            [c.transmission for c in contribs],
+            [c.band_flux(band) for c in contribs],
+        ),
+        (f"config_sha256={doc_hash}", f"selection_ratio={report.ratio!r}"),
+    )
     report_path = out / f"{name}_report.txt"
     report_path.write_text(
         f"# config_sha256={doc_hash}\n" + "\n".join(lines) + "\n"
@@ -140,7 +142,7 @@ def cmd_circuit(args) -> int:
     print(f"summary -> {summary_path}")
 
     if args.svg:
-        series = {c.segment_id: c.spectrum.flux_density for c in report.contributions}
+        series = {c.segment_id: c.spectrum.flux_density for c in contribs}
         write_line_plot(
             out / f"{name}_contributions.svg",
             setup.grid.detunings_hz(omega_c) / 1e12,
@@ -150,16 +152,6 @@ def cmd_circuit(args) -> int:
             f"{name}: per-segment contributions",
         )
     return 0
-
-
-def _scaled_grid(grid: ModeFieldGrid, factor: float) -> ModeFieldGrid:
-    return ModeFieldGrid(
-        grid.x_coords,
-        grid.y_coords,
-        grid.e_field * factor,
-        grid.h_field * factor,
-        grid.core_mask,
-    )
 
 
 def cmd_gamma(args) -> int:
@@ -176,7 +168,8 @@ def cmd_gamma(args) -> int:
         f"gamma: {report['gamma_per_w_m']:.4f} /(W m)",
     ]
     if args.verify_scale:
-        scaled = gamma_report(_scaled_grid(grid, 3.0), run.omega, constants)
+        tripled = replace(grid, e_field=grid.e_field * 3.0, h_field=grid.h_field * 3.0)
+        scaled = gamma_report(tripled, run.omega, constants)
         rel = abs(scaled["gamma_per_w_m"] - report["gamma_per_w_m"]) / report["gamma_per_w_m"]
         lines.append(f"scale invariance (fields x3): relative change {rel:.3e}")
     out = _out_dir(args)

@@ -19,17 +19,18 @@ closed-loop tested against the predictor.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from math import inf, isfinite
+from math import inf
 from pathlib import Path
 
 import numpy as np
 
+from .csvio import read_table, row_error, write_table
 from .dispersion import angular_frequency_from_wavelength
 from .errors import DataError, DomainError
 
 CAR_PEAK_BINS = 5
+TIMESTAMP_HEADER = ("channel", "timestamp_s")
 
 
 @dataclass(frozen=True)
@@ -328,44 +329,22 @@ def synthesize_timestamps(
 
 def write_timestamps_csv(path: str | Path, signal_ts, idler_ts) -> None:
     """Write the two channels in the `channel,timestamp_s` interchange format."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("channel", "timestamp_s"))
-        for name, ts in (("signal", signal_ts), ("idler", idler_ts)):
-            for t in np.asarray(ts, dtype=float):
-                writer.writerow((name, repr(float(t))))
+    signal = np.asarray(signal_ts, dtype=float)
+    idler = np.asarray(idler_ts, dtype=float)
+    write_table(
+        path,
+        TIMESTAMP_HEADER,
+        (["signal"] * signal.size + ["idler"] * idler.size, np.concatenate([signal, idler])),
+    )
 
 
 def read_timestamps_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read `channel,timestamp_s` data; each channel must be monotone."""
-    path = Path(path)
-    streams: dict[str, list[float]] = {"signal": [], "idler": []}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty timestamp file")
-        if [h.strip() for h in header] != ["channel", "timestamp_s"]:
-            raise DataError(f"{path}: expected header 'channel,timestamp_s'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns")
-            channel = row[0].strip()
-            if channel not in streams:
-                raise DataError(
-                    f"{path}:{lineno}: unknown channel {channel!r} (signal|idler)"
-                )
-            try:
-                value = float(row[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad timestamp {row[1]!r}") from exc
-            if not isfinite(value):
-                raise DataError(f"{path}:{lineno}: timestamp {row[1]!r} is not finite")
-            streams[channel].append(value)
-    if not streams["signal"] and not streams["idler"]:
+    channel, stamps = read_table(path, TIMESTAMP_HEADER, text=("channel",))
+    if not channel:
         raise DataError(f"{path}: no timestamps found")
-    signal = _check_sorted("signal", np.asarray(streams["signal"]))
-    idler = _check_sorted("idler", np.asarray(streams["idler"]))
-    return signal, idler
+    if channel.count("signal") + channel.count("idler") != len(channel):
+        row = next(k for k, name in enumerate(channel) if name not in ("signal", "idler"))
+        raise row_error(path, row, f"unknown channel {channel[row]!r} (signal|idler)")
+    is_signal = np.fromiter(map("signal".__eq__, channel), bool, len(channel))
+    return _check_sorted("signal", stamps[is_signal]), _check_sorted("idler", stamps[~is_signal])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, replace
 from math import pi
 from pathlib import Path
@@ -41,6 +42,8 @@ CONFIG_PATH_ENV = "SFWM_SIM_CONFIG_PATH"
 
 _MISSING = object()
 
+NODE_ID = re.compile(r"[A-Za-z0-9_.-]+")
+
 
 def locate_config(name: str | Path) -> Path:
     """Resolve a config path, falling back to the search-path env var."""
@@ -58,7 +61,9 @@ def locate_config(name: str | Path) -> Path:
 def load_config(path: str | Path) -> dict:
     path = locate_config(path)
     try:
-        doc = yaml.safe_load(path.read_text())
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config ({exc})") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
     if not isinstance(doc, dict):
@@ -120,81 +125,51 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
 def _take_optional_number(sec: _Section, key: str) -> float | None:
     value = sec.take(key, None)
     return None if value is None else _number(value, f"{sec.where}.{key}")
 
 
-def take_wavelength_rad_s(sec: _Section, stem: str) -> float:
-    """Read one frequency-like quantity given as *_nm, *_thz or *_rad_s."""
-    keys = (f"{stem}_nm", f"{stem}_thz", f"{stem}_rad_s")
+# The unit suffixes each kind of quantity accepts, each with its SI factor or
+# conversion function.
+ANGULAR_FREQUENCY_UNITS = {
+    "_nm": lambda v: angular_frequency_from_wavelength(v * 1e-9),
+    "_thz": lambda v: 2.0 * pi * v * 1e12,
+    "_rad_s": 1.0,
+}
+POWER_UNITS = {"_w": 1.0, "_mw": 1e-3, "_dbm": lambda v: 1e-3 * 10.0 ** (v / 10.0)}
+LENGTH_UNITS = {"_m": 1.0, "_mm": 1e-3, "_um": 1e-6}
+TIME_UNITS = {"_s": 1.0, "_us": 1e-6, "_ns": 1e-9, "_ps": 1e-12}
+
+
+def take_quantity(sec: _Section, stem: str, units: dict) -> float:
+    """Read one quantity given under exactly one key ``stem + suffix``, converted to SI."""
+    keys = tuple(stem + suffix for suffix in units)
     present = [k for k in keys if sec.has(k)]
     if len(present) != 1:
         raise ConfigError(f"{sec.where}: give exactly one of {keys}")
     value = _number(sec.take(present[0]), f"{sec.where}.{present[0]}")
-    if present[0].endswith("_nm"):
-        return angular_frequency_from_wavelength(value * 1e-9)
-    if present[0].endswith("_thz"):
-        return 2.0 * pi * value * 1e12
-    return value
-
-
-def take_power_w(sec: _Section, stem: str, default: float | None = None) -> float:
-    keys = (f"{stem}_w", f"{stem}_mw", f"{stem}_dbm")
-    present = [k for k in keys if sec.has(k)]
-    if not present and default is not None:
-        return default
-    if len(present) != 1:
-        raise ConfigError(f"{sec.where}: give exactly one of {keys}")
-    value = _number(sec.take(present[0]), f"{sec.where}.{present[0]}")
-    if present[0].endswith("_mw"):
-        return value * 1e-3
-    if present[0].endswith("_dbm"):
-        return 1e-3 * 10.0 ** (value / 10.0)
-    return value
-
-
-def take_length_m(sec: _Section, stem: str, default: float | None = None) -> float:
-    keys = (f"{stem}_m", f"{stem}_mm", f"{stem}_um")
-    present = [k for k in keys if sec.has(k)]
-    if not present and default is not None:
-        return default
-    if len(present) != 1:
-        raise ConfigError(f"{sec.where}: give exactly one of {keys}")
-    value = _number(sec.take(present[0]), f"{sec.where}.{present[0]}")
-    if present[0].endswith("_mm"):
-        return value * 1e-3
-    if present[0].endswith("_um"):
-        return value * 1e-6
-    return value
-
-
-def take_time_s(sec: _Section, stem: str, default: float | None = None) -> float:
-    keys = (f"{stem}_s", f"{stem}_us", f"{stem}_ns", f"{stem}_ps")
-    present = [k for k in keys if sec.has(k)]
-    if not present and default is not None:
-        return default
-    if len(present) != 1:
-        raise ConfigError(f"{sec.where}: give exactly one of {keys}")
-    value = _number(sec.take(present[0]), f"{sec.where}.{present[0]}")
-    scale = {"_s": 1.0, "_us": 1e-6, "_ns": 1e-9, "_ps": 1e-12}
-    for suffix, factor in scale.items():
-        if present[0].endswith(suffix):
-            return value * factor
-    raise AssertionError
+    unit = units[present[0][len(stem) :]]
+    return unit(value) if callable(unit) else value * unit
 
 
 def parse_pump(sec: _Section) -> PumpConfig:
     mode = sec.take("mode", "degenerate")
     if mode == "degenerate":
-        omega = take_wavelength_rad_s(sec, "wavelength")
-        power = take_power_w(sec, "power")
+        omega = take_quantity(sec, "wavelength", ANGULAR_FREQUENCY_UNITS)
+        power = take_quantity(sec, "power", POWER_UNITS)
         pump = PumpConfig.degenerate(omega, power)
     elif mode in ("non-degenerate", "non_degenerate"):
-        omega1 = take_wavelength_rad_s(sec, "wavelength1")
-        omega2 = take_wavelength_rad_s(sec, "wavelength2")
-        power1 = take_power_w(sec, "power1")
-        power2 = take_power_w(sec, "power2")
+        omega1 = take_quantity(sec, "wavelength1", ANGULAR_FREQUENCY_UNITS)
+        omega2 = take_quantity(sec, "wavelength2", ANGULAR_FREQUENCY_UNITS)
+        power1 = take_quantity(sec, "power1", POWER_UNITS)
+        power2 = take_quantity(sec, "power2", POWER_UNITS)
         pump = PumpConfig.non_degenerate(omega1, omega2, power1, power2)
     else:
         raise ConfigError(f"{sec.where}.mode: unknown pump mode {mode!r}")
@@ -249,7 +224,7 @@ def parse_waveguide(sec: _Section, omega_c: float) -> tuple[WaveguideSpec, float
     """
     kind = str(sec.take("kind", "custom")).replace("-", "_")
     label = sec.take("label", kind)
-    length = take_length_m(sec, "length")
+    length = take_quantity(sec, "length", LENGTH_UNITS)
     if kind not in PRESET_KINDS and kind != "custom":
         raise ConfigError(f"{sec.where}.kind: unknown kind {kind!r}")
     given = {
@@ -316,6 +291,11 @@ def parse_spectrum_config(doc: dict, n_points_override: int | None = None) -> Sp
 def _parse_node(sec: _Section, omega_c: float):
     kind = sec.take("kind")
     node_id = str(sec.take("id"))
+    if not NODE_ID.fullmatch(node_id):
+        # Ids name output files and summary cells.
+        raise ConfigError(
+            f"{sec.where}.id: {node_id!r} may use only letters, digits, '_', '.' and '-'"
+        )
     if kind == "port":
         node = PortNode(node_id, sec.take("direction", "input"))
     elif kind == "splitter":
@@ -326,7 +306,7 @@ def _parse_node(sec: _Section, omega_c: float):
         )
     elif kind == "grating_coupler":
         defaults = coupler_defaults()
-        center = take_wavelength_rad_s(sec, "center")
+        center = take_quantity(sec, "center", ANGULAR_FREQUENCY_UNITS)
         node = CouplerNode(
             node_id,
             center_wavelength_m=wavelength_from_angular_frequency(center),
@@ -380,10 +360,10 @@ def parse_circuit_config(doc: dict) -> CircuitSetup:
     band_hz = tuple(_number(v, f"config.band_thz[{i}]") * 1e12 for i, v in enumerate(band))
 
     nodes = []
-    for i, item in enumerate(top.take("nodes")):
+    for i, item in enumerate(_list(top.take("nodes"), "config.nodes")):
         nodes.append(_parse_node(_Section(item, f"config.nodes[{i}]"), pump.omega_c))
     edges = []
-    for i, item in enumerate(top.take("edges")):
+    for i, item in enumerate(_list(top.take("edges"), "config.edges")):
         sec = _Section(item, f"config.edges[{i}]")
         edges.append(
             Edge(
@@ -398,11 +378,16 @@ def parse_circuit_config(doc: dict) -> CircuitSetup:
 
     inputs = top.take("input_ports")
     if isinstance(inputs, str):
-        input_ports: str | tuple[str, str] = inputs
-    elif isinstance(inputs, list) and len(inputs) in (1, 2):
-        input_ports = inputs[0] if len(inputs) == 1 else (str(inputs[0]), str(inputs[1]))
-    else:
-        raise ConfigError("config.input_ports: expected a port id or a list of 1-2 ids")
+        inputs = [inputs]
+    if not (
+        isinstance(inputs, list)
+        and len(inputs) in (1, 2)
+        and all(isinstance(port, str) for port in inputs)
+    ):
+        raise ConfigError(
+            f"config.input_ports: expected a port id or a list of 1-2 ids, got {inputs!r}"
+        )
+    input_ports = inputs[0] if len(inputs) == 1 else tuple(inputs)
     detection = top.take("detection_node", None)
     designated = top.take("designated_segments")
     if not isinstance(designated, list) or not designated:
@@ -434,11 +419,24 @@ def parse_gamma_config(doc: dict) -> GammaRun:
     csv_path = Path(str(top.take("mode_field_csv")))
     if not csv_path.exists():
         raise ConfigError(f"config.mode_field_csv: file {csv_path} does not exist")
-    omega = take_wavelength_rad_s(top, "wavelength")
+    omega = take_quantity(top, "wavelength", ANGULAR_FREQUENCY_UNITS)
     n0 = _number(top.take("n0", 3.48), "config.n0")
     n2 = _number(top.take("n2_m2_per_w", 4.5e-18), "config.n2_m2_per_w")
     top.finish()
     return GammaRun(csv_path, omega, n0, n2, config_hash(doc))
+
+
+# RateModel keyword arguments plus duration_s; _MISSING marks a required key.
+SYNTHESIZE_DEFAULTS = {
+    "duration_s": _MISSING,
+    "pair_rate_hz": _MISSING,
+    "efficiency_signal": 1.0,
+    "efficiency_idler": 1.0,
+    "noise_rate_signal_hz": 0.0,
+    "noise_rate_idler_hz": 0.0,
+    "dark_rate_signal_hz": 0.0,
+    "dark_rate_idler_hz": 0.0,
+}
 
 
 @dataclass(frozen=True)
@@ -453,8 +451,8 @@ class CarRun:
 
 def parse_car_config(doc: dict) -> CarRun:
     top = _Section(doc, "config")
-    bin_width = take_time_s(top, "bin_width")
-    window = take_time_s(top, "window")
+    bin_width = take_quantity(top, "bin_width", TIME_UNITS)
+    window = take_quantity(top, "window", TIME_UNITS)
     guard = _integer(top.take("guard_bins", 0), "config.guard_bins")
     ts_path = top.take("timestamps_csv", None)
     synth_sec = top.take_section("synthesize")
@@ -463,32 +461,8 @@ def parse_car_config(doc: dict) -> CarRun:
     synthesize = None
     if synth_sec is not None:
         synthesize = {
-            "duration_s": _number(synth_sec.take("duration_s"), f"{synth_sec.where}.duration_s"),
-            "pair_rate_hz": _number(
-                synth_sec.take("pair_rate_hz"), f"{synth_sec.where}.pair_rate_hz"
-            ),
-            "efficiency_signal": _number(
-                synth_sec.take("efficiency_signal", 1.0), f"{synth_sec.where}.efficiency_signal"
-            ),
-            "efficiency_idler": _number(
-                synth_sec.take("efficiency_idler", 1.0), f"{synth_sec.where}.efficiency_idler"
-            ),
-            "noise_rate_signal_hz": _number(
-                synth_sec.take("noise_rate_signal_hz", 0.0),
-                f"{synth_sec.where}.noise_rate_signal_hz",
-            ),
-            "noise_rate_idler_hz": _number(
-                synth_sec.take("noise_rate_idler_hz", 0.0),
-                f"{synth_sec.where}.noise_rate_idler_hz",
-            ),
-            "dark_rate_signal_hz": _number(
-                synth_sec.take("dark_rate_signal_hz", 0.0),
-                f"{synth_sec.where}.dark_rate_signal_hz",
-            ),
-            "dark_rate_idler_hz": _number(
-                synth_sec.take("dark_rate_idler_hz", 0.0),
-                f"{synth_sec.where}.dark_rate_idler_hz",
-            ),
+            key: _number(synth_sec.take(key, default), f"{synth_sec.where}.{key}")
+            for key, default in SYNTHESIZE_DEFAULTS.items()
         }
         synth_sec.finish()
     path = None

@@ -1,13 +1,16 @@
-"""CSV interchange formats.
+"""The one CSV table format (see README "File formats"), and the tables on it.
 
-All emitters write floats with ``repr`` (shortest round-trip form) and prefix
-a comment header recording the sha256 of the originating config, so identical
-runs produce byte-identical files and every artifact is traceable.
+``write_table`` and ``read_table`` are the only code that formats or parses
+CSV: ``# ...`` comment lines ending in LF, then a header and rows ending in
+CRLF, unquoted comma-separated cells, floats in shortest round-trip form.
 """
 
 from __future__ import annotations
 
-import csv
+import sys
+from functools import partial
+from itertools import islice, repeat
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -19,32 +22,104 @@ SPECTRUM_HEADER = ("omega_rad_s", "detuning_thz", "flux_density_per_hz")
 MISMATCH_HEADER = ("omega_rad_s", "detuning_thz", "delta_k_rad_per_m")
 HISTOGRAM_HEADER = ("bin_center_s", "counts")
 
-
-def _open_rows(path: Path) -> tuple[list[str], list[list[str]]]:
-    with path.open(newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    comments = []
-    data = []
-    for row in rows:
-        if row[0].lstrip().startswith("#"):
-            comments.append(",".join(row))
-        else:
-            data.append(row)
-    if not data:
-        raise DataError(f"{path}: no data rows")
-    return comments, data
+# Both directions work in blocks, so a long timestamp stream never holds
+# more than one block of cell strings in memory.
+_WRITE_BLOCK_ROWS = 1 << 12
+_READ_BLOCK_CHARS = 1 << 16
 
 
-def _write_table(
-    path: Path, header: tuple[str, ...], columns, config_sha: str | None
-) -> None:
-    with path.open("w", newline="") as fh:
-        if config_sha is not None:
-            fh.write(f"# config_sha256={config_sha}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row])
+def write_table(path: str | Path, header, columns, comments=()) -> None:
+    """Write equal-length ``columns``, one per header name, after ``# comment`` lines.
+
+    Cells are written with ``str``; numpy columns go through ``tolist()``
+    first, so float64 cells come out in Python's shortest round-trip form.
+    """
+    if len(columns) != len(header) or len({len(col) for col in columns}) > 1:
+        raise ValueError(f"{path}: need one column per header name, all of one length")
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(f"# {line}\n" for line in comments) + ",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            block = [col[start : start + _WRITE_BLOCK_ROWS] for col in columns]
+            cells = (map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in block)
+            rows = list(map(",".join, zip(*cells)))
+            text = "\r\n".join(rows) + "\r\n"
+            breaks = text.count("\r") + text.count("\n")
+            if text.count(",") != (len(header) - 1) * len(rows) or breaks != 2 * len(rows):
+                raise ValueError(f"{path}: a cell contains a comma or a line break")
+            fh.write(text)
+
+
+def _is_row(line: str) -> bool:
+    stripped = line.strip()
+    return bool(stripped) and not stripped.startswith("#")
+
+
+def row_error(path: str | Path, row: int, message: str) -> DataError:
+    """A DataError naming the file line of data row ``row`` (0-based; -1 is the header)."""
+    with Path(path).open(encoding="utf-8") as fh:
+        lines = (n for n, line in enumerate(fh, start=1) if _is_row(line))
+        return DataError(f"{path}:{next(islice(lines, row + 1, None))}: {message}")
+
+
+def _floats(path: Path, first_row: int, name: str, cells: list[str]) -> np.ndarray:
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    for k, cell in enumerate(cells):
+        try:
+            problem = None if isfinite(float(cell)) else "is not finite"
+        except ValueError:
+            problem = "is not a number"
+        if problem:
+            raise row_error(path, first_row + k, f"{name} cell {cell.strip()!r} {problem}")
+    raise AssertionError
+
+
+def read_table(path: str | Path, header, text=()) -> list:
+    """The columns of a table whose header is exactly ``header``.
+
+    Blank and ``#`` lines are skipped and LF line ends are accepted.  Columns
+    named in ``text`` come back as lists of stripped strings, all others as
+    float64 arrays.  An unreadable file, a wrong header, a row with the wrong
+    number of cells or a numeric cell that is not a finite number raises
+    DataError naming ``path:line``.
+    """
+    path, n = Path(path), len(header)
+    parts: list[list] = [[] for _ in header]
+    done = -1  # data rows read so far; -1 until the header is read
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for block in iter(partial(fh.readlines, _READ_BLOCK_CHARS), []):
+                rows = list(filter(_is_row if "#" in "".join(block) else str.strip, block))
+                if done < 0 and rows:
+                    got = tuple(cell.strip() for cell in rows.pop(0).split(","))
+                    if got != tuple(header):
+                        message = f"expected header {','.join(header)!r}, got {','.join(got)!r}"
+                        raise row_error(path, -1, message)
+                    done = 0
+                counts = list(map(str.count, rows, repeat(",")))
+                if counts.count(n - 1) != len(rows):
+                    k = next(k for k, c in enumerate(counts) if c != n - 1)
+                    raise row_error(path, done + k, f"expected {n} cells, got {counts[k] + 1}")
+                cells = ",".join(rows).split(",") if rows else []
+                for j, name in enumerate(header):
+                    if name in text:  # text cells repeat (channel names): one object per value
+                        parts[j].extend(map(sys.intern, map(str.strip, cells[j::n])))
+                    else:
+                        parts[j].append(_floats(path, done, name, cells[j::n]))
+                done += len(rows)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read table ({exc})") from exc
+    if done < 0:
+        raise DataError(f"{path}: no header line, expected {','.join(header)!r}")
+    return [col if name in text else np.concatenate(col) for name, col in zip(header, parts)]
+
+
+def _sha_comment(config_sha: str | None) -> tuple[str, ...]:
+    return () if config_sha is None else (f"config_sha256={config_sha}",)
 
 
 def write_spectrum_csv(
@@ -55,24 +130,17 @@ def write_spectrum_csv(
 ) -> None:
     omegas = spectrum.grid.omegas
     det_thz = spectrum.grid.detunings_hz(omega_c) / 1e12
-    _write_table(
-        Path(path), SPECTRUM_HEADER, (omegas, det_thz, spectrum.flux_density), config_sha
+    write_table(
+        path, SPECTRUM_HEADER, (omegas, det_thz, spectrum.flux_density), _sha_comment(config_sha)
     )
 
 
 def read_spectrum_csv(path: str | Path) -> BiphotonSpectrum:
     """Re-ingest an emitted spectrum; exact float round trip."""
     path = Path(path)
-    _, data = _open_rows(path)
-    if tuple(data[0]) != SPECTRUM_HEADER:
-        raise DataError(f"{path}: expected header {','.join(SPECTRUM_HEADER)!r}")
-    try:
-        values = np.array([[float(v) for v in row] for row in data[1:]], dtype=float)
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric cell ({exc})") from exc
-    if values.shape[0] < 2:
+    omegas, _, flux = read_table(path, SPECTRUM_HEADER)
+    if omegas.size < 2:
         raise DataError(f"{path}: need at least 2 samples")
-    omegas, flux = values[:, 0], values[:, 2]
     grid = SpectralGrid(float(omegas[0]), float(omegas[-1]), omegas.size)
     if not np.array_equal(grid.omegas, omegas):
         # Mirrored-symmetric grids: every sample pair sums to 2*center.
@@ -94,23 +162,20 @@ def write_mismatch_csv(
     config_sha: str | None = None,
 ) -> None:
     det_thz = grid.detunings_hz(omega_c) / 1e12
-    _write_table(Path(path), MISMATCH_HEADER, (grid.omegas, det_thz, delta_k), config_sha)
+    write_table(
+        path, MISMATCH_HEADER, (grid.omegas, det_thz, delta_k), _sha_comment(config_sha)
+    )
 
 
 def write_histogram_csv(path: str | Path, hist, config_sha: str | None = None) -> None:
-    _write_table(
-        Path(path),
+    write_table(
+        path,
         HISTOGRAM_HEADER,
         (hist.bin_centers_s, hist.counts.astype(float)),
-        config_sha,
+        _sha_comment(config_sha),
     )
 
 
 def read_histogram_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    path = Path(path)
-    _, data = _open_rows(path)
-    if tuple(data[0]) != HISTOGRAM_HEADER:
-        raise DataError(f"{path}: expected header {','.join(HISTOGRAM_HEADER)!r}")
-    centers = np.array([float(r[0]) for r in data[1:]])
-    counts = np.array([int(float(r[1])) for r in data[1:]], dtype=np.int64)
-    return centers, counts
+    centers, counts = read_table(path, HISTOGRAM_HEADER)
+    return centers, counts.astype(np.int64)

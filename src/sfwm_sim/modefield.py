@@ -17,12 +17,12 @@ per frequency.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .csvio import read_table, write_table
 from .dispersion import C_VACUUM
 from .errors import DataError, DomainError
 
@@ -154,30 +154,12 @@ def read_mode_field_csv(path: str | Path) -> ModeFieldGrid:
     must form a full rectilinear grid; anything else raises DataError.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
-        raise DataError(f"{path}: empty mode-field file")
-    header = tuple(name.strip() for name in rows[0])
-    if header != MODE_FIELD_COLUMNS:
-        raise DataError(
-            f"{path}: bad header {','.join(header)!r}; "
-            f"expected {','.join(MODE_FIELD_COLUMNS)!r}"
-        )
-    try:
-        data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric cell ({exc})") from exc
-    if data.ndim != 2 or data.shape[1] != len(MODE_FIELD_COLUMNS) or data.shape[0] < 4:
+    data = np.column_stack(read_table(path, MODE_FIELD_COLUMNS))
+    if data.shape[0] < 4:
         raise DataError(f"{path}: expected >= 4 complete rows")
 
     x = np.unique(data[:, 0])
     y = np.unique(data[:, 1])
-    if x.size * y.size != data.shape[0]:
-        raise DataError(
-            f"{path}: {data.shape[0]} rows do not form a rectilinear "
-            f"{x.size} x {y.size} grid"
-        )
     # Row-major check: sort by (x, y) and verify coordinates tile exactly.
     order = np.lexsort((data[:, 1], data[:, 0]))
     data = data[order]
@@ -197,18 +179,20 @@ def read_mode_field_csv(path: str | Path) -> ModeFieldGrid:
 
 def write_mode_field_csv(path: str | Path, grid: ModeFieldGrid) -> None:
     """Write a grid back out in the ingestion format (row-major)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MODE_FIELD_COLUMNS)
-        for i, xv in enumerate(grid.x_coords):
-            for j, yv in enumerate(grid.y_coords):
-                e = grid.e_field[i, j]
-                h = grid.h_field[i, j]
-                row = [repr(float(xv)), repr(float(yv))]
-                for vec in (e, h):
-                    for comp in vec:
-                        row.append(repr(float(comp.real)))
-                        row.append(repr(float(comp.imag)))
-                row.append("1" if grid.core_mask[i, j] else "0")
-                writer.writerow(row)
+    nx, ny = grid.core_mask.shape
+    components = [
+        part
+        for vec in (grid.e_field, grid.h_field)
+        for k in range(3)
+        for part in (vec[..., k].real.ravel(), vec[..., k].imag.ravel())
+    ]
+    write_table(
+        path,
+        MODE_FIELD_COLUMNS,
+        (
+            np.repeat(grid.x_coords, ny),
+            np.tile(grid.y_coords, nx),
+            *components,
+            grid.core_mask.ravel().astype(int),
+        ),
+    )

@@ -376,6 +376,21 @@ class TestGammaCommand:
         )
         assert main(["gamma", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    def test_nan_cell_exits_3_naming_line(self, tmp_path, capsys):
+        field_csv = tmp_path / "mode.csv"
+        write_mode_field_csv(field_csv, gaussian_mode(5))
+        lines = field_csv.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = "nan"
+        lines[3] = ",".join(cells)
+        field_csv.write_text("\n".join(lines) + "\n")
+        cfg = write_yaml(
+            tmp_path / "gamma.yaml",
+            {"mode_field_csv": str(field_csv), "wavelength_nm": 1552.5},
+        )
+        assert main(["gamma", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert f"{field_csv}:4: ex_re cell 'nan' is not finite" in capsys.readouterr().err
+
 
 class TestCarCommand:
     def _synth_doc(self):
@@ -445,6 +460,9 @@ class TestCarCommand:
         ("circuit", ("nodes", 2, "n_eff"), "high"),
         ("circuit", ("band_thz", 0), "abc"),
         ("car", ("guard_bins",), "two"),
+        ("circuit", ("nodes",), 5),
+        ("circuit", ("edges",), 5),
+        ("circuit", ("input_ports",), [5]),
     ],
 )
 def test_bad_config_value_exits_2_naming_field(tmp_path, capsys, command, path, value):
@@ -460,6 +478,44 @@ def test_bad_config_value_exits_2_naming_field(tmp_path, capsys, command, path, 
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     field = [key for key in path if isinstance(key, str)][-1]
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("node_id", ["src,strip", "src/strip"])
+def test_unsafe_node_id_exits_2(tmp_path, capsys, node_id):
+    doc = copy.deepcopy(CIRCUIT_DOC)
+    doc["nodes"][2]["id"] = doc["edges"][1]["to"] = doc["edges"][2]["from"] = node_id
+    doc["designated_segments"] = [node_id]
+    cfg = write_yaml(tmp_path / "run.yaml", doc)
+    assert main(["circuit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config.nodes[2].id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_config_exits_2_naming_path(tmp_path, capsys, kind):
+    path = tmp_path / "run.yaml"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"pump:\n  mode: degenerate \xff\n")
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gamma", "car"])
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_data_file_exits_3_naming_path(tmp_path, capsys, command, kind):
+    data = tmp_path / "data.csv"
+    if kind == "directory":
+        data.mkdir()
+    else:
+        data.write_bytes(b"x_m,y_m\n\xff\n")
+    if command == "gamma":
+        doc = {"mode_field_csv": str(data), "wavelength_nm": 1552.5}
+    else:
+        doc = {"bin_width_ps": 1000.0, "window_ns": 41.0, "timestamps_csv": str(data)}
+    cfg = write_yaml(tmp_path / "run.yaml", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert str(data) in capsys.readouterr().err
 
 
 def test_console_script_wired():

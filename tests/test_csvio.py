@@ -1,0 +1,150 @@
+"""The one CSV table format: write_table / read_table and every table the CLI emits."""
+
+import math
+
+import numpy as np
+import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from sfwm_sim.cli import SUMMARY_HEADER, main
+from sfwm_sim.coincidence import TIMESTAMP_HEADER
+from sfwm_sim.csvio import (
+    HISTOGRAM_HEADER,
+    MISMATCH_HEADER,
+    SPECTRUM_HEADER,
+    read_table,
+    write_table,
+)
+from sfwm_sim.errors import DataError
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, 0.1, 1e16, 1e-5]
+
+
+def _tables(min_rows: int):
+    return st.integers(1, 4).flatmap(
+        lambda n_cols: arrays(
+            np.float64, st.tuples(st.integers(min_rows, 12), st.just(n_cols)), elements=FINITE
+        )
+    )
+
+
+def _header(n_cols: int) -> tuple[str, ...]:
+    return tuple(f"c{j}" for j in range(n_cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_tables(min_rows=0), n_comments=st.integers(0, 2))
+@example(table=np.array([EXTREMES]).T, n_comments=1)
+@example(table=np.array([EXTREMES, EXTREMES[::-1]]).T, n_comments=0)
+def test_finite_float_columns_round_trip_bit_exactly(tmp_path_factory, table, n_comments):
+    path = tmp_path_factory.mktemp("rt") / "table.csv"
+    header = _header(table.shape[1])
+    write_table(path, header, list(table.T), [f"note {i}" for i in range(n_comments)])
+    columns = read_table(path, header)
+    assert len(columns) == table.shape[1]
+    for written, read in zip(table.T, columns):
+        assert read.dtype == np.float64
+        np.testing.assert_array_equal(read.view(np.int64), written.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    table=_tables(min_rows=1),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    n_comments=st.integers(0, 2),
+    data=st.data(),
+)
+def test_single_non_finite_cell_rejected_with_its_line(
+    tmp_path_factory, table, bad, n_comments, data
+):
+    row = data.draw(st.integers(0, table.shape[0] - 1))
+    col = data.draw(st.integers(0, table.shape[1] - 1))
+    table = table.copy()
+    table[row, col] = bad
+    path = tmp_path_factory.mktemp("nf") / "table.csv"
+    header = _header(table.shape[1])
+    write_table(path, header, list(table.T), ["x"] * n_comments)
+    line = n_comments + 2 + row  # comments, the header, then rows from line n_comments + 2
+    with pytest.raises(DataError, match=rf"table\.csv:{line}: c{col} .*not finite"):
+        read_table(path, header)
+
+
+def test_bytes_of_the_format(tmp_path):
+    path = tmp_path / "t.csv"
+    columns = (["a", "b"], np.array([0.1, -0.0]), np.array([1, 0]))
+    write_table(path, ("name", "x", "n"), columns, ["k=v"])
+    assert path.read_bytes() == b"# k=v\nname,x,n\r\na,0.1,1\r\nb,-0.0,0\r\n"
+
+
+def test_reader_skips_blank_and_comment_lines_and_accepts_lf(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# top\n\n name , x \nsignal,1.5\n   \n  # mid\nidler , 2\n")
+    name, x = read_table(path, ("name", "x"), text=("name",))
+    assert name == ["signal", "idler"]
+    np.testing.assert_array_equal(x, [1.5, 2.0])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", r"t\.csv: no header line"),
+        ("# only a comment\n", r"t\.csv: no header line"),
+        ("# c\na,y\n1,2\n", r"t\.csv:2: expected header 'a,b'"),
+        ("a,b\n1,2\n\n3\n", r"t\.csv:4: expected 2 cells, got 1"),
+        ("a,b\n1,2\n3,4,5\n", r"t\.csv:3: expected 2 cells, got 3"),
+        ("a,b\n1,2\n3,four\n", r"t\.csv:3: b cell 'four' is not a number"),
+        ("a,b\n1,2\n# c\n3,\n", r"t\.csv:4: b cell '' is not a number"),
+    ],
+)
+def test_malformed_tables_name_their_line(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=message):
+        read_table(path, ("a", "b"))
+
+
+def test_writer_rejects_cells_that_would_break_the_format(tmp_path):
+    for cell in ("src,strip", "two\nlines", "carriage\rreturn"):
+        with pytest.raises(ValueError, match="comma or a line break"):
+            write_table(tmp_path / "t.csv", ("id", "x"), ([cell], [1.0]))
+
+
+def test_every_emitted_table_reads_back_with_its_header(tmp_path):
+    spectrum_cfg = tmp_path / "spectrum.yaml"
+    spectrum_cfg.write_text(yaml.safe_dump({
+        "pump": {"mode": "degenerate", "wavelength_nm": 1552.5, "power_w": 1.0},
+        "grid": {"span_thz": 20.0, "points": 64},
+        "waveguides": [{"label": "strip", "kind": "strip", "length_mm": 5.0}],
+    }))
+    car_cfg = tmp_path / "car.yaml"
+    car_cfg.write_text(yaml.safe_dump({
+        "bin_width_ps": 1000.0,
+        "window_ns": 41.0,
+        "synthesize": {"duration_s": 0.5, "pair_rate_hz": 1000.0,
+                       "noise_rate_signal_hz": 500.0, "noise_rate_idler_hz": 500.0},
+    }))
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(spectrum_cfg), "--out", str(out)]) == 0
+    assert main(["circuit", "--template", "app1_timebin", "--out", str(out)]) == 0
+    assert main(["car", "--config", str(car_cfg), "--out", str(out), "--seed", "3"]) == 0
+
+    declared = {
+        "_spectrum.csv": (SPECTRUM_HEADER, ()),
+        "_mismatch.csv": (MISMATCH_HEADER, ()),
+        "_summary.csv": (SUMMARY_HEADER, ("segment", "pump_powers_w")),
+        "histogram.csv": (HISTOGRAM_HEADER, ()),
+        "timestamps.csv": (TIMESTAMP_HEADER, ("channel",)),
+    }
+    seen = set()
+    for path in sorted(out.glob("*.csv")):
+        (suffix,) = [s for s in declared if path.name.endswith(s)]
+        header, text = declared[suffix]
+        columns = read_table(path, header, text=text)
+        assert len({len(col) for col in columns}) == 1 and len(columns[0]) > 0, path.name
+        seen.add(suffix)
+    assert seen == set(declared)

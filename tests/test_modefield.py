@@ -187,3 +187,16 @@ class TestCsvRoundTrip:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(DataError):
             read_mode_field_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_cell_rejected_with_line(self, tmp_path, value):
+        grid = gaussian_mode(5)
+        path = tmp_path / "mode.csv"
+        write_mode_field_csv(path, grid)
+        text = path.read_text().splitlines()
+        cells = text[3].split(",")
+        cells[2] = value
+        text[3] = ",".join(cells)
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(DataError, match=rf"mode\.csv:4: ex_re cell '{value}' is not finite"):
+            read_mode_field_csv(path)
