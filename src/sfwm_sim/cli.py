@@ -44,7 +44,10 @@ from .templates import TEMPLATE_NAMES, evaluate_circuit
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: cannot create the output directory ({exc.strerror})") from exc
     return out
 
 

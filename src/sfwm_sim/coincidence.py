@@ -347,4 +347,19 @@ def read_timestamps_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         row = next(k for k, name in enumerate(channel) if name not in ("signal", "idler"))
         raise row_error(path, row, f"unknown channel {channel[row]!r} (signal|idler)")
     is_signal = np.fromiter(map("signal".__eq__, channel), bool, len(channel))
-    return _check_sorted("signal", stamps[is_signal]), _check_sorted("idler", stamps[~is_signal])
+    signal, idler = stamps[is_signal], stamps[~is_signal]
+    # Per channel, the row of the first timestamp below the one before it.
+    late = [
+        int(np.flatnonzero(mask)[np.argmax(np.diff(ts) < 0.0) + 1])
+        for mask, ts in ((is_signal, signal), (~is_signal, idler))
+        if np.any(np.diff(ts) < 0.0)
+    ]
+    if late:
+        row = min(late)
+        raise row_error(
+            path,
+            row,
+            f"{channel[row]} timestamp {float(stamps[row])!r} is earlier than the one before it "
+            "on that channel (timestamps must be sorted ascending per channel)",
+        )
+    return signal, idler

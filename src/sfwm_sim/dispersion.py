@@ -170,10 +170,16 @@ def linear_mismatch(model: DispersionModel, omega, pump: PumpConfig):
             f"{pump.omega_c:.6e} rad/s"
         )
     dw = np.asarray(omega, dtype=float) - pump.omega_c
+    dw2 = dw * dw
     wd = pump.omega_d
+    # (dw^2)^m by repeated products: numpy's array pow is slow for exponents
+    # above 2 and not bit-even in dw; products of dw2 are fast and exactly
+    # even, so every model is exactly mirror-symmetric on a symmetric grid.
     out = np.zeros_like(dw)
+    power = 1.0
     for m, beta in enumerate(model.beta_even, start=1):
-        out += 2.0 * beta / factorial(2 * m) * (dw ** (2 * m) - wd ** (2 * m))
+        power = power * dw2
+        out += 2.0 * beta / factorial(2 * m) * (power - wd ** (2 * m))
     if np.isscalar(omega):
         return float(out)
     return out

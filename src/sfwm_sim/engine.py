@@ -28,7 +28,8 @@ propagation loss, photons being generated uniformly along the waveguide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import log
+from functools import cached_property
+from math import isfinite, log, sinh, sqrt
 from typing import Iterable
 
 import numpy as np
@@ -84,7 +85,9 @@ class SpectralGrid:
 
     Grids built with :meth:`symmetric` mirror their samples exactly about the
     center frequency (each pair sums to 2*omega_c in floating point), so even
-    functions of the detuning evaluate exactly symmetrically.
+    functions of the detuning evaluate exactly symmetrically.  ``omegas`` is
+    computed on first use and cached on the (frozen) grid; ``replace`` gives
+    a new grid with its own samples.
     """
 
     omega_min: float
@@ -109,19 +112,23 @@ class SpectralGrid:
             raise DomainError("half_span must be smaller than omega_c")
         return cls(omega_c - half_span, omega_c + half_span, n_points, omega_c)
 
-    @property
+    @cached_property
     def omegas(self) -> np.ndarray:
+        """The samples (rad/s), built once per grid and read-only."""
         if self.mirror_center is None:
-            return np.linspace(self.omega_min, self.omega_max, self.n_points)
-        center = self.mirror_center
-        step = (self.omega_max - self.omega_min) / (self.n_points - 1)
-        n_upper, odd = divmod(self.n_points, 2)
-        offsets = (np.arange(n_upper) + (0.5 if not odd else 1.0)) * step
-        upper = center + offsets
-        # 2c - x is exact for x in [c, 2c) (Sterbenz), so pairs sum to 2c.
-        lower = 2.0 * center - upper[::-1]
-        middle = np.array([center]) if odd else np.empty(0)
-        return np.concatenate([lower, middle, upper])
+            samples = np.linspace(self.omega_min, self.omega_max, self.n_points)
+        else:
+            center = self.mirror_center
+            step = (self.omega_max - self.omega_min) / (self.n_points - 1)
+            n_upper, odd = divmod(self.n_points, 2)
+            offsets = (np.arange(n_upper) + (0.5 if not odd else 1.0)) * step
+            upper = center + offsets
+            # 2c - x is exact for x in [c, 2c) (Sterbenz), so pairs sum to 2c.
+            lower = 2.0 * center - upper[::-1]
+            middle = np.array([center]) if odd else np.empty(0)
+            samples = np.concatenate([lower, middle, upper])
+        samples.flags.writeable = False
+        return samples
 
     @property
     def center(self) -> float:
@@ -211,6 +218,30 @@ def gain_from_mismatch(power_term: float, delta_k, length_m: float):
     return out
 
 
+def _check_peak_gain(spec: WaveguideSpec, pump: PumpConfig, power_term: float, dk) -> None:
+    """Raise DomainError if the gain on ``dk`` overflows float64, before any sinh runs.
+
+    G = PT L^2 (sinh(qL)/qL)^2 grows with q, so the sample of smallest |dk|
+    (largest q^2) carries the peak gain; it is evaluated here as a scalar.
+    """
+    q2 = power_term - (0.5 * float(np.min(np.abs(dk), initial=np.inf))) ** 2
+    if not q2 > 0.0:
+        return
+    arg = sqrt(q2) * spec.length_m
+    try:
+        finite = isfinite(power_term / q2 * sinh(arg) ** 2)
+    except OverflowError:  # math.sinh and float ** raise instead of returning inf
+        finite = False
+    if not finite:
+        rate = "gamma*P" if pump.mode == "degenerate" else "2*gamma*sqrt(P1*P2)"
+        raise DomainError(
+            f"{spec.kind} waveguide of length {spec.length_m * 1e3:g} mm at "
+            f"{rate} = {sqrt(power_term):.6g} /m: the peak parametric gain "
+            f"sinh^2(q*L) at q*L = {arg:.6g} overflows float64; the undepleted-pump "
+            "model holds only for q*L << 1 (gain << 1)"
+        )
+
+
 def parametric_gain(spec: WaveguideSpec, pump: PumpConfig, omega):
     """Dimensionless parametric gain G at omega (scalar or ndarray).
 
@@ -220,7 +251,9 @@ def parametric_gain(spec: WaveguideSpec, pump: PumpConfig, omega):
     if np.any(om <= 0.0):
         raise DomainError("omega must be > 0")
     dk = np.asarray(total_mismatch(spec, pump, om), dtype=float)
-    gain = gain_from_mismatch(_power_term(spec.gamma_per_w_m, pump), dk, spec.length_m)
+    power_term = _power_term(spec.gamma_per_w_m, pump)
+    _check_peak_gain(spec, pump, power_term, dk)
+    gain = gain_from_mismatch(power_term, dk, spec.length_m)
     if np.isscalar(omega):
         return float(gain)
     return np.asarray(gain)

@@ -88,7 +88,7 @@ class TestBuildHistogram:
         assert abs(mean - expected) < 3 * sigma / math.sqrt(hist.n_bins)
 
     def test_unsorted_input_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^signal timestamps are not sorted ascending$"):
             build_histogram(np.array([2.0, 1.0]), np.array([0.5]), 1e-9, 11e-9)
 
     def test_window_must_be_bin_multiple(self):
@@ -277,7 +277,20 @@ class TestTimestampCsv:
     def test_non_monotone_stream_rejected(self, tmp_path):
         path = tmp_path / "ts.csv"
         path.write_text("channel,timestamp_s\nsignal,0.5\nsignal,0.2\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"ts\.csv:3: signal timestamp 0.2 is earlier"):
+            read_timestamps_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            ("idler,0.3\nsignal,0.5\nidler,0.1\nsignal,0.2\n", 4, "idler timestamp 0.1 "),
+            ("signal,0.1\nidler,0.9\n# note\n\nidler,0.4\n", 6, "idler timestamp 0.4 "),
+        ],
+    )
+    def test_non_monotone_stream_names_first_late_line(self, tmp_path, rows, line, message):
+        path = tmp_path / "ts.csv"
+        path.write_text(f"channel,timestamp_s\n{rows}")
+        with pytest.raises(DataError, match=rf"ts\.csv:{line}: {message}is earlier"):
             read_timestamps_csv(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -518,6 +518,45 @@ def test_unreadable_data_file_exits_3_naming_path(tmp_path, capsys, command, kin
     assert str(data) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("below", [False, True])
+@pytest.mark.parametrize("command", ["circuit", "spectrum"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command, below):
+    if command == "circuit":
+        argv = ["circuit", "--template", "app1_timebin"]
+    else:
+        argv = ["spectrum", "--config", write_yaml(tmp_path / "run.yaml", SPECTRUM_DOC)]
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "sub" if below else taken
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and str(out) in err
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_sinh_overflow_exits_4_naming_parameters(tmp_path, capsys):
+    doc = {
+        "pump": {"mode": "degenerate", "wavelength_nm": 1552.5, "power_w": 20.0},
+        "grid": {"span_thz": 200.0, "points": 4096},
+        "waveguides": [{"label": "long_strip", "kind": "strip", "length_mm": 200.0}],
+    }
+    cfg = write_yaml(tmp_path / "run.yaml", doc)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    for part in ("strip", "200 mm", "gamma*P", "undepleted-pump"):
+        assert part in err
+
+
+def test_unsorted_timestamps_exit_3_naming_line(tmp_path, capsys):
+    ts = tmp_path / "ts.csv"
+    ts.write_text("channel,timestamp_s\nsignal,0.5\nidler,0.1\nsignal,0.2\n")
+    doc = {"bin_width_ps": 1000.0, "window_ns": 41.0, "timestamps_csv": str(ts)}
+    cfg = write_yaml(tmp_path / "car.yaml", doc)
+    assert main(["car", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert f"{ts}:4: signal timestamp 0.2" in capsys.readouterr().err
+
+
 def test_console_script_wired():
     proc = subprocess.run(
         [sys.executable, "-m", "sfwm_sim.cli", "--version"],

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sfwm_sim import (
     BiphotonSpectrum,
@@ -14,6 +17,7 @@ from sfwm_sim import (
     band_flux,
     bandwidth_3db_hz,
     biphoton_spectrum,
+    linear_mismatch,
     nonlinear_mismatch,
     parametric_gain,
     total_mismatch,
@@ -230,3 +234,116 @@ def test_waveguide_validation():
         WaveguideSpec("strip", 1.0, -1.0, model)
     with pytest.raises(Exception):
         WaveguideSpec("nonsense", 1.0, 1.0, model)
+
+
+BETA2 = st.floats(-1e-24, 1e-24)
+BETA4 = st.floats(-1e-47, 1e-47)
+BETA6 = st.floats(-1e-70, 1e-70)
+HALF_SPAN_THZ = st.floats(0.5, 100.0)
+N_POINTS = st.integers(2, 4097)
+
+
+def _reference_mismatch(betas, omegas, omega_c, omega_d):
+    """The even-order series per sample in scalar floats, with a bound on its rounding.
+
+    The bound is 1e-13 of the summed term magnitudes, so cancelling terms
+    (near a zero of dk_L) do not make the comparison meaningless.
+    """
+    values, bounds = [], []
+    for omega in omegas.tolist():
+        dw = omega - omega_c
+        terms = [
+            2.0 * b / math.factorial(2 * m) * (dw ** (2 * m) - omega_d ** (2 * m))
+            for m, b in enumerate(betas, start=1)
+        ]
+        values.append(math.fsum(terms))
+        bounds.append(
+            1e-13
+            * sum(
+                2.0 * abs(b) / math.factorial(2 * m) * (dw ** (2 * m) + omega_d ** (2 * m))
+                for m, b in enumerate(betas, start=1)
+            )
+        )
+    return np.array(values), np.array(bounds)
+
+
+class TestKernelMirrorAndOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(BETA2, BETA4, BETA6, HALF_SPAN_THZ, N_POINTS,
+           st.floats(0.0, 2.0), st.floats(1e-3, 20e-3))
+    @example(5e-25, 2e-48, 0.0, 40.0, 65_536, 0.5, 5e-3)  # the shallow-ridge preset
+    @example(-3e-26, 0.0, 0.0, 40.0, 65_535, 1.0, 5e-3)  # the strip preset
+    def test_degenerate_spectrum_is_exactly_mirrored(
+        self, beta2, beta4, beta6, half_span_thz, n_points, power, length
+    ):
+        pump = PumpConfig.degenerate(OMEGA_P, power)
+        model = DispersionModel(OMEGA_P, (beta2, beta4, beta6))
+        grid = SpectralGrid.symmetric(OMEGA_P, 2 * math.pi * half_span_thz * 1e12, n_points)
+        dk = linear_mismatch(model, grid.omegas, pump)
+        assert dk.tobytes() == dk[::-1].tobytes()
+        spec = WaveguideSpec("custom", length, 93.5, model)
+        flux = biphoton_spectrum(spec, pump, grid).flux_density
+        assert flux.tobytes() == flux[::-1].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(BETA2, BETA4, BETA6, HALF_SPAN_THZ, st.integers(2, 257),
+           st.sampled_from([0.0, 1e13, 5e13, 1.2e14]))
+    def test_linear_mismatch_matches_scalar_series(
+        self, beta2, beta4, beta6, half_span_thz, n_points, omega_d
+    ):
+        if omega_d == 0.0:
+            pump = PumpConfig.degenerate(OMEGA_P, 1.0)
+        else:
+            pump = PumpConfig.non_degenerate(OMEGA_P + omega_d, OMEGA_P - omega_d, 0.01, 0.01)
+        betas = (beta2, beta4, beta6)
+        model = DispersionModel(pump.omega_c, betas)
+        grid = SpectralGrid.symmetric(pump.omega_c, 2 * math.pi * half_span_thz * 1e12, n_points)
+        got = linear_mismatch(model, grid.omegas, pump)
+        want, bound = _reference_mismatch(betas, grid.omegas, pump.omega_c, pump.omega_d)
+        assert np.all(np.abs(got - want) <= bound)
+        scalar = linear_mismatch(model, float(grid.omegas[-1]), pump)
+        assert isinstance(scalar, float) and scalar == got[-1]
+
+    @pytest.mark.parametrize(
+        "grid",
+        [SpectralGrid.symmetric(OMEGA_P, 1e13, 17), SpectralGrid(OMEGA_P - 1e13, OMEGA_P, 16)],
+    )
+    def test_omegas_built_once_and_read_only(self, grid):
+        assert grid.omegas is grid.omegas
+        with pytest.raises(ValueError):
+            grid.omegas[0] = 1.0
+        assert grid == dataclasses.replace(grid)
+        assert hash(grid) == hash(dataclasses.replace(grid))
+        assert "omegas" not in repr(grid)
+        finer = dataclasses.replace(grid, n_points=33)
+        assert finer.omegas.size == 33 and finer.omegas is not grid.omegas
+
+
+@pytest.mark.filterwarnings("error")
+def test_sinh_overflow_named_before_evaluation():
+    # 20 W into a 200 mm strip on a +-100 THz grid: q*L peaks at gamma*P*L = 893.
+    pump = PumpConfig.degenerate(OMEGA_P, 20.0)
+    spec = WaveguideSpec("strip", 0.2, 223.3, DispersionModel(OMEGA_P, (-3e-26, 0.0)))
+    grid = SpectralGrid.symmetric(OMEGA_P, 2 * math.pi * 100e12, 4096)
+    with pytest.raises(DomainError) as info:
+        biphoton_spectrum(spec, pump, grid)
+    message = str(info.value)
+    for part in ("strip", "200 mm", "gamma*P = 4466 /m", "q*L = 893.2", "undepleted-pump"):
+        assert part in message
+
+
+@pytest.mark.filterwarnings("error")
+def test_sinh_squared_overflow_named():
+    # q*L = 446.6 keeps sinh finite but overflows its square in the gain.
+    pump = PumpConfig.non_degenerate(OMEGA_P + 1e13, OMEGA_P - 1e13, 10.0, 10.0)
+    spec = WaveguideSpec("shallow_ridge", 0.1, 223.3, DispersionModel(pump.omega_c, (-3e-26,)))
+    grid = SpectralGrid.symmetric(pump.omega_c, 2 * math.pi * 100e12, 4096)
+    with pytest.raises(DomainError, match=r"shallow_ridge .*2\*gamma\*sqrt\(P1\*P2\) = 4466 /m"):
+        parametric_gain(spec, pump, grid.omegas)
+
+
+def test_largest_finite_gain_still_evaluates():
+    pump = PumpConfig.degenerate(OMEGA_P, 20.0)
+    spec = WaveguideSpec("strip", 0.079, 223.3, DispersionModel(OMEGA_P, (-3e-26,)))
+    grid = SpectralGrid.symmetric(OMEGA_P, 2 * math.pi * 100e12, 4096)
+    assert np.isfinite(biphoton_spectrum(spec, pump, grid).flux_density.max())
