@@ -18,12 +18,9 @@ from .circuit import (
 )
 from .coincidence import (
     CoincidenceHistogram,
-    FilterChannel,
-    FilterGroup,
     RateModel,
     build_histogram,
     car_from_histogram,
-    filter_table_default,
     predict_rates,
     synthesize_timestamps,
 )

@@ -1,9 +1,13 @@
 """Command-line front end.
 
-    sfwm-sim <spectrum|circuit|gamma|car> --config FILE [--out DIR] [--svg] [--seed N]
+    sfwm-sim spectrum --config FILE [--out DIR] [--svg] [--grid-points N]
+    sfwm-sim circuit  (--config FILE | --template NAME) [--all-strip] [--out DIR] [--svg]
+    sfwm-sim gamma    --config FILE [--out DIR] [--verify-scale]
+    sfwm-sim car      --config FILE [--out DIR] [--seed N]
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric domain error.
-`SFWM_SIM_CONFIG_PATH` adds search directories for bare config file names.
+`SFWM_SIM_CONFIG_PATH` adds search directories for bare config file names;
+relative data paths in a config resolve against the config file's directory.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .coincidence import (
 from .config import (
     config_hash,
     load_config,
+    locate_config,
     parse_car_config,
     parse_circuit_config,
     parse_gamma_config,
@@ -42,8 +47,8 @@ from .svgplot import write_line_plot
 from .templates import TEMPLATE_NAMES, evaluate_circuit
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _out_dir(out: str) -> Path:
+    out = Path(out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -51,33 +56,36 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_spectrum(args) -> int:
-    doc = load_config(args.config)
-    run = parse_spectrum_config(doc, n_points_override=args.grid_points)
-    out = _out_dir(args)
+# Each cmd_* parses the doc, writes its own tables and plots into `out` and
+# returns (report file name or None, report lines, trailing notes); `main`
+# writes the report, then prints the lines and the notes.
+
+
+def cmd_spectrum(args, doc: dict, doc_hash: str, out: Path):
+    run = parse_spectrum_config(doc)
+    grid = run.grid if args.grid_points is None else replace(run.grid, n_points=args.grid_points)
     omega_c = run.pump.omega_c
+    lines, notes = [], []
     svg_series: dict[str, np.ndarray] = {}
     for spec, label in run.waveguides:
-        spectrum = biphoton_spectrum(spec, run.pump, run.grid, label=label)
-        delta_k = np.asarray(total_mismatch(spec, run.pump, run.grid.omegas))
-        write_spectrum_csv(out / f"{label}_spectrum.csv", spectrum, omega_c, run.doc_hash)
-        write_mismatch_csv(
-            out / f"{label}_mismatch.csv", run.grid, omega_c, delta_k, run.doc_hash
-        )
+        spectrum = biphoton_spectrum(spec, run.pump, grid, label=label)
+        delta_k = np.asarray(total_mismatch(spec, run.pump, grid.omegas))
+        write_spectrum_csv(out / f"{label}_spectrum.csv", spectrum, omega_c, doc_hash)
+        write_mismatch_csv(out / f"{label}_mismatch.csv", grid, omega_c, delta_k, doc_hash)
         width = bandwidth_3db_hz(spectrum) if spectrum.flux_density.max() > 0 else 0.0
-        print(f"{label}: 3 dB bandwidth {width / 1e12:.3f} THz -> {label}_spectrum.csv")
+        lines.append(f"{label}: 3 dB bandwidth {width / 1e12:.3f} THz -> {label}_spectrum.csv")
         svg_series[label] = spectrum.flux_density
     if args.svg:
         write_line_plot(
             out / "spectra.svg",
-            run.grid.detunings_hz(omega_c) / 1e12,
+            grid.detunings_hz(omega_c) / 1e12,
             svg_series,
             "detuning (THz)",
             "flux density (photons/s/Hz)",
             "biphoton spectra",
         )
-        print(f"plot -> {out / 'spectra.svg'}")
-    return 0
+        notes.append(f"plot -> {out / 'spectra.svg'}")
+    return None, lines, notes
 
 
 SELECTION_THRESHOLD = 10.0
@@ -104,20 +112,11 @@ def _circuit_report_lines(report) -> list[str]:
     return lines
 
 
-def cmd_circuit(args) -> int:
-    if args.template is not None:
-        doc = {"template": args.template, "all_strip": bool(args.all_strip)}
-    elif args.config is not None:
-        doc = load_config(args.config)
-    else:
-        raise ConfigError("circuit: give --config FILE or --template NAME")
-    doc_hash = config_hash(doc)
+def cmd_circuit(args, doc: dict, doc_hash: str, out: Path):
     setup = parse_circuit_config({**doc, "all_strip": True} if args.all_strip else doc)
     report = evaluate_circuit(setup)
-    out = _out_dir(args)
     name, omega_c = setup.name, setup.pump.omega_c
     band, designated = report.band_omega, set(setup.designated_segments)
-    lines = _circuit_report_lines(report)
 
     contribs = report.contributions
     for c in contribs:
@@ -136,14 +135,6 @@ def cmd_circuit(args) -> int:
         ),
         (f"config_sha256={doc_hash}", f"selection_ratio={report.ratio!r}"),
     )
-    report_path = out / f"{name}_report.txt"
-    report_path.write_text(
-        f"# config_sha256={doc_hash}\n" + "\n".join(lines) + "\n"
-    )
-    for line in lines:
-        print(line)
-    print(f"summary -> {summary_path}")
-
     if args.svg:
         series = {c.segment_id: c.spectrum.flux_density for c in contribs}
         write_line_plot(
@@ -154,12 +145,11 @@ def cmd_circuit(args) -> int:
             "flux density (photons/s/Hz)",
             f"{name}: per-segment contributions",
         )
-    return 0
+    return f"{name}_report.txt", _circuit_report_lines(report), [f"summary -> {summary_path}"]
 
 
-def cmd_gamma(args) -> int:
-    doc = load_config(args.config)
-    run = parse_gamma_config(doc)
+def cmd_gamma(args, doc: dict, doc_hash: str, out: Path):
+    run = parse_gamma_config(doc, args.config.parent)
     grid = read_mode_field_csv(run.mode_field_csv)
     constants = MaterialConstants(n0=run.n0, n2_m2_per_w=run.n2_m2_per_w)
     report = gamma_report(grid, run.omega, constants)
@@ -175,19 +165,11 @@ def cmd_gamma(args) -> int:
         scaled = gamma_report(tripled, run.omega, constants)
         rel = abs(scaled["gamma_per_w_m"] - report["gamma_per_w_m"]) / report["gamma_per_w_m"]
         lines.append(f"scale invariance (fields x3): relative change {rel:.3e}")
-    out = _out_dir(args)
-    (out / "gamma_report.txt").write_text(
-        f"# config_sha256={run.doc_hash}\n" + "\n".join(lines) + "\n"
-    )
-    for line in lines:
-        print(line)
-    return 0
+    return "gamma_report.txt", lines, []
 
 
-def cmd_car(args) -> int:
-    doc = load_config(args.config)
-    run = parse_car_config(doc)
-    out = _out_dir(args)
+def cmd_car(args, doc: dict, doc_hash: str, out: Path):
+    run = parse_car_config(doc, args.config.parent)
     predicted = None
     if run.synthesize is not None:
         params = dict(run.synthesize)
@@ -200,7 +182,7 @@ def cmd_car(args) -> int:
         signal, idler = read_timestamps_csv(run.timestamps_csv)
     hist = build_histogram(signal, idler, run.bin_width_s, run.window_s)
     car = car_from_histogram(hist, guard_bins=run.guard_bins)
-    write_histogram_csv(out / "histogram.csv", hist, run.doc_hash)
+    write_histogram_csv(out / "histogram.csv", hist, doc_hash)
 
     center = hist.central_bin
     lines = [
@@ -215,12 +197,7 @@ def cmd_car(args) -> int:
             f"predicted CAR (5-bin window): {predicted['car']:.4f} "
             f"(singles {predicted['singles_signal_hz']:.1f}/{predicted['singles_idler_hz']:.1f} Hz)"
         )
-    (out / "car_report.txt").write_text(
-        f"# config_sha256={run.doc_hash}\n" + "\n".join(lines) + "\n"
-    )
-    for line in lines:
-        print(line)
-    return 0
+    return "car_report.txt", lines, []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,43 +208,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
+    def command(name: str, func, summary: str, config_required: bool = True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=config_required, help="YAML run configuration")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
-        p.add_argument("--svg", action="store_true", help="also write SVG plots")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed for synthetic data")
+        p.set_defaults(func=func)
+        return p
 
-    p_spectrum = sub.add_parser("spectrum", help="phase mismatch and biphoton spectra")
-    common(p_spectrum)
+    p_spectrum = command("spectrum", cmd_spectrum, "phase mismatch and biphoton spectra")
+    p_spectrum.add_argument("--svg", action="store_true", help="also write SVG plots")
     p_spectrum.add_argument("--grid-points", type=int, default=None, help="override grid points")
-    p_spectrum.set_defaults(func=cmd_spectrum)
 
-    p_circuit = sub.add_parser("circuit", help="per-segment circuit contributions")
-    common(p_circuit, config_required=False)
+    p_circuit = command(
+        "circuit", cmd_circuit, "per-segment circuit contributions", config_required=False
+    )
+    p_circuit.add_argument("--svg", action="store_true", help="also write SVG plots")
     p_circuit.add_argument("--template", choices=TEMPLATE_NAMES, default=None)
     p_circuit.add_argument(
         "--all-strip", action="store_true", help="force every waveguide to strip parameters"
     )
-    p_circuit.set_defaults(func=cmd_circuit)
 
-    p_gamma = sub.add_parser("gamma", help="effective nonlinear coefficient from mode fields")
-    common(p_gamma)
+    p_gamma = command("gamma", cmd_gamma, "effective nonlinear coefficient from mode fields")
     p_gamma.add_argument(
         "--verify-scale", action="store_true", help="check amplitude-scale invariance"
     )
-    p_gamma.set_defaults(func=cmd_gamma)
 
-    p_car = sub.add_parser("car", help="coincidence histogram and CAR")
-    common(p_car)
-    p_car.set_defaults(func=cmd_car)
+    p_car = command("car", cmd_car, "coincidence histogram and CAR")
+    p_car.add_argument("--seed", type=int, default=0, help="RNG seed for synthetic data")
     return parser
 
 
+def _config_doc(args) -> dict:
+    """The run's config document; rebinds ``args.config`` to the located file."""
+    template = getattr(args, "template", None)
+    if template is not None:
+        if args.config is not None:
+            raise ConfigError("circuit: give --config FILE or --template NAME, not both")
+        return {"template": template, "all_strip": bool(args.all_strip)}
+    if args.config is None:
+        raise ConfigError("circuit: give --config FILE or --template NAME")
+    args.config = locate_config(args.config)
+    return load_config(args.config)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc = _config_doc(args)
+        doc_hash = config_hash(doc)
+        out = _out_dir(args.out)
+        report_name, lines, notes = args.func(args, doc, doc_hash, out)
+        if report_name is not None:
+            (out / report_name).write_text(
+                f"# config_sha256={doc_hash}\n" + "\n".join(lines) + "\n"
+            )
+        for line in lines + notes:
+            print(line)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

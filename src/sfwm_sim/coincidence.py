@@ -1,4 +1,4 @@
-"""Filter tables, coincidence histograms, CAR estimation and synthetic data.
+"""Coincidence histograms, CAR estimation and synthetic data.
 
 The coincidence-to-accidental ratio is estimated histogram-style: bin the
 idler-minus-signal arrival-time differences, average the 5 bins covering the
@@ -26,68 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import read_table, row_error, write_table
-from .dispersion import angular_frequency_from_wavelength
 from .errors import DataError, DomainError
 
 CAR_PEAK_BINS = 5
 TIMESTAMP_HEADER = ("channel", "timestamp_s")
-
-
-@dataclass(frozen=True)
-class FilterChannel:
-    """One DWDM filter: ITU channel, center, insertion loss, 3 dB bandwidth."""
-
-    itu_channel: str
-    center_nm: float
-    insertion_loss_db: float
-    bandwidth_3db_nm: float
-
-    def __post_init__(self) -> None:
-        if not self.center_nm > 0.0:
-            raise DomainError(f"{self.itu_channel}: center wavelength must be > 0")
-        if not self.bandwidth_3db_nm > 0.0:
-            raise DomainError(f"{self.itu_channel}: bandwidth must be > 0")
-        if self.insertion_loss_db < 0.0:
-            raise DomainError(f"{self.itu_channel}: insertion loss must be >= 0")
-
-    @property
-    def transmission(self) -> float:
-        """Flat in-band power transmission."""
-        return 10.0 ** (-self.insertion_loss_db / 10.0)
-
-    def passband_nm(self) -> tuple[float, float]:
-        """Rectangular passband (lo, hi) in nm: center +- half the bandwidth."""
-        half = 0.5 * self.bandwidth_3db_nm
-        return self.center_nm - half, self.center_nm + half
-
-    def passband_omega(self) -> tuple[float, float]:
-        """Passband as increasing angular frequencies (rad/s)."""
-        lo_nm, hi_nm = self.passband_nm()
-        return (
-            angular_frequency_from_wavelength(hi_nm * 1e-9),
-            angular_frequency_from_wavelength(lo_nm * 1e-9),
-        )
-
-
-@dataclass(frozen=True)
-class FilterGroup:
-    number: int
-    signal: FilterChannel
-    idler: FilterChannel
-
-
-def filter_table_default() -> tuple[FilterGroup, ...]:
-    """The four stock signal/idler DWDM filter pairs."""
-    rows = (
-        (1, ("C30", 1553.3, 2.9, 0.47), ("C27", 1555.7, 2.4, 0.59)),
-        (2, ("C33", 1550.9, 3.1, 0.43), ("C24", 1558.2, 1.9, 0.45)),
-        (3, ("C35", 1549.3, 2.7, 0.50), ("C22", 1559.8, 2.9, 0.47)),
-        (4, ("C46", 1540.6, 3.3, 0.52), ("C11", 1568.8, 2.0, 0.51)),
-    )
-    return tuple(
-        FilterGroup(num, FilterChannel(*sig), FilterChannel(*idl))
-        for num, sig, idl in rows
-    )
 
 
 @dataclass(frozen=True, eq=False)

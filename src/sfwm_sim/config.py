@@ -247,15 +247,13 @@ def parse_waveguide(sec: _Section, omega_c: float) -> tuple[WaveguideSpec, float
     return spec, preset_n_eff(kind) if n_eff is None else n_eff, str(label)
 
 
-def parse_grid(sec: _Section | None, omega_c: float, n_points_override: int | None = None) -> SpectralGrid:
+def parse_grid(sec: _Section | None, omega_c: float) -> SpectralGrid:
     span_hz = 20.0e12
     n_points = 4096
     if sec is not None:
         span_hz = _number(sec.take("span_thz", span_hz / 1e12), f"{sec.where}.span_thz") * 1e12
         n_points = _integer(sec.take("points", n_points), f"{sec.where}.points")
         sec.finish()
-    if n_points_override is not None:
-        n_points = n_points_override
     return SpectralGrid.symmetric(omega_c, 2.0 * pi * span_hz / 2.0, n_points)
 
 
@@ -264,13 +262,12 @@ class SpectrumRun:
     pump: PumpConfig
     grid: SpectralGrid
     waveguides: tuple[tuple[WaveguideSpec, str], ...]  # (spec, label)
-    doc_hash: str
 
 
-def parse_spectrum_config(doc: dict, n_points_override: int | None = None) -> SpectrumRun:
+def parse_spectrum_config(doc: dict) -> SpectrumRun:
     top = _Section(doc, "config")
     pump = parse_pump(top.take_section("pump", required=True))
-    grid = parse_grid(top.take_section("grid"), pump.omega_c, n_points_override)
+    grid = parse_grid(top.take_section("grid"), pump.omega_c)
     wg_list = top.take("waveguides")
     if not isinstance(wg_list, list) or not wg_list:
         raise ConfigError("config.waveguides: expected a non-empty list")
@@ -285,7 +282,7 @@ def parse_spectrum_config(doc: dict, n_points_override: int | None = None) -> Sp
         labels.add(label)
         waveguides.append((spec, label))
     top.finish()
-    return SpectrumRun(pump, grid, tuple(waveguides), config_hash(doc))
+    return SpectrumRun(pump, grid, tuple(waveguides))
 
 
 def _parse_node(sec: _Section, omega_c: float):
@@ -411,19 +408,25 @@ class GammaRun:
     omega: float
     n0: float
     n2_m2_per_w: float
-    doc_hash: str
 
 
-def parse_gamma_config(doc: dict) -> GammaRun:
+def _data_file(value, where: str, config_dir: str | Path) -> Path:
+    """A data file named in a config; a relative name is read from ``config_dir``."""
+    path = Path(config_dir) / str(value)
+    if not path.exists():
+        raise ConfigError(f"{where}: file {path} does not exist")
+    return path
+
+
+def parse_gamma_config(doc: dict, config_dir: str | Path = ".") -> GammaRun:
+    """``config_dir``: the config file's directory, for a relative ``mode_field_csv``."""
     top = _Section(doc, "config")
-    csv_path = Path(str(top.take("mode_field_csv")))
-    if not csv_path.exists():
-        raise ConfigError(f"config.mode_field_csv: file {csv_path} does not exist")
+    csv_path = _data_file(top.take("mode_field_csv"), "config.mode_field_csv", config_dir)
     omega = take_quantity(top, "wavelength", ANGULAR_FREQUENCY_UNITS)
     n0 = _number(top.take("n0", 3.48), "config.n0")
     n2 = _number(top.take("n2_m2_per_w", 4.5e-18), "config.n2_m2_per_w")
     top.finish()
-    return GammaRun(csv_path, omega, n0, n2, config_hash(doc))
+    return GammaRun(csv_path, omega, n0, n2)
 
 
 # RateModel keyword arguments plus duration_s; _MISSING marks a required key.
@@ -446,10 +449,10 @@ class CarRun:
     guard_bins: int
     timestamps_csv: Path | None
     synthesize: dict | None  # RateModel kwargs + duration_s
-    doc_hash: str
 
 
-def parse_car_config(doc: dict) -> CarRun:
+def parse_car_config(doc: dict, config_dir: str | Path = ".") -> CarRun:
+    """``config_dir``: the config file's directory, for a relative ``timestamps_csv``."""
     top = _Section(doc, "config")
     bin_width = take_quantity(top, "bin_width", TIME_UNITS)
     window = take_quantity(top, "window", TIME_UNITS)
@@ -465,10 +468,6 @@ def parse_car_config(doc: dict) -> CarRun:
             for key, default in SYNTHESIZE_DEFAULTS.items()
         }
         synth_sec.finish()
-    path = None
-    if ts_path is not None:
-        path = Path(str(ts_path))
-        if not path.exists():
-            raise ConfigError(f"config.timestamps_csv: file {path} does not exist")
+    path = None if ts_path is None else _data_file(ts_path, "config.timestamps_csv", config_dir)
     top.finish()
-    return CarRun(bin_width, window, guard, path, synthesize, config_hash(doc))
+    return CarRun(bin_width, window, guard, path, synthesize)

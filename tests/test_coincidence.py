@@ -10,40 +10,10 @@ from sfwm_sim import (
     RateModel,
     build_histogram,
     car_from_histogram,
-    filter_table_default,
     predict_rates,
     synthesize_timestamps,
 )
 from sfwm_sim.coincidence import read_timestamps_csv, write_timestamps_csv
-
-
-class TestFilterTable:
-    def test_group_one_signal(self):
-        group = filter_table_default()[0]
-        assert group.signal.itu_channel == "C30"
-        assert group.signal.center_nm == pytest.approx(1553.3)
-        assert group.signal.insertion_loss_db == pytest.approx(2.9)
-        assert group.signal.bandwidth_3db_nm == pytest.approx(0.47)
-
-    def test_group_four_idler(self):
-        group = filter_table_default()[3]
-        assert group.idler.itu_channel == "C11"
-        assert group.idler.center_nm == pytest.approx(1568.8)
-        assert group.idler.insertion_loss_db == pytest.approx(2.0)
-        assert group.idler.bandwidth_3db_nm == pytest.approx(0.51)
-
-    def test_pair_centers_average_near_pump_average(self):
-        for group in filter_table_default():
-            avg = 0.5 * (group.signal.center_nm + group.idler.center_nm)
-            assert 1554.4 <= avg <= 1554.8
-
-    def test_passband_and_transmission(self):
-        ch = filter_table_default()[0].signal
-        lo, hi = ch.passband_nm()
-        assert hi - lo == pytest.approx(ch.bandwidth_3db_nm)
-        assert ch.transmission == pytest.approx(10 ** (-0.29), rel=1e-12)
-        w_lo, w_hi = ch.passband_omega()
-        assert w_lo < w_hi
 
 
 class TestBuildHistogram:

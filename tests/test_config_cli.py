@@ -1,11 +1,14 @@
 import copy
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import sfwm_sim
 from sfwm_sim import ConfigError, angular_frequency_from_wavelength
 from sfwm_sim.cli import main
 from sfwm_sim.config import (
@@ -15,6 +18,7 @@ from sfwm_sim.config import (
     parse_circuit_config,
     parse_spectrum_config,
 )
+from sfwm_sim.coincidence import write_timestamps_csv
 from sfwm_sim.csvio import read_histogram_csv, read_spectrum_csv
 from sfwm_sim.modefield import write_mode_field_csv
 from sfwm_sim.templates import (
@@ -392,20 +396,23 @@ class TestGammaCommand:
         assert f"{field_csv}:4: ex_re cell 'nan' is not finite" in capsys.readouterr().err
 
 
+CAR_SYNTH_DOC = {
+    "bin_width_ps": 1000.0,
+    "window_ns": 41.0,
+    "synthesize": {
+        "duration_s": 5.0,
+        "pair_rate_hz": 1000.0,
+        "efficiency_signal": 0.5,
+        "efficiency_idler": 0.5,
+        "noise_rate_signal_hz": 1000.0,
+        "noise_rate_idler_hz": 1000.0,
+    },
+}
+
+
 class TestCarCommand:
     def _synth_doc(self):
-        return {
-            "bin_width_ps": 1000.0,
-            "window_ns": 41.0,
-            "synthesize": {
-                "duration_s": 5.0,
-                "pair_rate_hz": 1000.0,
-                "efficiency_signal": 0.5,
-                "efficiency_idler": 0.5,
-                "noise_rate_signal_hz": 1000.0,
-                "noise_rate_idler_hz": 1000.0,
-            },
-        }
+        return copy.deepcopy(CAR_SYNTH_DOC)
 
     def test_synthesized_run_and_reingest(self, tmp_path):
         cfg = write_yaml(tmp_path / "car.yaml", self._synth_doc())
@@ -558,10 +565,154 @@ def test_unsorted_timestamps_exit_3_naming_line(tmp_path, capsys):
 
 
 def test_console_script_wired():
+    # The child imports the same sfwm_sim as this test, installed or not.
+    src = str(Path(sfwm_sim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "sfwm_sim.cli", "--version"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "sfwm-sim" in proc.stdout
+
+
+REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+NOTE_PREFIXES = ("summary -> ", "plot -> ")
+
+
+def _lines_and_notes(stdout: str) -> tuple[list[str], list[str]]:
+    """Split stdout into report lines and the trailing ``summary ->``/``plot ->`` notes."""
+    lines = stdout.splitlines()
+    n = len(lines)
+    while n and lines[n - 1].startswith(NOTE_PREFIXES):
+        n -= 1
+    return lines[:n], lines[n:]
+
+
+def _assert_csvs_carry_hash(out, doc_hash: str) -> int:
+    """Every table but the raw timestamp stream starts with the hash; returns their count."""
+    tables = [p for p in out.glob("*.csv") if p.name != "timestamps.csv"]
+    for path in tables:
+        assert path.read_text().splitlines()[0] == f"# config_sha256={doc_hash}", path.name
+    return len(tables)
+
+
+class TestOneCommandShape:
+    """main writes every report and prints; each command returns its lines and notes."""
+
+    def _case(self, tmp_path, command):
+        """(doc, argv without --out, report name, expected notes given out)."""
+        if command == "circuit_template":
+            doc = {"template": "app2_path", "all_strip": False}
+            return doc, ["circuit", "--template", "app2_path", "--svg"], "app2_path_report.txt", [
+                "summary -> {out}/app2_path_summary.csv"
+            ]
+        if command == "circuit_graph":
+            cfg = write_yaml(tmp_path / "circ.yaml", CIRCUIT_DOC)
+            return CIRCUIT_DOC, ["circuit", "--config", cfg, "--svg"], "circuit_report.txt", [
+                "summary -> {out}/circuit_summary.csv"
+            ]
+        if command == "gamma":
+            field_csv = tmp_path / "mode.csv"
+            write_mode_field_csv(field_csv, gaussian_mode(11))
+            doc = {"mode_field_csv": str(field_csv), "wavelength_nm": 1552.5}
+            cfg = write_yaml(tmp_path / "gamma.yaml", doc)
+            return doc, ["gamma", "--config", cfg, "--verify-scale"], "gamma_report.txt", []
+        cfg = write_yaml(tmp_path / "car.yaml", CAR_SYNTH_DOC)
+        return CAR_SYNTH_DOC, ["car", "--config", cfg, "--seed", "5"], "car_report.txt", []
+
+    @pytest.mark.parametrize("command", ["circuit_template", "circuit_graph", "gamma", "car"])
+    def test_report_is_hash_then_stdout_lines(self, tmp_path, capsys, command):
+        doc, argv, report_name, notes = self._case(tmp_path, command)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        lines, printed_notes = _lines_and_notes(capsys.readouterr().out)
+        doc_hash = config_hash(doc)
+        assert lines
+        assert (out / report_name).read_text() == (
+            f"# config_sha256={doc_hash}\n" + "\n".join(lines) + "\n"
+        )
+        assert printed_notes == [note.format(out=out) for note in notes]
+        assert [p.name for p in out.glob("*_report.txt")] == [report_name]
+        assert (_assert_csvs_carry_hash(out, doc_hash) > 0) == (command != "gamma")
+
+    def test_spectrum_writes_no_report(self, tmp_path, capsys):
+        cfg = write_yaml(tmp_path / "run.yaml", SPECTRUM_DOC)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out), "--svg"]) == 0
+        lines, notes = _lines_and_notes(capsys.readouterr().out)
+        assert [line.split(":")[0] for line in lines] == ["strip_5mm", "ridge_15mm"]
+        assert notes == [f"plot -> {out / 'spectra.svg'}"]
+        assert not list(out.glob("*_report.txt"))
+        assert _assert_csvs_carry_hash(out, config_hash(SPECTRUM_DOC)) == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma", "--config", "gamma.yaml", "--svg"],
+            ["car", "--config", "car.yaml", "--svg"],
+            ["spectrum", "--config", "run.yaml", "--seed", "1"],
+        ],
+    )
+    def test_flag_only_on_the_command_that_reads_it(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_grid_points_gives_the_config_grid(self, tmp_path):
+        cfg = write_yaml(tmp_path / "run.yaml", SPECTRUM_DOC)
+        cfg_513 = write_yaml(
+            tmp_path / "run_513.yaml", {**SPECTRUM_DOC, "grid": {"span_thz": 20.0, "points": 513}}
+        )
+        flag, points = tmp_path / "flag", tmp_path / "points"
+        assert main(["spectrum", "--config", cfg, "--out", str(flag), "--grid-points", "513"]) == 0
+        assert main(["spectrum", "--config", cfg_513, "--out", str(points)]) == 0
+        for name in ("strip_5mm_spectrum.csv", "ridge_15mm_mismatch.csv"):
+            rows = (flag / name).read_text().splitlines()
+            assert len(rows) == 2 + 513  # hash comment + header + samples
+            assert rows[1:] == (points / name).read_text().splitlines()[1:]
+
+
+class TestConfigRelativePaths:
+    @pytest.mark.parametrize("via_env", [False, True])
+    @pytest.mark.parametrize("command", ["gamma", "car"])
+    def test_data_path_read_from_config_directory(self, tmp_path, monkeypatch, command, via_env):
+        config_dir = tmp_path / "configs"
+        (config_dir / "data").mkdir(parents=True)
+        if command == "gamma":
+            write_mode_field_csv(config_dir / "data" / "mode.csv", gaussian_mode(11))
+            doc = {"mode_field_csv": "data/mode.csv", "wavelength_nm": 1552.5}
+        else:
+            ts = np.arange(1, 200) * 1e-3
+            write_timestamps_csv(config_dir / "data" / "ts.csv", ts, ts + 2e-9)
+            doc = {"bin_width_ps": 1000.0, "window_ns": 41.0, "timestamps_csv": "data/ts.csv"}
+        write_yaml(config_dir / "run.yaml", doc)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        if via_env:
+            monkeypatch.setenv("SFWM_SIM_CONFIG_PATH", str(config_dir))
+            config = "run.yaml"
+        else:
+            config = str(config_dir / "run.yaml")
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
+
+    def test_shipped_gamma_config_runs_from_another_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = REPO_CONFIGS / "gamma_gaussian.yaml"
+        assert main(["gamma", "--config", str(config), "--out", "out"]) == 0
+        assert f"mode field: {REPO_CONFIGS / 'modefields' / 'gaussian_21x21.csv'}" in (
+            capsys.readouterr().out
+        )
+
+
+def test_config_and_template_together_exit_2(tmp_path, capsys):
+    cfg = write_yaml(tmp_path / "circ.yaml", CIRCUIT_DOC)
+    out = tmp_path / "out"
+    argv = ["circuit", "--config", cfg, "--template", "app1_timebin", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and "--template" in err
+    assert not out.exists()
