@@ -1,14 +1,23 @@
 """Photonic circuit graphs: pump propagation and per-segment SFWM budgets.
 
 A circuit is a small DAG of grating couplers, 2x2 splitters, phase shifters,
-waveguide segments and ports.  Pump light is tracked as a list of pulses per
-node, each pulse carrying one power per pump line plus accumulated delay.
-Splitting is incoherent power bookkeeping: a 2x2 splitter with ratio
-r sends r of an input-0 pulse to output 0 and 1-r to output 1 (and mirrored
-for input 1); pulses arriving at a node with equal delays merge by adding
-powers, while pulses separated in time stay distinct, so a segment behind an
-unbalanced interferometer sees two delayed pulses at the per-pulse peak power
-rather than their sum.
+waveguide segments and ports.  Each node kind states, once, what it does to
+light: its ``slots`` (input and output counts), a ``transfer(in_slot,
+out_slot, omega)`` power fraction and a ``delay_s``.  A splitter with ratio r
+passes r straight through (input k to output k) and 1-r across; a grating
+coupler passes its transmission T(omega); a segment passes its attenuation
+and adds its transit delay; ports and phase shifters pass everything at no
+delay.  Light enters an input port from outside through its slot 0.
+
+Both graph walks read only that rule.  ``propagate_pump`` walks forward in
+topological order, tracking pump light as a list of pulses per node, each
+pulse carrying one power per pump line plus accumulated delay.  Splitting is
+incoherent power bookkeeping; pulses arriving at a node with equal delays
+merge by adding powers, while pulses separated in time stay distinct, so a
+segment behind an unbalanced interferometer sees two delayed pulses at the
+per-pulse peak power rather than their sum.  ``photon_transmission`` sums
+backward from the detection node: the transmission from a node's input slot
+is the transfer-weighted sum over its output slots.
 
 Each waveguide segment then contributes an SFWM biphoton spectrum evaluated
 at its local peak pump powers, scaled by the power transmission from the
@@ -20,7 +29,7 @@ transmission hits the pair flux once (one shared loss element) or squared
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import inf
 
 from .dispersion import C_VACUUM, PumpConfig, wavelength_from_angular_frequency
@@ -38,8 +47,19 @@ from .errors import ConfigError, TopologyError, UsageError
 PULSE_MERGE_TOL_S = 1e-13
 
 
+class _Lossless:
+    """One input, one output, no loss and no delay; node kinds override what differs."""
+
+    slots = (1, 1)  # (inputs, outputs)
+    delay_s = 0.0
+
+    def transfer(self, in_slot: int, out_slot: int, omega: float) -> float:
+        """Power fraction from ``in_slot`` to ``out_slot`` at angular frequency ``omega``."""
+        return 1.0
+
+
 @dataclass(frozen=True)
-class PortNode:
+class PortNode(_Lossless):
     id: str
     direction: str = "input"  # "input" | "output"
 
@@ -47,21 +67,30 @@ class PortNode:
         if self.direction not in ("input", "output"):
             raise ConfigError(f"port {self.id!r}: bad direction {self.direction!r}")
 
+    @property
+    def slots(self) -> tuple[int, int]:
+        return (0, 1) if self.direction == "input" else (1, 0)
+
 
 @dataclass(frozen=True)
-class SplitterNode:
+class SplitterNode(_Lossless):
     """Lossless 2x2 power splitter; ratio = input-0 fraction sent to output 0."""
 
     id: str
     ratio: float = 0.5
 
+    slots = (2, 2)
+
     def __post_init__(self) -> None:
         if not 0.0 <= self.ratio <= 1.0:
             raise ConfigError(f"splitter {self.id!r}: ratio must be in [0, 1]")
 
+    def transfer(self, in_slot: int, out_slot: int, omega: float) -> float:
+        return self.ratio if in_slot == out_slot else 1.0 - self.ratio
+
 
 @dataclass(frozen=True)
-class PhaseShifterNode:
+class PhaseShifterNode(_Lossless):
     """Phase shifter; pump propagation is incoherent, so it passes power unchanged."""
 
     id: str
@@ -69,7 +98,7 @@ class PhaseShifterNode:
 
 
 @dataclass(frozen=True)
-class CouplerNode:
+class CouplerNode(_Lossless):
     """Grating coupler with a quadratic-in-dB loss profile about its center."""
 
     id: str
@@ -87,17 +116,17 @@ class CouplerNode:
         detune = (wavelength_m - self.center_wavelength_m) / (0.5 * self.bandwidth_3db_m)
         return self.min_loss_db + 3.0 * detune * detune
 
-    def transmission(self, omega: float) -> float:
+    def transfer(self, in_slot: int, out_slot: int, omega: float) -> float:
         return 10.0 ** (-self.loss_db(wavelength_from_angular_frequency(omega)) / 10.0)
 
 
 @dataclass(frozen=True)
-class SegmentNode:
+class SegmentNode(_Lossless):
     """A waveguide segment: the only SFWM source in the graph."""
 
     id: str
     waveguide: WaveguideSpec
-    n_eff: float = 2.6
+    n_eff: float
     pair_loss_exponent: int = 1
 
     def __post_init__(self) -> None:
@@ -110,21 +139,12 @@ class SegmentNode:
     def delay_s(self) -> float:
         return self.n_eff * self.waveguide.length_m / C_VACUUM
 
-    def photon_transmission(self) -> float:
+    def transfer(self, in_slot: int, out_slot: int, omega: float) -> float:
         db = self.waveguide.attenuation_db_per_cm * self.waveguide.length_m * 100.0
         return 10.0 ** (-db / 10.0)
 
 
 Node = PortNode | SplitterNode | PhaseShifterNode | CouplerNode | SegmentNode
-
-
-def _slot_counts(node: Node) -> tuple[int, int]:
-    # (inputs, outputs)
-    if isinstance(node, PortNode):
-        return (0, 1) if node.direction == "input" else (1, 0)
-    if isinstance(node, SplitterNode):
-        return (2, 2)
-    return (1, 1)
 
 
 @dataclass(frozen=True)
@@ -150,14 +170,12 @@ class CircuitGraph:
             by_id[node.id] = node
         taken_inputs: set[tuple[str, int]] = set()
         for edge in self.edges:
-            for end, port_attr in ((edge.src, edge.src_port), (edge.dst, edge.dst_port)):
+            for end in (edge.src, edge.dst):
                 if end not in by_id:
                     raise ConfigError(f"edge references unknown node {end!r}")
-            n_in_src, n_out_src = _slot_counts(by_id[edge.src])
-            n_in_dst, n_out_dst = _slot_counts(by_id[edge.dst])
-            if not 0 <= edge.src_port < n_out_src:
+            if not 0 <= edge.src_port < by_id[edge.src].slots[1]:
                 raise ConfigError(f"{edge.src!r} has no output slot {edge.src_port}")
-            if not 0 <= edge.dst_port < n_in_dst:
+            if not 0 <= edge.dst_port < by_id[edge.dst].slots[0]:
                 raise ConfigError(f"{edge.dst!r} has no input slot {edge.dst_port}")
             slot = (edge.dst, edge.dst_port)
             if slot in taken_inputs:
@@ -174,11 +192,6 @@ class CircuitGraph:
 
     def segments(self) -> tuple[SegmentNode, ...]:
         return tuple(n for n in self.nodes if isinstance(n, SegmentNode))
-
-    def input_ports(self) -> tuple[str, ...]:
-        return tuple(
-            n.id for n in self.nodes if isinstance(n, PortNode) and n.direction == "input"
-        )
 
     def outgoing(self, node_id: str, src_port: int) -> tuple[Edge, ...]:
         return tuple(
@@ -212,16 +225,11 @@ class Pulse:
     powers_w: tuple[float, ...]
     delay_s: float = 0.0
 
-    def scaled(self, factors) -> "Pulse":
-        return replace(
-            self, powers_w=tuple(p * f for p, f in zip(self.powers_w, factors))
-        )
 
-
-def _merge_pulses(pulses: list[Pulse], tol_s: float) -> tuple[Pulse, ...]:
+def _merge_pulses(pulses: list[Pulse]) -> tuple[Pulse, ...]:
     merged: list[Pulse] = []
     for pulse in sorted(pulses, key=lambda p: p.delay_s):
-        if merged and abs(pulse.delay_s - merged[-1].delay_s) <= tol_s:
+        if merged and abs(pulse.delay_s - merged[-1].delay_s) <= PULSE_MERGE_TOL_S:
             prev = merged[-1]
             powers = tuple(a + b for a, b in zip(prev.powers_w, pulse.powers_w))
             merged[-1] = Pulse(powers, prev.delay_s)
@@ -262,7 +270,6 @@ def propagate_pump(
     circuit: CircuitGraph,
     pump: PumpConfig,
     input_ports: str | tuple[str, str],
-    merge_tol_s: float = PULSE_MERGE_TOL_S,
 ) -> PumpPropagation:
     """Propagate pump power and delay from the input ports through the DAG.
 
@@ -282,61 +289,39 @@ def propagate_pump(
             f"{pump.mode} pump has {len(line_omegas)} line(s) but "
             f"{len(ports)} input port(s) were given"
         )
-    n_lines = len(line_omegas)
 
-    initial: dict[str, list[Pulse]] = {}
+    # Pulses pending at each node, by input slot; an input port's slot 0 is
+    # where the pump enters from outside.
+    pending: dict[str, dict[int, list[Pulse]]] = {}
     for line, port_id in enumerate(ports):
         node = circuit.node(port_id)
         if not (isinstance(node, PortNode) and node.direction == "input"):
             raise ConfigError(f"{port_id!r} is not an input port")
-        powers = tuple(line_powers[i] if i == line else 0.0 for i in range(n_lines))
-        initial.setdefault(port_id, []).append(Pulse(powers))
+        powers = tuple(line_powers[i] if i == line else 0.0 for i in range(len(line_omegas)))
+        pending.setdefault(port_id, {}).setdefault(0, []).append(Pulse(powers))
 
-    # Pulses pending at each (node, input slot); input ports seed themselves.
-    pending: dict[tuple[str, int], list[Pulse]] = {}
     arrived: dict[str, tuple[Pulse, ...]] = {}
-
-    def emit(node_id: str, src_port: int, pulses) -> None:
-        for edge in circuit.outgoing(node_id, src_port):
-            pending.setdefault((edge.dst, edge.dst_port), []).extend(pulses)
-
     for node_id in circuit._topo_order:
         node = circuit.node(node_id)
-        if isinstance(node, PortNode) and node.direction == "input":
-            pulses = _merge_pulses(initial.get(node_id, []), merge_tol_s)
-            arrived[node_id] = pulses
-            emit(node_id, 0, pulses)
-            continue
-
-        if isinstance(node, SplitterNode):
-            in0 = _merge_pulses(pending.get((node_id, 0), []), merge_tol_s)
-            in1 = _merge_pulses(pending.get((node_id, 1), []), merge_tol_s)
-            arrived[node_id] = _merge_pulses(list(in0 + in1), merge_tol_s)
-            r = node.ratio
-            out0 = [p.scaled([r] * n_lines) for p in in0] + [
-                p.scaled([1.0 - r] * n_lines) for p in in1
-            ]
-            out1 = [p.scaled([1.0 - r] * n_lines) for p in in0] + [
-                p.scaled([r] * n_lines) for p in in1
-            ]
-            emit(node_id, 0, _merge_pulses(out0, merge_tol_s))
-            emit(node_id, 1, _merge_pulses(out1, merge_tol_s))
-            continue
-
-        pulses = _merge_pulses(pending.get((node_id, 0), []), merge_tol_s)
-        arrived[node_id] = pulses
-        if isinstance(node, PortNode):
-            continue  # output port: sink
-        if isinstance(node, CouplerNode):
-            factors = [node.transmission(w) for w in line_omegas]
-            pulses = tuple(p.scaled(factors) for p in pulses)
-        elif isinstance(node, SegmentNode):
-            transit = node.photon_transmission()
-            pulses = tuple(
-                Pulse(tuple(pw * transit for pw in p.powers_w), p.delay_s + node.delay_s)
-                for p in pulses
-            )
-        emit(node_id, 0, pulses)
+        inputs = [
+            (in_slot, _merge_pulses(pulses))
+            for in_slot, pulses in sorted(pending.get(node_id, {}).items())
+        ]
+        arrived[node_id] = _merge_pulses([p for _, pulses in inputs for p in pulses])
+        for out_slot in range(node.slots[1]):
+            out = []
+            for in_slot, pulses in inputs:
+                factors = [node.transfer(in_slot, out_slot, w) for w in line_omegas]
+                out += [
+                    Pulse(
+                        tuple(pw * f for pw, f in zip(p.powers_w, factors)),
+                        p.delay_s + node.delay_s,
+                    )
+                    for p in pulses
+                ]
+            out = _merge_pulses(out)
+            for edge in circuit.outgoing(node_id, out_slot):
+                pending.setdefault(edge.dst, {}).setdefault(edge.dst_port, []).extend(out)
 
     for segment in circuit.segments():
         if not arrived.get(segment.id):
@@ -349,11 +334,11 @@ def photon_transmission(
 ) -> float:
     """Power transmission for one photon from a segment's output to a port.
 
-    Sums path products of splitter ratios, coupler transmission at ``omega``
-    and transit attenuation of intermediate segments.  0 when unreachable.
+    Sums, over every path, the product of the node transfers at ``omega``
+    (splitter ratios, coupler transmission, transit attenuation of
+    intermediate segments).  0 when unreachable.
     """
-    node = circuit.node(from_segment)
-    if not isinstance(node, SegmentNode):
+    if not isinstance(circuit.node(from_segment), SegmentNode):
         raise UsageError(f"{from_segment!r} is not a segment")
     circuit.node(detection_node)
     cache: dict[tuple[str, int], float] = {}
@@ -368,23 +353,13 @@ def photon_transmission(
         if node_id == detection_node:
             return 1.0
         key = (node_id, in_slot)
-        if key in cache:
-            return cache[key]
-        node = circuit.node(node_id)
-        if isinstance(node, PortNode):
+        if key not in cache:
+            node = circuit.node(node_id)
             value = 0.0
-        elif isinstance(node, SplitterNode):
-            r = node.ratio
-            f0, f1 = (r, 1.0 - r) if in_slot == 0 else (1.0 - r, r)
-            value = f0 * from_output(node_id, 0) + f1 * from_output(node_id, 1)
-        elif isinstance(node, CouplerNode):
-            value = node.transmission(omega) * from_output(node_id, 0)
-        elif isinstance(node, SegmentNode):
-            value = node.photon_transmission() * from_output(node_id, 0)
-        else:
-            value = from_output(node_id, 0)
-        cache[key] = value
-        return value
+            for out_slot in range(node.slots[1]):
+                value += node.transfer(in_slot, out_slot, omega) * from_output(node_id, out_slot)
+            cache[key] = value
+        return cache[key]
 
     return from_output(from_segment, 0)
 

@@ -31,6 +31,7 @@ from .coincidence import (
 )
 from .config import (
     config_hash,
+    grid_points,
     load_config,
     locate_config,
     parse_car_config,
@@ -63,7 +64,9 @@ def _out_dir(out: str) -> Path:
 
 def cmd_spectrum(args, doc: dict, doc_hash: str, out: Path):
     run = parse_spectrum_config(doc)
-    grid = run.grid if args.grid_points is None else replace(run.grid, n_points=args.grid_points)
+    grid = run.grid
+    if args.grid_points is not None:
+        grid = replace(grid, n_points=grid_points(args.grid_points, "--grid-points"))
     omega_c = run.pump.omega_c
     lines, notes = [], []
     svg_series: dict[str, np.ndarray] = {}

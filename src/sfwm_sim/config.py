@@ -35,7 +35,8 @@ from .dispersion import (
 )
 from .engine import SpectralGrid, WaveguideSpec
 from .errors import ConfigError
-from .presets import PRESET_KINDS, coupler_defaults, preset_n_eff, preset_waveguide
+from .modefield import N0_SILICON, N2_SILICON_M2_PER_W
+from .presets import PRESET_KINDS, preset_n_eff, preset_waveguide
 from .templates import CircuitSetup, build_template
 
 CONFIG_PATH_ENV = "SFWM_SIM_CONFIG_PATH"
@@ -131,9 +132,9 @@ def _list(value, where: str) -> list:
     return value
 
 
-def _take_optional_number(sec: _Section, key: str) -> float | None:
-    value = sec.take(key, None)
-    return None if value is None else _number(value, f"{sec.where}.{key}")
+def _given(sec: _Section, convert, *keys: str) -> dict:
+    """The ``keys`` a section gives, converted; an omitted key keeps its class default."""
+    return {key: convert(sec.take(key), f"{sec.where}.{key}") for key in keys if sec.has(key)}
 
 
 # The unit suffixes each kind of quantity accepts, each with its SI factor or
@@ -216,35 +217,33 @@ def parse_dispersion(sec: _Section, omega_c: float) -> DispersionModel:
     return DispersionModel(omega_c=omega_c, beta_even=tuple(beta))
 
 
-def parse_waveguide(sec: _Section, omega_c: float) -> tuple[WaveguideSpec, float, str]:
-    """Returns (spec, n_eff, label).
-
-    A preset ``kind`` starts from the shipped preset and the config overrides
+def parse_waveguide(sec: _Section, omega_c: float) -> WaveguideSpec:
+    """A preset ``kind`` starts from the shipped preset and the config overrides
     only the fields it gives; ``kind: custom`` needs gamma and dispersion.
     """
     kind = str(sec.take("kind", "custom")).replace("-", "_")
-    label = sec.take("label", kind)
     length = take_quantity(sec, "length", LENGTH_UNITS)
     if kind not in PRESET_KINDS and kind != "custom":
         raise ConfigError(f"{sec.where}.kind: unknown kind {kind!r}")
-    given = {
-        "gamma_per_w_m": _take_optional_number(sec, "gamma_per_w_m"),
-        "attenuation_db_per_cm": _take_optional_number(sec, "attenuation_db_per_cm"),
-    }
-    n_eff = _take_optional_number(sec, "n_eff")
+    given = _given(sec, _number, "gamma_per_w_m", "attenuation_db_per_cm")
     disp_sec = sec.take_section("dispersion")
     if disp_sec is not None:
         given["dispersion"] = parse_dispersion(disp_sec, omega_c)
     sec.finish()
-    given = {key: value for key, value in given.items() if value is not None}
     if kind == "custom":
         for key in ("gamma_per_w_m", "dispersion"):
             if key not in given:
                 raise ConfigError(f"{sec.where}: custom waveguide needs {key}")
-        spec = WaveguideSpec("custom", length, **given)
-        return spec, 2.5 if n_eff is None else n_eff, str(label)
-    spec = replace(preset_waveguide(kind, length, omega_c), **given)
-    return spec, preset_n_eff(kind) if n_eff is None else n_eff, str(label)
+        return WaveguideSpec("custom", length, **given)
+    return replace(preset_waveguide(kind, length, omega_c), **given)
+
+
+def grid_points(value, where: str) -> int:
+    """A grid size from ``where`` (a config key or a flag): an integer >= 2."""
+    n_points = _integer(value, where)
+    if n_points < 2:
+        raise ConfigError(f"{where}: a grid needs at least 2 points, got {n_points}")
+    return n_points
 
 
 def parse_grid(sec: _Section | None, omega_c: float) -> SpectralGrid:
@@ -252,7 +251,7 @@ def parse_grid(sec: _Section | None, omega_c: float) -> SpectralGrid:
     n_points = 4096
     if sec is not None:
         span_hz = _number(sec.take("span_thz", span_hz / 1e12), f"{sec.where}.span_thz") * 1e12
-        n_points = _integer(sec.take("points", n_points), f"{sec.where}.points")
+        n_points = grid_points(sec.take("points", n_points), f"{sec.where}.points")
         sec.finish()
     return SpectralGrid.symmetric(omega_c, 2.0 * pi * span_hz / 2.0, n_points)
 
@@ -274,15 +273,20 @@ def parse_spectrum_config(doc: dict) -> SpectrumRun:
     waveguides = []
     labels = set()
     for i, item in enumerate(wg_list):
-        spec, _, label = parse_waveguide(
-            _Section(item, f"config.waveguides[{i}]"), pump.omega_c
-        )
+        sec = _Section(item, f"config.waveguides[{i}]")
+        label = sec.take("label", None)
+        spec = parse_waveguide(sec, pump.omega_c)
+        label = spec.kind if label is None else str(label)
         if label in labels:
             raise ConfigError(f"config.waveguides[{i}]: duplicate label {label!r}")
         labels.add(label)
         waveguides.append((spec, label))
     top.finish()
     return SpectrumRun(pump, grid, tuple(waveguides))
+
+
+# Group index for the pump delay of a custom-kind segment that gives no n_eff.
+CUSTOM_N_EFF = 2.5
 
 
 def _parse_node(sec: _Section, omega_c: float):
@@ -294,38 +298,25 @@ def _parse_node(sec: _Section, omega_c: float):
             f"{sec.where}.id: {node_id!r} may use only letters, digits, '_', '.' and '-'"
         )
     if kind == "port":
-        node = PortNode(node_id, sec.take("direction", "input"))
+        node = PortNode(node_id, **_given(sec, lambda value, where: value, "direction"))
     elif kind == "splitter":
-        node = SplitterNode(node_id, _number(sec.take("ratio", 0.5), f"{sec.where}.ratio"))
+        node = SplitterNode(node_id, **_given(sec, _number, "ratio"))
     elif kind == "phase_shifter":
-        node = PhaseShifterNode(
-            node_id, _number(sec.take("phase_rad", 0.0), f"{sec.where}.phase_rad")
-        )
+        node = PhaseShifterNode(node_id, **_given(sec, _number, "phase_rad"))
     elif kind == "grating_coupler":
-        defaults = coupler_defaults()
         center = take_quantity(sec, "center", ANGULAR_FREQUENCY_UNITS)
-        node = CouplerNode(
-            node_id,
-            center_wavelength_m=wavelength_from_angular_frequency(center),
-            min_loss_db=_number(
-                sec.take("min_loss_db", defaults["min_loss_db"]), f"{sec.where}.min_loss_db"
-            ),
-            bandwidth_3db_m=_number(
-                sec.take("bandwidth_3db_nm", defaults["bandwidth_3db_nm"]),
-                f"{sec.where}.bandwidth_3db_nm",
-            )
-            * 1e-9,
-        )
+        loss = _given(sec, _number, "min_loss_db", "bandwidth_3db_nm")
+        if "bandwidth_3db_nm" in loss:
+            loss["bandwidth_3db_m"] = loss.pop("bandwidth_3db_nm") * 1e-9
+        node = CouplerNode(node_id, wavelength_from_angular_frequency(center), **loss)
     elif kind == "segment":
-        wg_sec = sec.take_section("waveguide", required=True)
-        spec, n_eff_preset, _ = parse_waveguide(wg_sec, omega_c)
+        spec = parse_waveguide(sec.take_section("waveguide", required=True), omega_c)
+        n_eff = CUSTOM_N_EFF if spec.kind == "custom" else preset_n_eff(spec.kind)
         node = SegmentNode(
             node_id,
-            waveguide=spec,
-            n_eff=_number(sec.take("n_eff", n_eff_preset), f"{sec.where}.n_eff"),
-            pair_loss_exponent=_integer(
-                sec.take("pair_loss_exponent", 1), f"{sec.where}.pair_loss_exponent"
-            ),
+            spec,
+            _number(sec.take("n_eff", n_eff), f"{sec.where}.n_eff"),
+            **_given(sec, _integer, "pair_loss_exponent"),
         )
     else:
         raise ConfigError(f"{sec.where}.kind: unknown node kind {kind!r}")
@@ -423,8 +414,8 @@ def parse_gamma_config(doc: dict, config_dir: str | Path = ".") -> GammaRun:
     top = _Section(doc, "config")
     csv_path = _data_file(top.take("mode_field_csv"), "config.mode_field_csv", config_dir)
     omega = take_quantity(top, "wavelength", ANGULAR_FREQUENCY_UNITS)
-    n0 = _number(top.take("n0", 3.48), "config.n0")
-    n2 = _number(top.take("n2_m2_per_w", 4.5e-18), "config.n2_m2_per_w")
+    n0 = _number(top.take("n0", N0_SILICON), "config.n0")
+    n2 = _number(top.take("n2_m2_per_w", N2_SILICON_M2_PER_W), "config.n2_m2_per_w")
     top.finish()
     return GammaRun(csv_path, omega, n0, n2)
 

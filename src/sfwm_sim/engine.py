@@ -27,7 +27,7 @@ propagation loss, photons being generated uniformly along the waveguide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite, log, sinh, sqrt
 from typing import Iterable
@@ -61,9 +61,6 @@ class WaveguideSpec:
             raise DomainError(
                 f"attenuation must be >= 0 dB/cm, got {self.attenuation_db_per_cm!r}"
             )
-
-    def with_length(self, length_m: float) -> "WaveguideSpec":
-        return replace(self, length_m=length_m)
 
     @property
     def attenuation_per_m(self) -> float:

@@ -50,8 +50,3 @@ def preset_waveguide(kind: str, length_m: float, omega_c: float) -> WaveguideSpe
 def preset_n_eff(kind: str) -> float:
     """Group effective index used for pump-delay bookkeeping."""
     return float(preset_parameters(kind)["n_eff"])
-
-
-def coupler_defaults() -> dict:
-    """Grating-coupler loss-profile defaults (min loss dB, 3 dB bandwidth nm)."""
-    return dict(_defaults()["grating_coupler"])

@@ -96,7 +96,6 @@ def _segment(
         seg_id,
         waveguide=preset_waveguide(actual, length_m, omega_c),
         n_eff=preset_n_eff(actual),
-        pair_loss_exponent=1,
     )
 
 
@@ -193,7 +192,7 @@ def app2_path(all_strip: bool = False) -> CircuitSetup:
             SplitterNode(split, 0.5),
             _segment(arm1, "shallow_ridge", APP2_ANALYZER_ARM_M, wc, all_strip),
             _segment(arm2, "shallow_ridge", APP2_ANALYZER_ARM_M, wc, all_strip),
-            PhaseShifterNode(rz, 0.0),
+            PhaseShifterNode(rz),
             SplitterNode(merge, 0.5),
             PortNode(f"detect_{rail + 1}a", "output"),
             PortNode(f"detect_{rail + 1}b", "output"),

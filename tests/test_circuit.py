@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sfwm_sim import (
     CircuitGraph,
@@ -9,6 +11,7 @@ from sfwm_sim import (
     CouplerNode,
     DispersionModel,
     Edge,
+    PhaseShifterNode,
     PortNode,
     PumpConfig,
     SegmentNode,
@@ -30,9 +33,9 @@ from sfwm_sim import (
 OMEGA_P = angular_frequency_from_wavelength(1552.5e-9)
 
 
-def seg(seg_id, length=5e-3, gamma=223.3, beta2=-3e-26, n_eff=2.6):
+def seg(seg_id, length=5e-3, gamma=223.3, beta2=-3e-26, n_eff=2.6, attenuation=0.0):
     spec = WaveguideSpec(
-        "custom", length, gamma, DispersionModel(OMEGA_P, (beta2, 0.0))
+        "custom", length, gamma, DispersionModel(OMEGA_P, (beta2, 0.0)), attenuation
     )
     return SegmentNode(seg_id, waveguide=spec, n_eff=n_eff)
 
@@ -42,6 +45,114 @@ def identity_circuit():
         (PortNode("in", "input"), seg("wg"), PortNode("out", "output")),
         (Edge("in", "wg"), Edge("wg", "out")),
     )
+
+
+@st.composite
+def random_dags(draw, lossless=False):
+    """One input port, 1-6 random inner nodes, and an output port on every open slot.
+
+    Each inner node takes 1 or 2 of the open output slots so far as inputs,
+    so every node is reachable from the input and every output slot feeds
+    exactly one edge.
+    """
+    kinds = ["splitter", "segment", "phase"] + ([] if lossless else ["coupler"])
+    nodes, edges, open_slots = [PortNode("in", "input")], [], [("in", 0)]
+    for k in range(draw(st.integers(1, 6))):
+        node_id, kind = f"n{k}", draw(st.sampled_from(kinds))
+        if kind == "splitter":
+            # Ratios stay clear of subnormal products; 0 and 1 are kept.
+            ratio = draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-6, 1.0 - 1e-6))
+            node = SplitterNode(node_id, ratio)
+        elif kind == "segment":
+            loss = 0.0 if lossless else draw(st.floats(0.0, 10.0))
+            node = seg(node_id, length=draw(st.floats(1e-4, 2e-2)), attenuation=loss)
+        elif kind == "coupler":
+            node = CouplerNode(
+                node_id,
+                draw(st.floats(1500e-9, 1600e-9)),
+                min_loss_db=draw(st.floats(0.0, 6.0)),
+                bandwidth_3db_m=draw(st.floats(20e-9, 80e-9)),
+            )
+        else:
+            node = PhaseShifterNode(node_id, draw(st.floats(0.0, 2.0 * math.pi)))
+        n_in = 2 if kind == "splitter" else 1
+        n_fed = draw(st.integers(1, min(n_in, len(open_slots))))
+        in_slots = draw(st.permutations(range(n_in)))[:n_fed]
+        for in_slot in in_slots:
+            src, src_port = open_slots.pop(draw(st.integers(0, len(open_slots) - 1)))
+            edges.append(Edge(src, node_id, src_port=src_port, dst_port=in_slot))
+        open_slots += [(node_id, out_slot) for out_slot in range(2 if kind == "splitter" else 1)]
+        nodes.append(node)
+    for j, (src, src_port) in enumerate(open_slots):
+        nodes.append(PortNode(f"out{j}", "output"))
+        edges.append(Edge(src, f"out{j}", src_port=src_port))
+    return CircuitGraph(tuple(nodes), tuple(edges))
+
+
+def unbalanced_interferometer():
+    """A lossy segment feeding both inputs of an unequal splitter, through a coupler."""
+    return CircuitGraph(
+        (
+            PortNode("in", "input"),
+            seg("a", attenuation=3.0),
+            SplitterNode("s1", 0.3),
+            CouplerNode("gc", 1540e-9),
+            SplitterNode("s2", 0.2),
+            PortNode("out0", "output"),
+            PortNode("out1", "output"),
+        ),
+        (
+            Edge("in", "a"),
+            Edge("a", "s1"),
+            Edge("s1", "s2", src_port=0, dst_port=0),
+            Edge("s1", "gc", src_port=1),
+            Edge("gc", "s2", dst_port=1),
+            Edge("s2", "out0", src_port=0),
+            Edge("s2", "out1", src_port=1),
+        ),
+    )
+
+
+def hop_factor(node, in_slot, out_slot, omega):
+    """Power fraction of one hop through a node, written out per kind."""
+    if isinstance(node, SplitterNode):
+        return node.ratio if in_slot == out_slot else 1.0 - node.ratio
+    if isinstance(node, CouplerNode):
+        wavelength = 2.0 * math.pi * 299792458.0 / omega
+        return 10.0 ** (-node.loss_db(wavelength) / 10.0)
+    if isinstance(node, SegmentNode):
+        wg = node.waveguide
+        return 10.0 ** (-wg.attenuation_db_per_cm * wg.length_m * 100.0 / 10.0)
+    return 1.0
+
+
+def enumerated_transmission(graph, from_segment, detection_node, omega):
+    """Sum over every path from the segment's output of the product of hop factors."""
+    total = 0.0
+    stack = [(from_segment, 0, 1.0)]  # (node, output slot, product so far)
+    while stack:
+        node_id, out_slot, product = stack.pop()
+        for edge in graph.edges:
+            if (edge.src, edge.src_port) != (node_id, out_slot):
+                continue
+            if edge.dst == detection_node:
+                total += product
+                continue
+            node = graph.node(edge.dst)
+            n_out = 2 if isinstance(node, SplitterNode) else 0 if isinstance(node, PortNode) else 1
+            for out in range(n_out):
+                stack.append(
+                    (edge.dst, out, product * hop_factor(node, edge.dst_port, out, omega))
+                )
+    return total
+
+
+def assert_transmission_matches_enumeration(graph, omega):
+    for segment in graph.segments():
+        for detection in graph.nodes:
+            expected = enumerated_transmission(graph, segment.id, detection.id, omega)
+            got = photon_transmission(graph, segment.id, detection.id, omega)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestGraphValidation:
@@ -116,6 +227,26 @@ class TestPropagation:
             prop = propagate_pump(graph, pump, "in")
             total = prop.peak_powers_w("a")[0] + prop.peak_powers_w("b")[0]
             assert total == pytest.approx(1.0, rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=random_dags())
+    @example(graph=unbalanced_interferometer())
+    def test_pump_at_each_node_equals_path_enumeration(self, graph):
+        # Summed over its pulses, the pump reaching a node is the input power
+        # times the path-enumerated transmission from the input port.
+        prop = propagate_pump(graph, PumpConfig.degenerate(OMEGA_P, 2.0), "in")
+        for node in graph.nodes[1:]:
+            expected = 2.0 * enumerated_transmission(graph, "in", node.id, OMEGA_P)
+            got = sum(p.powers_w[0] for p in prop.pulses(node.id))
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=random_dags(lossless=True), power=st.floats(1e-3, 10.0))
+    def test_lossless_network_conserves_power(self, graph, power):
+        prop = propagate_pump(graph, PumpConfig.degenerate(OMEGA_P, power), "in")
+        sinks = [n.id for n in graph.nodes if n.id.startswith("out")]
+        total = sum(p.powers_w[0] for sink in sinks for p in prop.pulses(sink))
+        assert total == pytest.approx(power, rel=1e-12)
 
     def test_app1_powers_and_delay(self):
         setup = app1_timebin()
@@ -211,6 +342,13 @@ class TestContributions:
         assert by_id["source_strip"].transmission == pytest.approx(1.0)
         assert by_id["umzi_long"].transmission == pytest.approx(0.5)
         assert by_id["umzi_short"].transmission == pytest.approx(0.5)
+        assert_transmission_matches_enumeration(setup.graph, setup.grid.center)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=random_dags(), omega=st.floats(0.97 * OMEGA_P, 1.03 * OMEGA_P))
+    @example(graph=unbalanced_interferometer(), omega=OMEGA_P)
+    def test_transmission_equals_path_enumeration(self, graph, omega):
+        assert_transmission_matches_enumeration(graph, omega)
 
     def test_transmission_scales_band_flux_linearly(self):
         setup = app1_timebin()

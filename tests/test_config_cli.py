@@ -1,5 +1,6 @@
 import copy
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,10 @@ import pytest
 import yaml
 
 import sfwm_sim
-from sfwm_sim import ConfigError, angular_frequency_from_wavelength
+from sfwm_sim import ConfigError, CouplerNode, angular_frequency_from_wavelength
 from sfwm_sim.cli import main
 from sfwm_sim.config import (
+    CUSTOM_N_EFF,
     config_hash,
     load_config,
     parse_car_config,
@@ -78,6 +80,53 @@ class TestConfigParsing:
         doc["pump"] = dict(doc["pump"], typo_key=1)
         with pytest.raises(ConfigError, match=r"config\.pump.*typo_key"):
             parse_spectrum_config(doc)
+
+    @pytest.mark.parametrize(
+        "kind, where, key",
+        [
+            ("spectrum", "config.waveguides[0]", "n_eff"),
+            ("circuit", "config.nodes[2].waveguide", "n_eff"),
+            ("circuit", "config.nodes[2].waveguide", "label"),
+        ],
+    )
+    def test_n_eff_and_label_only_where_read(self, kind, where, key):
+        # n_eff is a segment-node key; label names spectrum waveguides only.
+        doc = copy.deepcopy(SPECTRUM_DOC if kind == "spectrum" else CIRCUIT_DOC)
+        wg = doc["waveguides"][0] if kind == "spectrum" else doc["nodes"][2]["waveguide"]
+        wg[key] = 9
+        parse = parse_spectrum_config if kind == "spectrum" else parse_circuit_config
+        with pytest.raises(ConfigError, match=re.escape(where) + r": unknown key.*" + key):
+            parse(doc)
+
+    def test_omitted_node_keys_take_the_class_defaults(self):
+        doc = copy.deepcopy(CIRCUIT_DOC)
+        del doc["nodes"][0]["direction"]
+        custom = {
+            "kind": "custom",
+            "length_mm": 1.0,
+            "gamma_per_w_m": 200.0,
+            "dispersion": {"beta2_s2_per_m": -3e-26},
+        }
+        doc["nodes"][2:3] = [
+            {"id": "wg", "kind": "segment", "waveguide": {"kind": "strip", "length_mm": 5.0}},
+            {"id": "s", "kind": "splitter"},
+            {"id": "c", "kind": "segment", "waveguide": custom},
+            {"id": "c3", "kind": "segment", "waveguide": custom, "n_eff": 3.0},
+        ]
+        doc["edges"][2:] = [
+            {"from": "wg", "to": "s"},
+            {"from": "s", "to": "c", "from_port": 0},
+            {"from": "s", "to": "c3", "from_port": 1},
+            {"from": "c", "to": "out"},
+        ]
+        graph = parse_circuit_config(doc).graph
+        assert graph.node("in").direction == "input"
+        assert graph.node("s").ratio == 0.5
+        gc = graph.node("gc")
+        assert gc == CouplerNode("gc", gc.center_wavelength_m)
+        assert (graph.node("wg").n_eff, graph.node("wg").pair_loss_exponent) == (2.4, 1)
+        assert graph.node("c").n_eff == CUSTOM_N_EFF
+        assert graph.node("c3").n_eff == 3.0
 
     def test_wavelength_and_frequency_keys_agree(self):
         via_nm = parse_spectrum_config(
@@ -297,6 +346,16 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg, "--out", str(out), "--grid-points", "2"]) == 0
         lines = (out / "strip_5mm_spectrum.csv").read_text().splitlines()
         assert len(lines) == 4  # hash comment + header + 2 samples
+
+    @pytest.mark.parametrize("source", ["--grid-points", "config.grid.points"])
+    def test_too_few_grid_points_exit_2_naming_source(self, tmp_path, capsys, source):
+        doc = copy.deepcopy(SPECTRUM_DOC)
+        flag = ["--grid-points", "1"] if source == "--grid-points" else []
+        if not flag:
+            doc["grid"]["points"] = 1
+        cfg = write_yaml(tmp_path / "run.yaml", doc)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out"), *flag]) == 2
+        assert f"config error: {source}: " in capsys.readouterr().err
 
     def test_svg_emitted(self, tmp_path):
         cfg = write_yaml(tmp_path / "run.yaml", SPECTRUM_DOC)
