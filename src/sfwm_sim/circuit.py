@@ -168,6 +168,9 @@ class CircuitGraph:
             if node.id in by_id:
                 raise ConfigError(f"duplicate node id {node.id!r}")
             by_id[node.id] = node
+        # One edge per slot: a slot wired to two edges would copy its light
+        # down both, creating power.
+        taken_outputs: set[tuple[str, int]] = set()
         taken_inputs: set[tuple[str, int]] = set()
         for edge in self.edges:
             for end in (edge.src, edge.dst):
@@ -177,10 +180,13 @@ class CircuitGraph:
                 raise ConfigError(f"{edge.src!r} has no output slot {edge.src_port}")
             if not 0 <= edge.dst_port < by_id[edge.dst].slots[0]:
                 raise ConfigError(f"{edge.dst!r} has no input slot {edge.dst_port}")
-            slot = (edge.dst, edge.dst_port)
-            if slot in taken_inputs:
-                raise ConfigError(f"input slot {slot} is fed by more than one edge")
-            taken_inputs.add(slot)
+            out_slot, in_slot = (edge.src, edge.src_port), (edge.dst, edge.dst_port)
+            if out_slot in taken_outputs:
+                raise ConfigError(f"output slot {out_slot} feeds more than one edge")
+            if in_slot in taken_inputs:
+                raise ConfigError(f"input slot {in_slot} is fed by more than one edge")
+            taken_outputs.add(out_slot)
+            taken_inputs.add(in_slot)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_topo_order", self._topological_order())
 
@@ -398,11 +404,7 @@ def segment_contributions(
     contributions = []
     for segment in circuit.segments():
         powers = propagation.peak_powers_w(segment.id)
-        local_pump = (
-            pump.with_powers(powers[0])
-            if pump.mode == "degenerate"
-            else pump.with_powers(powers[0], powers[1])
-        )
+        local_pump = pump.with_powers(*powers)
         spectrum = biphoton_spectrum(segment.waveguide, local_pump, grid, label=segment.id)
         if detection_node is None:
             transmission = 1.0

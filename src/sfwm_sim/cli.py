@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .coincidence import (
-    RateModel,
+    CAR_PEAK_BINS,
     build_histogram,
     car_from_histogram,
     predict_rates,
@@ -43,7 +43,7 @@ from .csvio import write_histogram_csv, write_mismatch_csv, write_spectrum_csv, 
 from .dispersion import wavelength_from_angular_frequency
 from .engine import bandwidth_3db_hz, biphoton_spectrum, total_mismatch
 from .errors import ConfigError, DataError, DomainError, SfwmError
-from .modefield import MaterialConstants, gamma_report, read_mode_field_csv
+from .modefield import gamma_report, read_mode_field_csv
 from .svgplot import write_line_plot
 from .templates import TEMPLATE_NAMES, evaluate_circuit
 
@@ -154,8 +154,7 @@ def cmd_circuit(args, doc: dict, doc_hash: str, out: Path):
 def cmd_gamma(args, doc: dict, doc_hash: str, out: Path):
     run = parse_gamma_config(doc, args.config.parent)
     grid = read_mode_field_csv(run.mode_field_csv)
-    constants = MaterialConstants(n0=run.n0, n2_m2_per_w=run.n2_m2_per_w)
-    report = gamma_report(grid, run.omega, constants)
+    report = gamma_report(grid, run.omega, run.constants)
     lines = [
         f"mode field: {run.mode_field_csv}",
         f"wavelength: {wavelength_from_angular_frequency(run.omega) * 1e9:.2f} nm",
@@ -165,7 +164,7 @@ def cmd_gamma(args, doc: dict, doc_hash: str, out: Path):
     ]
     if args.verify_scale:
         tripled = replace(grid, e_field=grid.e_field * 3.0, h_field=grid.h_field * 3.0)
-        scaled = gamma_report(tripled, run.omega, constants)
+        scaled = gamma_report(tripled, run.omega, run.constants)
         rel = abs(scaled["gamma_per_w_m"] - report["gamma_per_w_m"]) / report["gamma_per_w_m"]
         lines.append(f"scale invariance (fields x3): relative change {rel:.3e}")
     return "gamma_report.txt", lines, []
@@ -174,30 +173,28 @@ def cmd_gamma(args, doc: dict, doc_hash: str, out: Path):
 def cmd_car(args, doc: dict, doc_hash: str, out: Path):
     run = parse_car_config(doc, args.config.parent)
     predicted = None
-    if run.synthesize is not None:
-        params = dict(run.synthesize)
-        duration = params.pop("duration_s")
-        model = RateModel(bin_width_s=run.bin_width_s, **params)
-        signal, idler = synthesize_timestamps(model, duration, seed=args.seed)
+    if run.model is not None:
+        signal, idler = synthesize_timestamps(run.model, run.duration_s, seed=args.seed)
         write_timestamps_csv(out / "timestamps.csv", signal, idler)
-        predicted = predict_rates(model, peak_bins=5)
+        predicted = predict_rates(run.model, peak_bins=CAR_PEAK_BINS)
     else:
         signal, idler = read_timestamps_csv(run.timestamps_csv)
     hist = build_histogram(signal, idler, run.bin_width_s, run.window_s)
     car = car_from_histogram(hist, guard_bins=run.guard_bins)
     write_histogram_csv(out / "histogram.csv", hist, doc_hash)
 
-    center = hist.central_bin
+    center, half = hist.central_bin, CAR_PEAK_BINS // 2
     lines = [
         f"events: {signal.size} signal, {idler.size} idler",
         f"histogram: {hist.n_bins} bins x {hist.bin_width_s * 1e12:.1f} ps",
-        f"peak window bins: [{center - 2}, {center + 2}] (5 bins centered on {center})",
+        f"peak window bins: [{center - half}, {center + half}] "
+        f"({CAR_PEAK_BINS} bins centered on {center})",
         f"guard bins: {run.guard_bins}",
         f"CAR: {car:.4f}",
     ]
     if predicted is not None:
         lines.append(
-            f"predicted CAR (5-bin window): {predicted['car']:.4f} "
+            f"predicted CAR ({CAR_PEAK_BINS}-bin window): {predicted['car']:.4f} "
             f"(singles {predicted['singles_signal_hz']:.1f}/{predicted['singles_idler_hz']:.1f} Hz)"
         )
     return "car_report.txt", lines, []

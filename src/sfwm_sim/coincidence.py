@@ -39,7 +39,6 @@ class CoincidenceHistogram:
     bin_width_s: float
     bin_edges_s: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
-    total_time_s: float = 0.0
 
     def __post_init__(self) -> None:
         edges = np.asarray(self.bin_edges_s, dtype=float)
@@ -84,7 +83,6 @@ def build_histogram(
     idler_ts,
     bin_width_s: float,
     window_s: float,
-    total_time_s: float | None = None,
 ) -> CoincidenceHistogram:
     """Histogram idler-signal time differences over [-window/2, +window/2).
 
@@ -118,11 +116,7 @@ def build_histogram(
             bin_idx = np.floor((diffs + half) / bin_width_s).astype(np.int64)
             keep = (bin_idx >= 0) & (bin_idx < n_bins)
             counts = np.bincount(bin_idx[keep], minlength=n_bins).astype(np.int64)
-
-    if total_time_s is None:
-        spans = [ts[-1] - ts[0] for ts in (signal, idler) if ts.size > 1]
-        total_time_s = max(spans) if spans else 0.0
-    return CoincidenceHistogram(bin_width_s, edges, counts, total_time_s)
+    return CoincidenceHistogram(bin_width_s, edges, counts)
 
 
 def car_from_histogram(

@@ -12,7 +12,9 @@ import hashlib
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from math import pi
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from .circuit import (
     SegmentNode,
     SplitterNode,
 )
+from .coincidence import RateModel
 from .dispersion import (
     DispersionModel,
     PumpConfig,
@@ -34,8 +37,8 @@ from .dispersion import (
     wavelength_from_angular_frequency,
 )
 from .engine import SpectralGrid, WaveguideSpec
-from .errors import ConfigError
-from .modefield import N0_SILICON, N2_SILICON_M2_PER_W
+from .errors import ConfigError, SfwmError
+from .modefield import MaterialConstants
 from .presets import PRESET_KINDS, preset_n_eff, preset_waveguide
 from .templates import CircuitSetup, build_template
 
@@ -137,6 +140,15 @@ def _given(sec: _Section, convert, *keys: str) -> dict:
     return {key: convert(sec.take(key), f"{sec.where}.{key}") for key in keys if sec.has(key)}
 
 
+@contextmanager
+def _naming(where: str):
+    """Re-raise an error from building a value, same class, with ``where`` in front."""
+    try:
+        yield
+    except SfwmError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 # The unit suffixes each kind of quantity accepts, each with its SI factor or
 # conversion function.
 ANGULAR_FREQUENCY_UNITS = {
@@ -230,12 +242,13 @@ def parse_waveguide(sec: _Section, omega_c: float) -> WaveguideSpec:
     if disp_sec is not None:
         given["dispersion"] = parse_dispersion(disp_sec, omega_c)
     sec.finish()
-    if kind == "custom":
+    with _naming(sec.where):
+        if kind != "custom":
+            return replace(preset_waveguide(kind, length, omega_c), **given)
         for key in ("gamma_per_w_m", "dispersion"):
-            if key not in given:
-                raise ConfigError(f"{sec.where}: custom waveguide needs {key}")
+            if key not in given:  # _naming puts sec.where in front
+                raise ConfigError(f"custom waveguide needs {key}")
         return WaveguideSpec("custom", length, **given)
-    return replace(preset_waveguide(kind, length, omega_c), **given)
 
 
 def grid_points(value, where: str) -> int:
@@ -298,21 +311,22 @@ def _parse_node(sec: _Section, omega_c: float):
             f"{sec.where}.id: {node_id!r} may use only letters, digits, '_', '.' and '-'"
         )
     if kind == "port":
-        node = PortNode(node_id, **_given(sec, lambda value, where: value, "direction"))
+        make = partial(PortNode, node_id, **_given(sec, lambda value, where: value, "direction"))
     elif kind == "splitter":
-        node = SplitterNode(node_id, **_given(sec, _number, "ratio"))
+        make = partial(SplitterNode, node_id, **_given(sec, _number, "ratio"))
     elif kind == "phase_shifter":
-        node = PhaseShifterNode(node_id, **_given(sec, _number, "phase_rad"))
+        make = partial(PhaseShifterNode, node_id, **_given(sec, _number, "phase_rad"))
     elif kind == "grating_coupler":
         center = take_quantity(sec, "center", ANGULAR_FREQUENCY_UNITS)
         loss = _given(sec, _number, "min_loss_db", "bandwidth_3db_nm")
         if "bandwidth_3db_nm" in loss:
             loss["bandwidth_3db_m"] = loss.pop("bandwidth_3db_nm") * 1e-9
-        node = CouplerNode(node_id, wavelength_from_angular_frequency(center), **loss)
+        make = partial(CouplerNode, node_id, wavelength_from_angular_frequency(center), **loss)
     elif kind == "segment":
         spec = parse_waveguide(sec.take_section("waveguide", required=True), omega_c)
         n_eff = CUSTOM_N_EFF if spec.kind == "custom" else preset_n_eff(spec.kind)
-        node = SegmentNode(
+        make = partial(
+            SegmentNode,
             node_id,
             spec,
             _number(sec.take("n_eff", n_eff), f"{sec.where}.n_eff"),
@@ -320,6 +334,8 @@ def _parse_node(sec: _Section, omega_c: float):
         )
     else:
         raise ConfigError(f"{sec.where}.kind: unknown node kind {kind!r}")
+    with _naming(sec.where):
+        node = make()
     sec.finish()
     return node
 
@@ -397,8 +413,7 @@ def parse_circuit_config(doc: dict) -> CircuitSetup:
 class GammaRun:
     mode_field_csv: Path
     omega: float
-    n0: float
-    n2_m2_per_w: float
+    constants: MaterialConstants
 
 
 def _data_file(value, where: str, config_dir: str | Path) -> Path:
@@ -414,23 +429,10 @@ def parse_gamma_config(doc: dict, config_dir: str | Path = ".") -> GammaRun:
     top = _Section(doc, "config")
     csv_path = _data_file(top.take("mode_field_csv"), "config.mode_field_csv", config_dir)
     omega = take_quantity(top, "wavelength", ANGULAR_FREQUENCY_UNITS)
-    n0 = _number(top.take("n0", N0_SILICON), "config.n0")
-    n2 = _number(top.take("n2_m2_per_w", N2_SILICON_M2_PER_W), "config.n2_m2_per_w")
+    given = _given(top, _number, "n0", "n2_m2_per_w")
     top.finish()
-    return GammaRun(csv_path, omega, n0, n2)
-
-
-# RateModel keyword arguments plus duration_s; _MISSING marks a required key.
-SYNTHESIZE_DEFAULTS = {
-    "duration_s": _MISSING,
-    "pair_rate_hz": _MISSING,
-    "efficiency_signal": 1.0,
-    "efficiency_idler": 1.0,
-    "noise_rate_signal_hz": 0.0,
-    "noise_rate_idler_hz": 0.0,
-    "dark_rate_signal_hz": 0.0,
-    "dark_rate_idler_hz": 0.0,
-}
+    with _naming(top.where):
+        return GammaRun(csv_path, omega, MaterialConstants(**given))
 
 
 @dataclass(frozen=True)
@@ -439,7 +441,8 @@ class CarRun:
     window_s: float
     guard_bins: int
     timestamps_csv: Path | None
-    synthesize: dict | None  # RateModel kwargs + duration_s
+    model: RateModel | None  # the rates to synthesise duration_s of timestamps from
+    duration_s: float | None
 
 
 def parse_car_config(doc: dict, config_dir: str | Path = ".") -> CarRun:
@@ -449,16 +452,27 @@ def parse_car_config(doc: dict, config_dir: str | Path = ".") -> CarRun:
     window = take_quantity(top, "window", TIME_UNITS)
     guard = _integer(top.take("guard_bins", 0), "config.guard_bins")
     ts_path = top.take("timestamps_csv", None)
-    synth_sec = top.take_section("synthesize")
-    if (ts_path is None) == (synth_sec is None):
+    sec = top.take_section("synthesize")
+    if (ts_path is None) == (sec is None):
         raise ConfigError("config: give exactly one of timestamps_csv / synthesize")
-    synthesize = None
-    if synth_sec is not None:
-        synthesize = {
-            key: _number(synth_sec.take(key, default), f"{synth_sec.where}.{key}")
-            for key, default in SYNTHESIZE_DEFAULTS.items()
-        }
-        synth_sec.finish()
+    model = duration = None
+    if sec is not None:
+        duration, pair_rate = (
+            _number(sec.take(key), f"{sec.where}.{key}") for key in ("duration_s", "pair_rate_hz")
+        )
+        rates = _given(
+            sec,
+            _number,
+            "efficiency_signal",
+            "efficiency_idler",
+            "noise_rate_signal_hz",
+            "noise_rate_idler_hz",
+            "dark_rate_signal_hz",
+            "dark_rate_idler_hz",
+        )
+        sec.finish()
+        with _naming(sec.where):
+            model = RateModel(pair_rate_hz=pair_rate, bin_width_s=bin_width, **rates)
     path = None if ts_path is None else _data_file(ts_path, "config.timestamps_csv", config_dir)
     top.finish()
-    return CarRun(bin_width, window, guard, path, synthesize)
+    return CarRun(bin_width, window, guard, path, model, duration)

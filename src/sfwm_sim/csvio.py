@@ -135,25 +135,6 @@ def write_spectrum_csv(
     )
 
 
-def read_spectrum_csv(path: str | Path) -> BiphotonSpectrum:
-    """Re-ingest an emitted spectrum; exact float round trip."""
-    path = Path(path)
-    omegas, _, flux = read_table(path, SPECTRUM_HEADER)
-    if omegas.size < 2:
-        raise DataError(f"{path}: need at least 2 samples")
-    grid = SpectralGrid(float(omegas[0]), float(omegas[-1]), omegas.size)
-    if not np.array_equal(grid.omegas, omegas):
-        # Mirrored-symmetric grids: every sample pair sums to 2*center.
-        sums = omegas + omegas[::-1]
-        if np.all(sums == sums[0]):
-            candidate = SpectralGrid(
-                float(omegas[0]), float(omegas[-1]), omegas.size, float(sums[0]) / 2.0
-            )
-            if np.array_equal(candidate.omegas, omegas):
-                grid = candidate
-    return BiphotonSpectrum(grid, flux, label=path.stem)
-
-
 def write_mismatch_csv(
     path: str | Path,
     grid: SpectralGrid,

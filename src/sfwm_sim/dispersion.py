@@ -110,8 +110,11 @@ class PumpConfig:
             if not p >= 0.0:
                 raise DomainError(f"{name} must be >= 0 W, got {p!r}")
         if self.mode == "degenerate":
+            # Both fields hold the one line, so mode-free formulas serve it too.
             if self.omega_p1 != self.omega_p2:
                 raise ConfigError("degenerate pump requires omega_p1 == omega_p2")
+            if self.power1_w != self.power2_w:
+                raise ConfigError("degenerate pump requires power1_w == power2_w")
         elif self.omega_p1 == self.omega_p2:
             raise ConfigError("non-degenerate pump requires omega_p1 != omega_p2")
 
@@ -135,8 +138,6 @@ class PumpConfig:
     @property
     def omega_d(self) -> float:
         """Pump half-separation (rad/s); 0 for a degenerate pump."""
-        if self.mode == "degenerate":
-            return 0.0
         return 0.5 * (self.omega_p1 - self.omega_p2)
 
     @property

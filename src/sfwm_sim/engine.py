@@ -78,65 +78,58 @@ class WaveguideSpec:
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform angular-frequency sampling grid.
+    """Uniform angular-frequency grid of n_points samples over center +- half_span.
 
-    Grids built with :meth:`symmetric` mirror their samples exactly about the
-    center frequency (each pair sums to 2*omega_c in floating point), so even
-    functions of the detuning evaluate exactly symmetrically.  ``omegas`` is
-    computed on first use and cached on the (frozen) grid; ``replace`` gives
-    a new grid with its own samples.
+    The samples mirror exactly about ``center``: each pair sums to
+    2*center in floating point, so even functions of the detuning evaluate
+    exactly symmetrically.  ``omegas`` is computed on first use and cached on
+    the (frozen) grid; ``replace`` gives a new grid with its own samples.
     """
 
-    omega_min: float
-    omega_max: float
+    center: float
+    half_span: float
     n_points: int = 4096
-    mirror_center: float | None = None
 
     def __post_init__(self) -> None:
+        if not self.half_span > 0.0:
+            raise DomainError("half_span must be > 0")
+        if not self.center > self.half_span:
+            raise DomainError("half_span must be smaller than omega_c")
         if not self.omega_min < self.omega_max:
             raise ConfigError("omega_min must be < omega_max")
-        if not self.omega_min > 0.0:
-            raise DomainError("grid frequencies must be > 0")
         if self.n_points < 2:
             raise ConfigError("grid needs at least 2 points")
 
     @classmethod
     def symmetric(cls, omega_c: float, half_span: float, n_points: int = 4096) -> "SpectralGrid":
         """Grid of n_points samples covering omega_c +- half_span (rad/s)."""
-        if not half_span > 0.0:
-            raise DomainError("half_span must be > 0")
-        if not omega_c > half_span:
-            raise DomainError("half_span must be smaller than omega_c")
-        return cls(omega_c - half_span, omega_c + half_span, n_points, omega_c)
+        return cls(omega_c, half_span, n_points)
+
+    @property
+    def omega_min(self) -> float:
+        return self.center - self.half_span
+
+    @property
+    def omega_max(self) -> float:
+        return self.center + self.half_span
 
     @cached_property
     def omegas(self) -> np.ndarray:
         """The samples (rad/s), built once per grid and read-only."""
-        if self.mirror_center is None:
-            samples = np.linspace(self.omega_min, self.omega_max, self.n_points)
-        else:
-            center = self.mirror_center
-            step = (self.omega_max - self.omega_min) / (self.n_points - 1)
-            n_upper, odd = divmod(self.n_points, 2)
-            offsets = (np.arange(n_upper) + (0.5 if not odd else 1.0)) * step
-            upper = center + offsets
-            # 2c - x is exact for x in [c, 2c) (Sterbenz), so pairs sum to 2c.
-            lower = 2.0 * center - upper[::-1]
-            middle = np.array([center]) if odd else np.empty(0)
-            samples = np.concatenate([lower, middle, upper])
+        step = (self.omega_max - self.omega_min) / (self.n_points - 1)
+        n_upper, odd = divmod(self.n_points, 2)
+        offsets = (np.arange(n_upper) + (0.5 if not odd else 1.0)) * step
+        upper = self.center + offsets
+        # 2c - x is exact for x in [c, 2c) (Sterbenz), so pairs sum to 2c.
+        lower = 2.0 * self.center - upper[::-1]
+        middle = np.array([self.center]) if odd else np.empty(0)
+        samples = np.concatenate([lower, middle, upper])
         samples.flags.writeable = False
         return samples
 
-    @property
-    def center(self) -> float:
-        if self.mirror_center is not None:
-            return self.mirror_center
-        return 0.5 * (self.omega_min + self.omega_max)
-
-    def detunings_hz(self, omega_c: float | None = None) -> np.ndarray:
+    def detunings_hz(self, omega_c: float) -> np.ndarray:
         """Ordinary-frequency detuning (omega - omega_c)/2pi in Hz."""
-        center = self.center if omega_c is None else omega_c
-        return (self.omegas - center) / (2.0 * np.pi)
+        return (self.omegas - omega_c) / (2.0 * np.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,21 +150,18 @@ class BiphotonSpectrum:
             raise DomainError("flux_density must be finite and >= 0 everywhere")
         object.__setattr__(self, "flux_density", flux)
 
-    def scaled(self, factor: float, label: str | None = None) -> "BiphotonSpectrum":
+    def scaled(self, factor: float) -> "BiphotonSpectrum":
         """Spectrum multiplied by a non-negative transmission factor."""
         if not factor >= 0.0:
             raise DomainError(f"scale factor must be >= 0, got {factor!r}")
-        return BiphotonSpectrum(
-            self.grid, self.flux_density * factor, self.label if label is None else label
-        )
+        return BiphotonSpectrum(self.grid, self.flux_density * factor, self.label)
 
 
 def nonlinear_mismatch(gamma_per_w_m: float, pump: PumpConfig) -> float:
     """Pump-power phase mismatch dk_NL (rad/m)."""
     if not gamma_per_w_m >= 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma_per_w_m!r}")
-    if pump.mode == "degenerate":
-        return 2.0 * gamma_per_w_m * pump.power_w
+    # A degenerate pump stores P in both fields: gamma*(P + P) == 2*gamma*P exactly.
     return gamma_per_w_m * (pump.power1_w + pump.power2_w)
 
 
@@ -260,8 +250,6 @@ def _attenuated_pump(spec: WaveguideSpec, pump: PumpConfig) -> PumpConfig:
     if spec.attenuation_db_per_cm == 0.0:
         return pump
     path_avg = spec.effective_length_m / spec.length_m
-    if pump.mode == "degenerate":
-        return pump.with_powers(pump.power_w * path_avg)
     return pump.with_powers(pump.power1_w * path_avg, pump.power2_w * path_avg)
 
 

@@ -29,18 +29,17 @@ from .errors import DataError, DomainError
 # Free-space wave impedance sqrt(mu0/eps0), ohm.
 Z0_OHM = 376.730313668
 
-# Silicon at 1550 nm: linear index and Kerr index (central value of the
-# commonly quoted 3..6e-18 m^2/W band).
-N0_SILICON = 3.48
-N2_SILICON_M2_PER_W = 4.5e-18
-
 
 @dataclass(frozen=True)
 class MaterialConstants:
-    """Material/impedance constants entering the overlap quadrature."""
+    """Material/impedance constants entering the overlap quadrature.
 
-    n0: float = N0_SILICON
-    n2_m2_per_w: float = N2_SILICON_M2_PER_W
+    The defaults are silicon at 1550 nm: linear index and Kerr index (central
+    value of the commonly quoted 3..6e-18 m^2/W band).
+    """
+
+    n0: float = 3.48
+    n2_m2_per_w: float = 4.5e-18
     z0_ohm: float = Z0_OHM
     c_m_per_s: float = C_VACUUM
 

@@ -185,10 +185,18 @@ class TestGraphValidation:
             )
 
     def test_double_fed_input_slot_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="input slot"):
             CircuitGraph(
                 (PortNode("in", "input"), seg("a"), seg("b"), seg("c")),
                 (Edge("in", "a"), Edge("a", "c"), Edge("b", "c")),
+            )
+
+    def test_fanned_out_output_slot_rejected(self):
+        # Copying one slot's light down two edges would put the full input on each.
+        with pytest.raises(ConfigError, match=r"output slot \('in', 0\) feeds more than one edge"):
+            CircuitGraph(
+                (PortNode("in", "input"), seg("a"), seg("b")),
+                (Edge("in", "a"), Edge("in", "b")),
             )
 
     def test_splitter_ratio_validated(self):

@@ -50,7 +50,7 @@ class TestBuildHistogram:
         signal = np.sort(rng.random(rng.poisson(r1 * duration)) * duration)
         idler = np.sort(rng.random(rng.poisson(r2 * duration)) * duration)
         tau = 1e-9
-        hist = build_histogram(signal, idler, tau, 41 * tau, total_time_s=duration)
+        hist = build_histogram(signal, idler, tau, 41 * tau)
         expected = r1 * r2 * tau * duration
         sigma = math.sqrt(expected)
         assert np.all(np.abs(hist.counts - expected) < 5 * sigma)

@@ -10,7 +10,14 @@ import pytest
 import yaml
 
 import sfwm_sim
-from sfwm_sim import ConfigError, CouplerNode, angular_frequency_from_wavelength
+from sfwm_sim import (
+    BiphotonSpectrum,
+    ConfigError,
+    CouplerNode,
+    MaterialConstants,
+    RateModel,
+    angular_frequency_from_wavelength,
+)
 from sfwm_sim.cli import main
 from sfwm_sim.config import (
     CUSTOM_N_EFF,
@@ -18,10 +25,11 @@ from sfwm_sim.config import (
     load_config,
     parse_car_config,
     parse_circuit_config,
+    parse_gamma_config,
     parse_spectrum_config,
 )
 from sfwm_sim.coincidence import write_timestamps_csv
-from sfwm_sim.csvio import read_histogram_csv, read_spectrum_csv
+from sfwm_sim.csvio import SPECTRUM_HEADER, read_histogram_csv, read_table, write_spectrum_csv
 from sfwm_sim.modefield import write_mode_field_csv
 from sfwm_sim.templates import (
     APP1_LONG_ARM_M,
@@ -312,22 +320,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="exactly one"):
             parse_car_config({"bin_width_ps": 100.0, "window_ns": 4.1})
 
+    def test_omitted_rate_and_material_keys_take_the_class_defaults(self, tmp_path):
+        synthesize = {"duration_s": 2.0, "pair_rate_hz": 50.0}
+        run = parse_car_config({"bin_width_ps": 100.0, "window_ns": 4.1, "synthesize": synthesize})
+        assert run.duration_s == 2.0
+        assert run.model == RateModel(pair_rate_hz=50.0, bin_width_s=100e-12)
+        field_csv = tmp_path / "mode.csv"
+        write_mode_field_csv(field_csv, gaussian_mode(5))
+        gamma = parse_gamma_config({"mode_field_csv": str(field_csv), "wavelength_nm": 1552.5})
+        assert gamma.constants == MaterialConstants()
+
 
 class TestSpectrumCommand:
     def test_run_and_round_trip(self, tmp_path):
         cfg = write_yaml(tmp_path / "run.yaml", SPECTRUM_DOC)
         out = tmp_path / "out"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
-        spectrum = read_spectrum_csv(out / "strip_5mm_spectrum.csv")
-        assert spectrum.grid.n_points == 512
+        omegas, _, flux = read_table(out / "strip_5mm_spectrum.csv", SPECTRUM_HEADER)
+        grid = parse_spectrum_config(SPECTRUM_DOC).grid
+        assert omegas.size == 512 and omegas.tobytes() == grid.omegas.tobytes()
         # parse(emit(x)) == x: re-emission is byte-identical
         original = (out / "strip_5mm_spectrum.csv").read_bytes()
-        from sfwm_sim.csvio import write_spectrum_csv
-
         write_spectrum_csv(
             out / "rewrite.csv",
-            spectrum,
-            spectrum.grid.center,
+            BiphotonSpectrum(grid, flux),
+            grid.center,
             original.decode().splitlines()[0].split("=", 1)[1],
         )
         assert (out / "rewrite.csv").read_bytes() == original
@@ -509,6 +526,15 @@ class TestCarCommand:
         )
         assert main(["car", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("key", ["duration_s", "pair_rate_hz"])
+    def test_missing_synthesize_key_exits_2_naming_it(self, tmp_path, capsys, key):
+        doc = self._synth_doc()
+        del doc["synthesize"][key]
+        cfg = write_yaml(tmp_path / "car.yaml", doc)
+        assert main(["car", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config.synthesize: missing required key {key!r}" in err
+
     def test_bad_window_exits_4(self, tmp_path):
         doc = self._synth_doc()
         doc["window_ns"] = 41.5
@@ -544,6 +570,42 @@ def test_bad_config_value_exits_2_naming_field(tmp_path, capsys, command, path, 
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     field = [key for key in path if isinstance(key, str)][-1]
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, path, value, code, where",
+    [
+        ("circuit", ("nodes", 0, "direction"), "sideways", 2, "config.nodes[0]: port 'in'"),
+        ("circuit", ("nodes", 1), {"id": "gc", "kind": "splitter", "ratio": 1.5}, 2,
+         "config.nodes[1]: splitter 'gc'"),
+        ("circuit", ("nodes", 2, "waveguide", "length_mm"), -5.0, 4,
+         "config.nodes[2].waveguide: length_m must be > 0"),
+        ("spectrum", ("waveguides", 1, "length_mm"), -5.0, 4,
+         "config.waveguides[1]: length_m must be > 0"),
+        ("car", ("synthesize", "efficiency_signal"), 1.5, 4,
+         "config.synthesize: efficiency_signal must be in [0, 1]"),
+        ("gamma", ("n0",), -1, 4, "config: n0 must be > 0"),
+    ],
+    ids=["direction", "ratio", "segment-length", "waveguide-length", "efficiency", "n0"],
+)
+def test_value_error_names_config_path(tmp_path, capsys, command, path, value, code, where):
+    field_csv = tmp_path / "mode.csv"
+    write_mode_field_csv(field_csv, gaussian_mode(5))
+    doc = copy.deepcopy(
+        {
+            "circuit": CIRCUIT_DOC,
+            "spectrum": SPECTRUM_DOC,
+            "car": CAR_SYNTH_DOC,
+            "gamma": {"mode_field_csv": str(field_csv), "wavelength_nm": 1552.5},
+        }[command]
+    )
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    cfg = write_yaml(tmp_path / "run.yaml", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    assert where in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("node_id", ["src,strip", "src/strip"])

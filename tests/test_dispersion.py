@@ -154,6 +154,10 @@ class TestValidation:
         assert pump.omega_d == 0.0
         assert pump.power_w == 0.25
 
+    def test_degenerate_requires_one_power_in_both_fields(self):
+        with pytest.raises(ConfigError, match="power1_w == power2_w"):
+            PumpConfig("degenerate", OMEGA_1552_5, OMEGA_1552_5, 0.25, 0.5)
+
     def test_nondegenerate_requires_distinct_frequencies(self):
         with pytest.raises(ConfigError):
             PumpConfig.non_degenerate(OMEGA_1552_5, OMEGA_1552_5, 0.01, 0.01)

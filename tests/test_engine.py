@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from sfwm_sim import (
     parametric_gain,
     total_mismatch,
 )
+from sfwm_sim.csvio import SPECTRUM_HEADER, read_table, write_spectrum_csv
 
 OMEGA_P = angular_frequency_from_wavelength(1552.5e-9)
 
@@ -304,9 +307,29 @@ class TestKernelMirrorAndOracle:
         scalar = linear_mismatch(model, float(grid.omegas[-1]), pump)
         assert isinstance(scalar, float) and scalar == got[-1]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(4e14, 3e15), st.floats(1.0, 50.0), st.integers(2, 4097))
+    @example(OMEGA_P, 10.0, 4096)
+    @example(OMEGA_P, 10.0, 4097)
+    def test_symmetric_grid_mirrors_and_round_trips(self, center, half_span_thz, n_points):
+        half_span = 2 * math.pi * half_span_thz * 1e12
+        grid = SpectralGrid.symmetric(center, half_span, n_points)
+        omegas = grid.omegas
+        assert omegas.size == n_points
+        assert np.all(omegas + omegas[::-1] == 2.0 * center)
+        assert (grid.omega_min, grid.omega_max) == (center - half_span, center + half_span)
+        pump = PumpConfig.degenerate(center, 1.0)
+        spectrum = biphoton_spectrum(make_spec(-3e-26, omega_c=center), pump, grid)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spectrum.csv"
+            write_spectrum_csv(path, spectrum, center)
+            read_omegas, _, read_flux = read_table(path, SPECTRUM_HEADER)
+        assert read_omegas.tobytes() == omegas.tobytes()
+        assert read_flux.tobytes() == spectrum.flux_density.tobytes()
+
     @pytest.mark.parametrize(
         "grid",
-        [SpectralGrid.symmetric(OMEGA_P, 1e13, 17), SpectralGrid(OMEGA_P - 1e13, OMEGA_P, 16)],
+        [SpectralGrid.symmetric(OMEGA_P, 1e13, 17), SpectralGrid.symmetric(OMEGA_P, 5e12, 16)],
     )
     def test_omegas_built_once_and_read_only(self, grid):
         assert grid.omegas is grid.omegas
