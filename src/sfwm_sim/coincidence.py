@@ -183,8 +183,9 @@ class RateModel:
             "dark_rate_signal_hz",
             "dark_rate_idler_hz",
         ):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise DomainError(f"{name} must be >= 0, got {value!r}")
         for name in ("efficiency_signal", "efficiency_idler"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise DomainError(f"{name} must be in [0, 1]")

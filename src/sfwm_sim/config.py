@@ -117,9 +117,18 @@ class _Section:
         return self._where
 
 
+# A YAML 1.2 float literal.  PyYAML resolves floats by YAML 1.1, which needs a
+# decimal point and a signed exponent, so "8e1" or "5e-18" arrive as strings.
+YAML_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?")
+
+
 def _number(value, where: str) -> float:
+    if isinstance(value, str) and YAML_FLOAT.fullmatch(value):
+        value = float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if value != value:
+        raise ConfigError(f"{where}: expected a number, got NaN")
     return float(value)
 
 
@@ -260,13 +269,16 @@ def grid_points(value, where: str) -> int:
 
 
 def parse_grid(sec: _Section | None, omega_c: float) -> SpectralGrid:
-    span_hz = 20.0e12
+    where = "config.grid.span_thz"
+    span_thz = 20.0
     n_points = 4096
     if sec is not None:
-        span_hz = _number(sec.take("span_thz", span_hz / 1e12), f"{sec.where}.span_thz") * 1e12
+        where = f"{sec.where}.span_thz"
+        span_thz = _number(sec.take("span_thz", span_thz), where)
         n_points = grid_points(sec.take("points", n_points), f"{sec.where}.points")
         sec.finish()
-    return SpectralGrid.symmetric(omega_c, 2.0 * pi * span_hz / 2.0, n_points)
+    with _naming(f"{where} = {span_thz:g}"):
+        return SpectralGrid.symmetric(omega_c, 2.0 * pi * (span_thz * 1e12) / 2.0, n_points)
 
 
 @dataclass(frozen=True)

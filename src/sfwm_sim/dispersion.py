@@ -170,17 +170,33 @@ def linear_mismatch(model: DispersionModel, omega, pump: PumpConfig):
             f"{model.omega_c:.6e} rad/s is not aligned with the pump average "
             f"{pump.omega_c:.6e} rad/s"
         )
-    dw = np.asarray(omega, dtype=float) - pump.omega_c
-    dw2 = dw * dw
+    om = np.asarray(omega, dtype=float)
+    dw2 = om.reshape(-1) - pump.omega_c
+    dw2 *= dw2
     wd = pump.omega_d
     # (dw^2)^m by repeated products: numpy's array pow is slow for exponents
     # above 2 and not bit-even in dw; products of dw2 are fast and exactly
     # even, so every model is exactly mirror-symmetric on a symmetric grid.
-    out = np.zeros_like(dw)
-    power = 1.0
-    for m, beta in enumerate(model.beta_even, start=1):
-        power = power * dw2
-        out += 2.0 * beta / factorial(2 * m) * (power - wd ** (2 * m))
+    # A zero beta adds a +-0 term, which leaves a sum started at +0 unchanged,
+    # so it is skipped.
+    terms = [(m, beta) for m, beta in enumerate(model.beta_even, start=1) if beta != 0.0]
+    out = None
+    power, order = dw2, 1
+    for m, beta in terms:
+        for _ in range(order, m):
+            power = power * dw2
+        order = m
+        # No later term needs this power, so the last term is built in its place.
+        term = np.subtract(power, wd ** (2 * m), out=power if m == terms[-1][0] else None)
+        term *= 2.0 * beta / factorial(2 * m)
+        if out is None:
+            out = term
+            out += 0.0  # the sum starts at +0, so a -0 first term reads +0
+        else:
+            out += term
+    if out is None:
+        out = np.zeros_like(dw2)
+    out = out.reshape(om.shape)
     if np.isscalar(omega):
         return float(out)
     return out

@@ -118,12 +118,16 @@ class SpectralGrid:
         """The samples (rad/s), built once per grid and read-only."""
         step = (self.omega_max - self.omega_min) / (self.n_points - 1)
         n_upper, odd = divmod(self.n_points, 2)
-        offsets = (np.arange(n_upper) + (0.5 if not odd else 1.0)) * step
-        upper = self.center + offsets
+        upper = np.arange(n_upper, dtype=float)
+        upper += 0.5 if not odd else 1.0
+        upper *= step
+        upper += self.center
+        samples = np.empty(self.n_points)
+        samples[self.n_points - n_upper :] = upper
         # 2c - x is exact for x in [c, 2c) (Sterbenz), so pairs sum to 2c.
-        lower = 2.0 * self.center - upper[::-1]
-        middle = np.array([self.center]) if odd else np.empty(0)
-        samples = np.concatenate([lower, middle, upper])
+        np.subtract(2.0 * self.center, upper[::-1], out=samples[:n_upper])
+        if odd:
+            samples[n_upper] = self.center
         samples.flags.writeable = False
         return samples
 
@@ -174,9 +178,9 @@ def _power_term(gamma: float, pump: PumpConfig) -> float:
 
 def total_mismatch(spec: WaveguideSpec, pump: PumpConfig, omega):
     """dk = dk_NL + dk_L at omega (scalar or ndarray), rad/m."""
-    return nonlinear_mismatch(spec.gamma_per_w_m, pump) + linear_mismatch(
-        spec.dispersion, omega, pump
-    )
+    delta_k = linear_mismatch(spec.dispersion, omega, pump)
+    delta_k += nonlinear_mismatch(spec.gamma_per_w_m, pump)
+    return delta_k
 
 
 def gain_from_mismatch(power_term: float, delta_k, length_m: float):
@@ -188,21 +192,43 @@ def gain_from_mismatch(power_term: float, delta_k, length_m: float):
     if not power_term >= 0.0:
         raise DomainError(f"power term must be >= 0, got {power_term!r}")
     dk = np.asarray(delta_k, dtype=float)
-    q2 = power_term - (0.5 * dk) ** 2
-    out = np.empty_like(q2)
+    q2 = 0.5 * dk.reshape(-1)
+    q2 *= q2
+    np.subtract(power_term, q2, out=q2)  # q^2 = PT - (dk/2)^2
     pos = q2 > 0.0
-    neg = q2 < 0.0
-    zero = ~(pos | neg)
-    if np.any(pos):
-        q = np.sqrt(q2[pos])
-        out[pos] = power_term / q2[pos] * np.sinh(q * length_m) ** 2
-    if np.any(neg):
-        q = np.sqrt(-q2[neg])
-        out[neg] = power_term / (-q2[neg]) * np.sin(q * length_m) ** 2
-    out[zero] = power_term * length_m**2
+    if pos.any():
+        out = np.empty_like(q2)
+        q2_pos = q2[pos]
+        out[pos] = power_term / q2_pos * np.sinh(np.sqrt(q2_pos) * length_m) ** 2
+        rest = ~pos
+        out[rest] = _oscillating_gain(power_term, q2[rest], length_m)
+    else:
+        out = _oscillating_gain(power_term, q2, length_m)
+    out = out.reshape(dk.shape)
     if np.isscalar(delta_k):
         return float(out)
     return out
+
+
+def _oscillating_gain(power_term: float, q2: np.ndarray, length_m: float) -> np.ndarray:
+    """G where q^2 <= 0: PT/|q^2| sin^2(sqrt(|q^2|) L), and PT L^2 where q^2 == 0.
+
+    Computed in place: ``q2`` is overwritten with G and returned.
+    """
+    r = np.negative(q2, out=q2)
+    zero = r == 0.0
+    has_zero = zero.any()
+    if has_zero:
+        r[zero] = 1.0  # keeps q^2 == 0 out of the divide; overwritten below
+    s = np.sqrt(r)
+    s *= length_m
+    np.sin(s, out=s)
+    s *= s
+    gain = np.divide(power_term, r, out=r)
+    gain *= s
+    if has_zero:
+        gain[zero] = power_term * length_m**2
+    return gain
 
 
 def _check_peak_gain(spec: WaveguideSpec, pump: PumpConfig, power_term: float, dk) -> None:
@@ -235,7 +261,7 @@ def parametric_gain(spec: WaveguideSpec, pump: PumpConfig, omega):
     Always >= 0 and continuous across the q^2 = 0 phase-matching boundary.
     """
     om = np.asarray(omega, dtype=float)
-    if np.any(om <= 0.0):
+    if not np.all(om > 0.0):
         raise DomainError("omega must be > 0")
     dk = np.asarray(total_mismatch(spec, pump, om), dtype=float)
     power_term = _power_term(spec.gamma_per_w_m, pump)
@@ -258,13 +284,24 @@ def biphoton_spectrum(
 ) -> BiphotonSpectrum:
     """Biphoton flux spectrum: flux density per Hz equals G on the grid.
 
-    With attenuation enabled the pump is path-averaged and the emitted flux
-    pays half the propagation loss in dB.
+    On a grid mirrored about the pump average the signal at omega and the
+    idler at 2*omega_c - omega have the same gain bit for bit, so each mirror
+    pair is evaluated once: G is computed on the upper half of the samples
+    (the centre sample included when n is odd) and reflected.  Any other grid
+    is evaluated sample by sample.  With attenuation enabled the pump is
+    path-averaged and the emitted flux pays half the propagation loss in dB.
     """
-    gain = parametric_gain(spec, _attenuated_pump(spec, pump), grid.omegas)
+    omegas = grid.omegas
+    n = omegas.size
+    lossy_pump = _attenuated_pump(spec, pump)
+    if grid.center == pump.omega_c:
+        upper = parametric_gain(spec, lossy_pump, omegas[n // 2 :])
+        gain = np.concatenate([upper[n % 2 :][::-1], upper])
+    else:
+        gain = parametric_gain(spec, lossy_pump, omegas)
     if spec.attenuation_db_per_cm > 0.0:
         total_db = spec.attenuation_db_per_cm * spec.length_m * 100.0
-        gain = gain * 10.0 ** (-total_db / 20.0)
+        gain *= 10.0 ** (-total_db / 20.0)
     return BiphotonSpectrum(grid, gain, spec.kind if label is None else label)
 
 

@@ -172,6 +172,12 @@ class TestPredictRates:
         with pytest.raises(DomainError):
             RateModel(pair_rate_hz=1.0, bin_width_s=0.0)
 
+    @pytest.mark.parametrize("name", ["pair_rate_hz", "noise_rate_idler_hz", "dark_rate_signal_hz"])
+    def test_nan_rate_rejected(self, name):
+        rates = {"pair_rate_hz": 1.0, name: float("nan")}
+        with pytest.raises(DomainError, match=f"{name} must be >= 0, got nan"):
+            RateModel(bin_width_s=1e-9, **rates)
+
 
 class TestSynthesize:
     def test_fixed_seed_reproducible(self):

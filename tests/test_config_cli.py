@@ -136,6 +136,21 @@ class TestConfigParsing:
         assert graph.node("c").n_eff == CUSTOM_N_EFF
         assert graph.node("c3").n_eff == 3.0
 
+    @pytest.mark.parametrize("text", ["2e1", "2E+1", "+20e0", "200e-1", ".2e2", "2.e1"])
+    def test_yaml_1_2_float_literals_parse(self, tmp_path, text):
+        # PyYAML resolves floats by YAML 1.1 and reads these as strings.
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(SPECTRUM_DOC).replace("span_thz: 20.0", f"span_thz: {text}"))
+        assert load_config(path)["grid"]["span_thz"] == text
+        assert parse_spectrum_config(load_config(path)).grid == parse_spectrum_config(SPECTRUM_DOC).grid
+
+    @pytest.mark.parametrize("text", ["2e", "e1", "2e1.5", "'0x14'", "nan", "inf", "twenty", "'2 e1'"])
+    def test_other_strings_are_not_numbers(self, tmp_path, text):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(SPECTRUM_DOC).replace("span_thz: 20.0", f"span_thz: {text}"))
+        with pytest.raises(ConfigError, match=r"config\.grid\.span_thz: expected a number"):
+            parse_spectrum_config(load_config(path))
+
     def test_wavelength_and_frequency_keys_agree(self):
         via_nm = parse_spectrum_config(
             {**SPECTRUM_DOC, "pump": {"mode": "degenerate", "wavelength_nm": 1552.5, "power_w": 1.0}}
@@ -526,6 +541,15 @@ class TestCarCommand:
         )
         assert main(["car", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("key", ["pair_rate_hz", "noise_rate_signal_hz"])
+    def test_nan_rate_exits_2_naming_it(self, tmp_path, capsys, key):
+        doc = self._synth_doc()
+        doc["synthesize"][key] = float("nan")
+        cfg = write_yaml(tmp_path / "car.yaml", doc)
+        assert main(["car", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config.synthesize.{key}: expected a number, got NaN" in err
+
     @pytest.mark.parametrize("key", ["duration_s", "pair_rate_hz"])
     def test_missing_synthesize_key_exits_2_naming_it(self, tmp_path, capsys, key):
         doc = self._synth_doc()
@@ -585,8 +609,12 @@ def test_bad_config_value_exits_2_naming_field(tmp_path, capsys, command, path, 
         ("car", ("synthesize", "efficiency_signal"), 1.5, 4,
          "config.synthesize: efficiency_signal must be in [0, 1]"),
         ("gamma", ("n0",), -1, 4, "config: n0 must be > 0"),
+        ("spectrum", ("grid", "span_thz"), 0, 4, "config.grid.span_thz = 0: half_span must be > 0"),
+        ("circuit", ("grid", "span_thz"), 1e-30, 2,
+         "config.grid.span_thz = 1e-30: omega_min must be < omega_max"),
     ],
-    ids=["direction", "ratio", "segment-length", "waveguide-length", "efficiency", "n0"],
+    ids=["direction", "ratio", "segment-length", "waveguide-length", "efficiency", "n0",
+         "grid-span", "grid-span-below-resolution"],
 )
 def test_value_error_names_config_path(tmp_path, capsys, command, path, value, code, where):
     field_csv = tmp_path / "mode.csv"

@@ -19,6 +19,7 @@ from sfwm_sim import (
     band_flux,
     bandwidth_3db_hz,
     biphoton_spectrum,
+    gain_from_mismatch,
     linear_mismatch,
     nonlinear_mismatch,
     parametric_gain,
@@ -138,6 +139,24 @@ class TestParametricGain:
         spec = make_spec(1e-24)
         with pytest.raises(DomainError):
             parametric_gain(spec, PumpConfig.degenerate(OMEGA_P, 1.0), -1.0)
+
+    @pytest.mark.parametrize("omega", [math.nan, np.array([OMEGA_P, math.nan])])
+    def test_rejects_nan_frequency(self, omega):
+        # NaN compares false with everything, so a test for "omega <= 0" lets it through.
+        spec = WaveguideSpec("strip", 5e-3, 223.3, DispersionModel(OMEGA_P, (-3e-26, 0.0)))
+        with pytest.raises(DomainError, match="omega must be > 0"):
+            parametric_gain(spec, PumpConfig.degenerate(OMEGA_P, 0.5), omega)
+
+    @pytest.mark.parametrize(
+        "power_term, delta_k, length",
+        [
+            (563499.0656020459, -1946.4370751808608, 0.018045879125137217),  # sin branch
+            (443082.1760248511, 1319.3665014123817, 0.009353257437847911),  # sinh branch
+        ],
+    )
+    def test_scalar_gain_is_the_array_sample(self, power_term, delta_k, length):
+        scalar = gain_from_mismatch(power_term, delta_k, length)
+        assert scalar == gain_from_mismatch(power_term, np.array([delta_k]), length)[0]
 
 
 class TestSpectrum:
@@ -340,6 +359,56 @@ class TestKernelMirrorAndOracle:
         assert "omegas" not in repr(grid)
         finer = dataclasses.replace(grid, n_points=33)
         assert finer.omegas.size == 33 and finer.omegas is not grid.omegas
+
+
+class TestMirrorPath:
+    """On a grid centred on the pump average each mirror pair is evaluated once;
+    the spectrum must still be the sample-by-sample gain, bit for bit."""
+
+    @staticmethod
+    def _sample_by_sample(spec, pump, grid):
+        # The path-averaged pump and half the propagation loss in dB (module docstring).
+        path_avg = spec.effective_length_m / spec.length_m
+        lossy = pump.with_powers(pump.power1_w * path_avg, pump.power2_w * path_avg)
+        gain = parametric_gain(spec, lossy, grid.omegas)
+        if spec.attenuation_db_per_cm > 0.0:
+            total_db = spec.attenuation_db_per_cm * spec.length_m * 100.0
+            gain = gain * 10.0 ** (-total_db / 20.0)
+        return gain
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n_points=N_POINTS,
+        omega_d=st.sampled_from([0.0, 1e13, 1.2e14]),
+        beta2=BETA2,
+        beta4=st.one_of(st.just(0.0), BETA4),
+        attenuation=st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+        half_span_thz=HALF_SPAN_THZ,
+        power=st.floats(0.0, 2.0),
+        length=st.floats(1e-3, 20e-3),
+        centre_offset=st.sampled_from([0.0, 0.0, 0.0, 2.5e-5, -1e-4]),
+    )
+    @example(65_536, 0.0, -3e-26, 0.0, 0.0, 40.0, 1.0, 5e-3, 0.0)  # the strip preset
+    @example(65_535, 0.0, 5e-25, 2e-48, 0.0, 40.0, 0.5, 5e-3, 0.0)  # the shallow-ridge preset
+    @example(2, 1e13, -3e-26, 0.0, 2.0, 8.0, 0.02, 3e-3, 0.0)
+    @example(3, 0.0, -3e-26, 1e-48, 2.0, 8.0, 1.0, 3e-3, 0.0)
+    @example(4097, 1.2e14, 5e-25, 2e-48, 0.0, 40.0, 0.02, 8e-3, 2.5e-5)
+    def test_spectrum_is_the_sample_by_sample_gain(
+        self, n_points, omega_d, beta2, beta4, attenuation, half_span_thz, power, length,
+        centre_offset,
+    ):
+        if omega_d == 0.0:
+            pump = PumpConfig.degenerate(OMEGA_P, power)
+        else:
+            pump = PumpConfig.non_degenerate(OMEGA_P + omega_d, OMEGA_P - omega_d, power, power)
+        spec = WaveguideSpec(
+            "custom", length, 223.3, DispersionModel(pump.omega_c, (beta2, beta4)), attenuation
+        )
+        centre = pump.omega_c * (1.0 + centre_offset)
+        grid = SpectralGrid.symmetric(centre, 2 * math.pi * half_span_thz * 1e12, n_points)
+        assert (grid.center == pump.omega_c) == (centre_offset == 0.0)
+        flux = biphoton_spectrum(spec, pump, grid).flux_density
+        assert flux.tobytes() == self._sample_by_sample(spec, pump, grid).tobytes()
 
 
 @pytest.mark.filterwarnings("error")
