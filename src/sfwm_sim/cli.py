@@ -67,21 +67,20 @@ def cmd_spectrum(args, doc: dict, doc_hash: str, out: Path):
     grid = run.grid
     if args.grid_points is not None:
         grid = replace(grid, n_points=grid_points(args.grid_points, "--grid-points"))
-    omega_c = run.pump.omega_c
     lines, notes = [], []
     svg_series: dict[str, np.ndarray] = {}
     for spec, label in run.waveguides:
         spectrum = biphoton_spectrum(spec, run.pump, grid, label=label)
         delta_k = np.asarray(total_mismatch(spec, run.pump, grid.omegas))
-        write_spectrum_csv(out / f"{label}_spectrum.csv", spectrum, omega_c, doc_hash)
-        write_mismatch_csv(out / f"{label}_mismatch.csv", grid, omega_c, delta_k, doc_hash)
+        write_spectrum_csv(out / f"{label}_spectrum.csv", spectrum, doc_hash)
+        write_mismatch_csv(out / f"{label}_mismatch.csv", grid, delta_k, doc_hash)
         width = bandwidth_3db_hz(spectrum) if spectrum.flux_density.max() > 0 else 0.0
         lines.append(f"{label}: 3 dB bandwidth {width / 1e12:.3f} THz -> {label}_spectrum.csv")
         svg_series[label] = spectrum.flux_density
     if args.svg:
         write_line_plot(
             out / "spectra.svg",
-            grid.detunings_hz(omega_c) / 1e12,
+            grid.detunings_hz() / 1e12,
             svg_series,
             "detuning (THz)",
             "flux density (photons/s/Hz)",
@@ -118,13 +117,13 @@ def _circuit_report_lines(report) -> list[str]:
 def cmd_circuit(args, doc: dict, doc_hash: str, out: Path):
     setup = parse_circuit_config({**doc, "all_strip": True} if args.all_strip else doc)
     report = evaluate_circuit(setup)
-    name, omega_c = setup.name, setup.pump.omega_c
+    name = setup.name
     band, designated = report.band_omega, set(setup.designated_segments)
 
     contribs = report.contributions
     for c in contribs:
         spectrum_path = out / f"{name}_{c.segment_id}_spectrum.csv"
-        write_spectrum_csv(spectrum_path, c.spectrum, omega_c, doc_hash)
+        write_spectrum_csv(spectrum_path, c.spectrum, doc_hash)
     summary_path = out / f"{name}_summary.csv"
     write_table(
         summary_path,
@@ -142,7 +141,7 @@ def cmd_circuit(args, doc: dict, doc_hash: str, out: Path):
         series = {c.segment_id: c.spectrum.flux_density for c in contribs}
         write_line_plot(
             out / f"{name}_contributions.svg",
-            setup.grid.detunings_hz(omega_c) / 1e12,
+            setup.grid.detunings_hz() / 1e12,
             series,
             "detuning (THz)",
             "flux density (photons/s/Hz)",
@@ -176,7 +175,7 @@ def cmd_car(args, doc: dict, doc_hash: str, out: Path):
     if run.model is not None:
         signal, idler = synthesize_timestamps(run.model, run.duration_s, seed=args.seed)
         write_timestamps_csv(out / "timestamps.csv", signal, idler)
-        predicted = predict_rates(run.model, peak_bins=CAR_PEAK_BINS)
+        predicted = predict_rates(run.model)
     else:
         signal, idler = read_timestamps_csv(run.timestamps_csv)
     hist = build_histogram(signal, idler, run.bin_width_s, run.window_s)

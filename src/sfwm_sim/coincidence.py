@@ -7,9 +7,8 @@ bins.  A flat histogram therefore has CAR = 1 exactly.
 
 ``predict_rates`` is the matching closed-form budget: true coincidences at
 pair_rate * eta_s * eta_i, accidentals at singles_s * singles_i * bin_width,
-CAR = 1 + coincidence/accidentals.  When comparing against the histogram
-estimator remember its peak window spreads the true coincidences over
-``peak_bins`` bins (pass peak_bins=5 for the default window).
+and CAR = 1 + coincidence/(5 * accidentals), since the estimator's peak
+window spreads the true coincidences over its 5 bins.
 
 ``synthesize_timestamps`` generates matching Poisson test data: pair events
 thinned per arm by the detector efficiencies plus independent noise/dark
@@ -119,34 +118,25 @@ def build_histogram(
     return CoincidenceHistogram(bin_width_s, edges, counts)
 
 
-def car_from_histogram(
-    hist: CoincidenceHistogram,
-    peak_center_bin: int | None = None,
-    peak_bins: int = CAR_PEAK_BINS,
-    guard_bins: int = 0,
-) -> float:
+def car_from_histogram(hist: CoincidenceHistogram, guard_bins: int = 0) -> float:
     """CAR = mean of the peak window / mean of all remaining bins.
 
-    The window is ``peak_bins`` bins centered on ``peak_center_bin`` (default:
-    the zero-delay bin).  ``guard_bins`` extra bins on each side are excluded
-    from the accidental average.  Returns +inf when the accidental mean is 0
-    while the peak is not.
+    The window is ``CAR_PEAK_BINS`` bins centered on the zero-delay bin.
+    ``guard_bins`` extra bins on each side are excluded from the accidental
+    average.  Returns +inf when the accidental mean is 0 while the peak is not.
     """
     counts = hist.counts
-    if hist.n_bins < 3 * peak_bins:
+    if hist.n_bins < 3 * CAR_PEAK_BINS:
         raise DomainError(
-            f"need at least {3 * peak_bins} bins for a {peak_bins}-bin peak window, "
+            f"need at least {3 * CAR_PEAK_BINS} bins for a {CAR_PEAK_BINS}-bin peak window, "
             f"got {hist.n_bins}"
         )
-    if peak_bins < 1 or peak_bins % 2 == 0:
-        raise DomainError("peak window must be an odd number of bins")
     if guard_bins < 0:
         raise DomainError("guard_bins must be >= 0")
     if int(counts.sum()) == 0:
         raise DataError("CAR is undefined for an all-zero histogram")
-    center = hist.central_bin if peak_center_bin is None else int(peak_center_bin)
-    half = peak_bins // 2
-    lo, hi = center - half, center + half + 1
+    half = CAR_PEAK_BINS // 2
+    lo, hi = hist.central_bin - half, hist.central_bin + half + 1
     if lo < 0 or hi > hist.n_bins:
         raise DomainError(
             f"peak window [{lo}, {hi}) falls outside the histogram ({hist.n_bins} bins)"
@@ -184,8 +174,8 @@ class RateModel:
             "dark_rate_idler_hz",
         ):
             value = getattr(self, name)
-            if not value >= 0.0:
-                raise DomainError(f"{name} must be >= 0, got {value!r}")
+            if not 0.0 <= value < inf:
+                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
         for name in ("efficiency_signal", "efficiency_idler"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise DomainError(f"{name} must be in [0, 1]")
@@ -207,21 +197,18 @@ class RateModel:
         )
 
 
-def predict_rates(model: RateModel, peak_bins: int = 1) -> dict[str, float]:
+def predict_rates(model: RateModel) -> dict[str, float]:
     """Singles, coincidence and accidental rates plus the predicted CAR.
 
-    CAR = 1 + coincidence/(peak_bins * accidentals); with the default
-    peak_bins=1 this is the plain one-bin budget, with peak_bins=5 it matches
-    the histogram estimator's 5-bin peak average.
+    CAR = 1 + coincidence/(CAR_PEAK_BINS * accidentals), the value that
+    ``car_from_histogram`` estimates with its peak-window average.
     """
-    if peak_bins < 1:
-        raise DomainError("peak_bins must be >= 1")
     coincidence = model.pair_rate_hz * model.efficiency_signal * model.efficiency_idler
     accidental = model.singles_signal_hz * model.singles_idler_hz * model.bin_width_s
     if accidental == 0.0:
         car = inf if coincidence > 0.0 else 1.0
     else:
-        car = 1.0 + coincidence / (peak_bins * accidental)
+        car = 1.0 + coincidence / (CAR_PEAK_BINS * accidental)
     return {
         "singles_signal_hz": model.singles_signal_hz,
         "singles_idler_hz": model.singles_idler_hz,

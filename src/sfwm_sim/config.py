@@ -15,7 +15,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from math import pi
+from math import inf, pi
 from pathlib import Path
 
 import yaml
@@ -129,6 +129,8 @@ def _number(value, where: str) -> float:
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     if value != value:
         raise ConfigError(f"{where}: expected a number, got NaN")
+    if value in (inf, -inf):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -463,6 +465,8 @@ def parse_car_config(doc: dict, config_dir: str | Path = ".") -> CarRun:
     bin_width = take_quantity(top, "bin_width", TIME_UNITS)
     window = take_quantity(top, "window", TIME_UNITS)
     guard = _integer(top.take("guard_bins", 0), "config.guard_bins")
+    if guard < 0:
+        raise ConfigError(f"config.guard_bins: must be >= 0, got {guard}")
     ts_path = top.take("timestamps_csv", None)
     sec = top.take_section("synthesize")
     if (ts_path is None) == (sec is None):

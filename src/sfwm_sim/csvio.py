@@ -118,45 +118,27 @@ def read_table(path: str | Path, header, text=()) -> list:
     return [col if name in text else np.concatenate(col) for name, col in zip(header, parts)]
 
 
-def _sha_comment(config_sha: str | None) -> tuple[str, ...]:
-    return () if config_sha is None else (f"config_sha256={config_sha}",)
+def _sha_comment(config_sha: str) -> tuple[str]:
+    return (f"config_sha256={config_sha}",)
 
 
-def write_spectrum_csv(
-    path: str | Path,
-    spectrum: BiphotonSpectrum,
-    omega_c: float,
-    config_sha: str | None = None,
-) -> None:
-    omegas = spectrum.grid.omegas
-    det_thz = spectrum.grid.detunings_hz(omega_c) / 1e12
-    write_table(
-        path, SPECTRUM_HEADER, (omegas, det_thz, spectrum.flux_density), _sha_comment(config_sha)
-    )
+def write_spectrum_csv(path: str | Path, spectrum: BiphotonSpectrum, config_sha: str) -> None:
+    grid = spectrum.grid
+    columns = (grid.omegas, grid.detunings_hz() / 1e12, spectrum.flux_density)
+    write_table(path, SPECTRUM_HEADER, columns, _sha_comment(config_sha))
 
 
 def write_mismatch_csv(
-    path: str | Path,
-    grid: SpectralGrid,
-    omega_c: float,
-    delta_k: np.ndarray,
-    config_sha: str | None = None,
+    path: str | Path, grid: SpectralGrid, delta_k: np.ndarray, config_sha: str
 ) -> None:
-    det_thz = grid.detunings_hz(omega_c) / 1e12
-    write_table(
-        path, MISMATCH_HEADER, (grid.omegas, det_thz, delta_k), _sha_comment(config_sha)
-    )
+    columns = (grid.omegas, grid.detunings_hz() / 1e12, delta_k)
+    write_table(path, MISMATCH_HEADER, columns, _sha_comment(config_sha))
 
 
-def write_histogram_csv(path: str | Path, hist, config_sha: str | None = None) -> None:
+def write_histogram_csv(path: str | Path, hist, config_sha: str) -> None:
     write_table(
         path,
         HISTOGRAM_HEADER,
         (hist.bin_centers_s, hist.counts.astype(float)),
         _sha_comment(config_sha),
     )
-
-
-def read_histogram_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    centers, counts = read_table(path, HISTOGRAM_HEADER)
-    return centers, counts.astype(np.int64)

@@ -25,7 +25,7 @@ happens at the config boundary, never here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, pi
+from math import factorial, inf, pi
 
 import numpy as np
 
@@ -79,11 +79,6 @@ class DispersionModel:
             raise ConfigError(f"beta_even must be finite, got {beta!r}")
         object.__setattr__(self, "beta_even", beta)
 
-    @property
-    def max_order(self) -> int:
-        """Highest retained derivative order 2M."""
-        return 2 * len(self.beta_even)
-
 
 @dataclass(frozen=True)
 class PumpConfig:
@@ -107,8 +102,8 @@ class PumpConfig:
             if not w > 0.0:
                 raise DomainError(f"{name} must be > 0 rad/s, got {w!r}")
         for name, p in (("power1_w", self.power1_w), ("power2_w", self.power2_w)):
-            if not p >= 0.0:
-                raise DomainError(f"{name} must be >= 0 W, got {p!r}")
+            if not 0.0 <= p < inf:
+                raise DomainError(f"{name} must be finite and >= 0 W, got {p!r}")
         if self.mode == "degenerate":
             # Both fields hold the one line, so mode-free formulas serve it too.
             if self.omega_p1 != self.omega_p2:

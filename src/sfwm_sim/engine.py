@@ -131,9 +131,9 @@ class SpectralGrid:
         samples.flags.writeable = False
         return samples
 
-    def detunings_hz(self, omega_c: float) -> np.ndarray:
-        """Ordinary-frequency detuning (omega - omega_c)/2pi in Hz."""
-        return (self.omegas - omega_c) / (2.0 * np.pi)
+    def detunings_hz(self) -> np.ndarray:
+        """Ordinary-frequency detuning (omega - center)/2pi in Hz."""
+        return (self.omegas - self.center) / (2.0 * np.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,21 +305,17 @@ def biphoton_spectrum(
     return BiphotonSpectrum(grid, gain, spec.kind if label is None else label)
 
 
-def band_flux(
-    spectrum: BiphotonSpectrum, passband: tuple[float, float], transmission: float = 1.0
-) -> float:
+def band_flux(spectrum: BiphotonSpectrum, passband: tuple[float, float]) -> float:
     """Photon flux (photons/s) through a filter passband.
 
     Integrates the flux density over angular frequencies [omega_lo, omega_hi]
-    in ordinary-frequency measure (dnu = domega/2pi), times a flat linear
-    transmission.  Band edges may fall between samples; the sampled spectrum
-    is treated as piecewise linear.
+    in ordinary-frequency measure (dnu = domega/2pi).  Band edges may fall
+    between samples; the sampled spectrum is treated as piecewise linear.
+    Loss goes in through ``BiphotonSpectrum.scaled``.
     """
     lo, hi = passband
     if not lo < hi:
         raise DomainError(f"empty passband ({lo!r}, {hi!r})")
-    if not 0.0 <= transmission <= 1.0:
-        raise DomainError(f"transmission must be in [0, 1], got {transmission!r}")
     grid = spectrum.grid
     if lo < grid.omega_min or hi > grid.omega_max:
         raise DomainError(
@@ -336,7 +332,7 @@ def band_flux(
             [np.interp(hi, omegas, spectrum.flux_density)],
         )
     )
-    return transmission * float(np.trapezoid(ys, xs)) / (2.0 * np.pi)
+    return float(np.trapezoid(ys, xs)) / (2.0 * np.pi)
 
 
 def bandwidth_3db_hz(spectrum: BiphotonSpectrum) -> float:

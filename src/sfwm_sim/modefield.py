@@ -32,7 +32,7 @@ Z0_OHM = 376.730313668
 
 @dataclass(frozen=True)
 class MaterialConstants:
-    """Material/impedance constants entering the overlap quadrature.
+    """Material constants entering the overlap quadrature.
 
     The defaults are silicon at 1550 nm: linear index and Kerr index (central
     value of the commonly quoted 3..6e-18 m^2/W band).
@@ -40,11 +40,9 @@ class MaterialConstants:
 
     n0: float = 3.48
     n2_m2_per_w: float = 4.5e-18
-    z0_ohm: float = Z0_OHM
-    c_m_per_s: float = C_VACUUM
 
     def __post_init__(self) -> None:
-        for name in ("n0", "n2_m2_per_w", "z0_ohm", "c_m_per_s"):
+        for name in ("n0", "n2_m2_per_w"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)!r}")
 
@@ -124,12 +122,11 @@ def gamma_report(
             f"mode carries no power in +z (Poynting integral {ip:.3e} W); "
             "degenerate or mis-oriented mode fields"
         )
-    z0 = constants.z0_ohm
     gamma = (
-        (omega * constants.n2_m2_per_w / constants.c_m_per_s)
+        (omega * constants.n2_m2_per_w / C_VACUUM)
         * constants.n0**2
         * i4
-        / (z0 * z0 * ip * ip)
+        / (Z0_OHM * Z0_OHM * ip * ip)
     )
     return {
         "gamma_per_w_m": gamma,

@@ -43,7 +43,6 @@ class TwoModeState:
 
     basis: tuple[str, ...]
     amplitudes: np.ndarray = field(repr=False)
-    phase_rad: float | None = None
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -70,11 +69,7 @@ class TwoModeState:
 def time_bin_state(alpha: float) -> TwoModeState:
     """(|0,0> + e^{2i alpha} |1,1>)/sqrt(2) over front/rear time bins."""
     inv = 1.0 / sqrt(2.0)
-    return TwoModeState(
-        TIME_BIN_BASIS,
-        np.array([inv, inv * np.exp(2j * alpha)]),
-        phase_rad=alpha,
-    )
+    return TwoModeState(TIME_BIN_BASIS, np.array([inv, inv * np.exp(2j * alpha)]))
 
 
 def mzi_source_state(theta: float) -> TwoModeState:
@@ -85,17 +80,13 @@ def mzi_source_state(theta: float) -> TwoModeState:
     """
     bunch = (1.0 + np.exp(2j * theta)) / (2.0 * sqrt(2.0))
     anti = 1j * (1.0 - np.exp(2j * theta)) / 2.0
-    return TwoModeState(
-        MZI_SOURCE_BASIS, np.array([-bunch, anti, bunch]), phase_rad=theta
-    )
+    return TwoModeState(MZI_SOURCE_BASIS, np.array([-bunch, anti, bunch]))
 
 
 def path_entangled_state(alpha: float) -> TwoModeState:
     """(|A1,A2> + e^{2i alpha} |B1,B2>)/sqrt(2); both sources at theta = pi/2."""
     inv = 1.0 / sqrt(2.0)
-    return TwoModeState(
-        PATH_BASIS, np.array([inv, inv * np.exp(2j * alpha)]), phase_rad=alpha
-    )
+    return TwoModeState(PATH_BASIS, np.array([inv, inv * np.exp(2j * alpha)]))
 
 
 def product_rail_state(signal_amps, idler_amps) -> TwoModeState:

@@ -296,7 +296,7 @@ def test_criterion_9_coincidence_pipeline():
     signal, idler = synthesize_timestamps(model, 150.0, seed=32)
     hist = build_histogram(signal, idler, model.bin_width_s, 410e-9)
     car_pairs = car_from_histogram(hist)
-    expected = predict_rates(model, peak_bins=5)["car"]
+    expected = predict_rates(model)["car"]
     sigma = _car_sigma(hist, expected)
     assert abs(car_pairs - expected) < 3.0 * sigma
 
@@ -311,7 +311,7 @@ def test_criterion_9_coincidence_pipeline():
         noise_rate_signal_hz=115_747.7,
         noise_rate_idler_hz=149_747.7,
     )
-    out = predict_rates(publish, peak_bins=5)
+    out = predict_rates(publish)
     signal, idler = synthesize_timestamps(publish, 600.0, seed=33)
     hist30 = build_histogram(signal, idler, publish.bin_width_s, 12.1e-9)
     car30 = car_from_histogram(hist30)

@@ -13,7 +13,7 @@ from sfwm_sim import (
     predict_rates,
     synthesize_timestamps,
 )
-from sfwm_sim.coincidence import read_timestamps_csv, write_timestamps_csv
+from sfwm_sim.coincidence import CAR_PEAK_BINS, read_timestamps_csv, write_timestamps_csv
 
 
 class TestBuildHistogram:
@@ -107,9 +107,11 @@ class TestCar:
             car_from_histogram(hist)
 
     def test_peak_window_must_fit(self):
-        hist = self._flat_hist()
-        with pytest.raises(DomainError):
-            car_from_histogram(hist, peak_center_bin=1)
+        # Every edge lies after zero delay, so the window centred there hangs off the start.
+        edges = np.arange(42) * 1e-9 + 1e-9
+        hist = CoincidenceHistogram(1e-9, edges, np.full(41, 7))
+        with pytest.raises(DomainError, match="falls outside the histogram"):
+            car_from_histogram(hist)
 
     def test_guard_bins_excluded_from_accidentals(self):
         counts = np.full(41, 10)
@@ -134,7 +136,7 @@ class TestPredictRates:
         out = predict_rates(model)
         assert out["singles_signal_hz"] == pytest.approx(rate)
         assert out["singles_idler_hz"] == pytest.approx(rate)
-        assert out["car"] == pytest.approx(1.0 + 1.0 / (rate * tau), rel=1e-12)
+        assert out["car"] == pytest.approx(1.0 + 1.0 / (CAR_PEAK_BINS * rate * tau), rel=1e-12)
 
     def test_measured_style_singles_echo(self):
         # configuration tuned to the published-style 11.6/15.0 kHz singles
@@ -149,13 +151,6 @@ class TestPredictRates:
         out = predict_rates(model)
         assert out["singles_signal_hz"] == pytest.approx(11_600.0)
         assert out["singles_idler_hz"] == pytest.approx(15_000.0)
-
-    def test_peak_bins_spread(self):
-        model = RateModel(pair_rate_hz=1e3, bin_width_s=1e-9, noise_rate_signal_hz=1e5,
-                          noise_rate_idler_hz=1e5)
-        one = predict_rates(model, peak_bins=1)["car"]
-        five = predict_rates(model, peak_bins=5)["car"]
-        assert five - 1.0 == pytest.approx((one - 1.0) / 5.0, rel=1e-12)
 
     def test_monotone_in_pair_rate(self):
         cars = [
@@ -175,7 +170,13 @@ class TestPredictRates:
     @pytest.mark.parametrize("name", ["pair_rate_hz", "noise_rate_idler_hz", "dark_rate_signal_hz"])
     def test_nan_rate_rejected(self, name):
         rates = {"pair_rate_hz": 1.0, name: float("nan")}
-        with pytest.raises(DomainError, match=f"{name} must be >= 0, got nan"):
+        with pytest.raises(DomainError, match=f"{name} must be finite and >= 0, got nan"):
+            RateModel(bin_width_s=1e-9, **rates)
+
+    @pytest.mark.parametrize("name", ["pair_rate_hz", "noise_rate_signal_hz", "dark_rate_idler_hz"])
+    def test_infinite_rate_rejected(self, name):
+        rates = {"pair_rate_hz": 1.0, name: math.inf}
+        with pytest.raises(DomainError, match=f"{name} must be finite and >= 0, got inf"):
             RateModel(bin_width_s=1e-9, **rates)
 
 
@@ -221,7 +222,7 @@ class TestSynthesize:
         signal, idler = synthesize_timestamps(model, duration, seed=21)
         hist = build_histogram(signal, idler, model.bin_width_s, 410e-9)
         car = car_from_histogram(hist)
-        expected = predict_rates(model, peak_bins=5)["car"]
+        expected = predict_rates(model)["car"]
         peak_total = hist.counts[hist.central_bin - 2 : hist.central_bin + 3].sum()
         acc_total = hist.counts.sum() - peak_total
         sigma = expected * math.sqrt(1.0 / peak_total + 1.0 / acc_total)

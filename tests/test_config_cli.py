@@ -1,4 +1,5 @@
 import copy
+import math
 import os
 import re
 import subprocess
@@ -29,7 +30,13 @@ from sfwm_sim.config import (
     parse_spectrum_config,
 )
 from sfwm_sim.coincidence import write_timestamps_csv
-from sfwm_sim.csvio import SPECTRUM_HEADER, read_histogram_csv, read_table, write_spectrum_csv
+from sfwm_sim.csvio import (
+    HISTOGRAM_HEADER,
+    MISMATCH_HEADER,
+    SPECTRUM_HEADER,
+    read_table,
+    write_spectrum_csv,
+)
 from sfwm_sim.modefield import write_mode_field_csv
 from sfwm_sim.templates import (
     APP1_LONG_ARM_M,
@@ -359,7 +366,6 @@ class TestSpectrumCommand:
         write_spectrum_csv(
             out / "rewrite.csv",
             BiphotonSpectrum(grid, flux),
-            grid.center,
             original.decode().splitlines()[0].split("=", 1)[1],
         )
         assert (out / "rewrite.csv").read_bytes() == original
@@ -509,7 +515,7 @@ class TestCarCommand:
         cfg = write_yaml(tmp_path / "car.yaml", self._synth_doc())
         out = tmp_path / "out"
         assert main(["car", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
-        centers, counts = read_histogram_csv(out / "histogram.csv")
+        centers, counts = read_table(out / "histogram.csv", HISTOGRAM_HEADER)
         assert counts.sum() > 0
         # re-ingest the emitted timestamps and reproduce the histogram
         doc2 = {
@@ -520,7 +526,7 @@ class TestCarCommand:
         cfg2 = write_yaml(tmp_path / "car2.yaml", doc2)
         out2 = tmp_path / "out2"
         assert main(["car", "--config", cfg2, "--out", str(out2)]) == 0
-        centers2, counts2 = read_histogram_csv(out2 / "histogram.csv")
+        centers2, counts2 = read_table(out2 / "histogram.csv", HISTOGRAM_HEADER)
         np.testing.assert_array_equal(counts, counts2)
 
     def test_seed_changes_output(self, tmp_path):
@@ -612,9 +618,16 @@ def test_bad_config_value_exits_2_naming_field(tmp_path, capsys, command, path, 
         ("spectrum", ("grid", "span_thz"), 0, 4, "config.grid.span_thz = 0: half_span must be > 0"),
         ("circuit", ("grid", "span_thz"), 1e-30, 2,
          "config.grid.span_thz = 1e-30: omega_min must be < omega_max"),
+        ("car", ("guard_bins",), -1, 2, "config.guard_bins: must be >= 0, got -1"),
+        ("car", ("synthesize", "pair_rate_hz"), math.inf, 2,
+         "config.synthesize.pair_rate_hz: expected a finite number, got inf"),
+        ("car", ("window_ns",), math.inf, 2, "config.window_ns: expected a finite number, got inf"),
+        ("spectrum", ("pump", "power_w"), math.inf, 2,
+         "config.pump.power_w: expected a finite number, got inf"),
     ],
     ids=["direction", "ratio", "segment-length", "waveguide-length", "efficiency", "n0",
-         "grid-span", "grid-span-below-resolution"],
+         "grid-span", "grid-span-below-resolution", "guard-bins", "inf-pair-rate", "inf-window",
+         "inf-power"],
 )
 def test_value_error_names_config_path(tmp_path, capsys, command, path, value, code, where):
     field_csv = tmp_path / "mode.csv"
@@ -822,6 +835,31 @@ class TestOneCommandShape:
             rows = (flag / name).read_text().splitlines()
             assert len(rows) == 2 + 513  # hash comment + header + samples
             assert rows[1:] == (points / name).read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--config", str(REPO_CONFIGS / "degenerate_bandwidth_contrast.yaml")],
+        ["spectrum", "--config", str(REPO_CONFIGS / "nondegenerate_bandwidth_contrast.yaml")],
+        ["circuit", "--template", "app2_path"],
+    ],
+    ids=["degenerate", "nondegenerate", "app2_path"],
+)
+def test_detuning_column_is_offset_from_pump_average(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    if argv[0] == "spectrum":
+        omega_c = parse_spectrum_config(load_config(argv[2])).pump.omega_c
+    else:
+        omega_c = build_template(argv[2]).pump.omega_c
+    spectra, mismatches = sorted(out.glob("*_spectrum.csv")), sorted(out.glob("*_mismatch.csv"))
+    assert spectra and bool(mismatches) == (argv[0] == "spectrum")
+    for paths, header in ((spectra, SPECTRUM_HEADER), (mismatches, MISMATCH_HEADER)):
+        for path in paths:
+            omegas, detuning_thz, _ = read_table(path, header)
+            expected = (omegas - omega_c) / (2.0 * np.pi) / 1e12
+            assert detuning_thz.tobytes() == expected.tobytes(), path.name
 
 
 class TestConfigRelativePaths:

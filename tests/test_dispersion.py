@@ -166,6 +166,10 @@ class TestValidation:
         with pytest.raises(DomainError):
             PumpConfig.degenerate(OMEGA_1552_5, -0.1)
 
+    def test_infinite_power_rejected(self):
+        with pytest.raises(DomainError, match="power2_w must be finite and >= 0 W, got inf"):
+            PumpConfig.non_degenerate(OMEGA_1552_5, 1.2e15, 0.01, math.inf)
+
     def test_power_w_guarded_for_nondegenerate(self):
         with pytest.raises(ConfigError):
             _ = _pump_nondeg().power_w

@@ -202,11 +202,6 @@ class TestBandFlux:
         grid = SpectralGrid.symmetric(OMEGA_P, 2 * math.pi * 5e12, n)
         return BiphotonSpectrum(grid, np.full(n, value))
 
-    def test_zero_transmission(self):
-        spectrum = self._flat()
-        band = (OMEGA_P - 1e12, OMEGA_P + 1e12)
-        assert band_flux(spectrum, band, transmission=0.0) == 0.0
-
     def test_flat_spectrum_rectangle(self):
         g0 = 2.5
         spectrum = self._flat(g0)
@@ -341,7 +336,7 @@ class TestKernelMirrorAndOracle:
         spectrum = biphoton_spectrum(make_spec(-3e-26, omega_c=center), pump, grid)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "spectrum.csv"
-            write_spectrum_csv(path, spectrum, center)
+            write_spectrum_csv(path, spectrum, "0" * 64)
             read_omegas, _, read_flux = read_table(path, SPECTRUM_HEADER)
         assert read_omegas.tobytes() == omegas.tobytes()
         assert read_flux.tobytes() == spectrum.flux_density.tobytes()

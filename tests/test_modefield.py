@@ -9,6 +9,7 @@ from sfwm_sim import (
     effective_gamma,
     gamma_report,
 )
+from sfwm_sim.dispersion import C_VACUUM
 from sfwm_sim.modefield import Z0_OHM, read_mode_field_csv, write_mode_field_csv
 
 from conftest import gaussian_mode
@@ -40,8 +41,8 @@ def oracle_gamma(grid: ModeFieldGrid, omega: float, constants: MaterialConstants
     )
     i4 = integrate(quartic)
     ip = integrate(poynting)
-    return (omega * constants.n2_m2_per_w / constants.c_m_per_s) * constants.n0**2 * i4 / (
-        constants.z0_ohm**2 * ip**2
+    return (omega * constants.n2_m2_per_w / C_VACUUM) * constants.n0**2 * i4 / (
+        Z0_OHM**2 * ip**2
     )
 
 
@@ -143,10 +144,10 @@ def test_report_components_consistent():
     constants = MaterialConstants()
     report = gamma_report(grid, OMEGA, constants)
     recon = (
-        (OMEGA * constants.n2_m2_per_w / constants.c_m_per_s)
+        (OMEGA * constants.n2_m2_per_w / C_VACUUM)
         * constants.n0**2
         * report["core_quartic_integral"]
-        / (constants.z0_ohm**2 * report["poynting_integral_w"] ** 2)
+        / (Z0_OHM**2 * report["poynting_integral_w"] ** 2)
     )
     assert report["gamma_per_w_m"] == pytest.approx(recon, rel=1e-12)
 
