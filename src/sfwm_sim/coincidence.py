@@ -28,6 +28,8 @@ from .csvio import read_table, row_error, write_table
 from .errors import DataError, DomainError
 
 CAR_PEAK_BINS = 5
+# The edges and counts take 16 bytes per bin, so 64 MB at this limit.
+MAX_HISTOGRAM_BINS = 1 << 22
 TIMESTAMP_HEADER = ("channel", "timestamp_s")
 
 
@@ -77,6 +79,28 @@ def _check_sorted(name: str, ts: np.ndarray) -> np.ndarray:
     return ts
 
 
+def histogram_bins(bin_width_s: float, window_s: float) -> int:
+    """The number of bins a window spans.
+
+    Raises DomainError unless that is a whole number from 1 to
+    ``MAX_HISTOGRAM_BINS``, before anything is allocated.
+    """
+    if not bin_width_s > 0.0:
+        raise DomainError("bin width must be > 0")
+    n_bins_f = window_s / bin_width_s
+    if not n_bins_f <= MAX_HISTOGRAM_BINS:  # also catches an infinite ratio
+        raise DomainError(
+            f"window {window_s!r} s over bin width {bin_width_s!r} s needs {n_bins_f:.3g} bins, "
+            f"more than the {MAX_HISTOGRAM_BINS} a histogram may have"
+        )
+    n_bins = int(round(n_bins_f))
+    if n_bins < 1 or abs(n_bins_f - n_bins) > 1e-9 * n_bins:
+        raise DomainError(
+            f"window {window_s!r} s is not an integer multiple of bin width {bin_width_s!r} s"
+        )
+    return n_bins
+
+
 def build_histogram(
     signal_ts,
     idler_ts,
@@ -91,14 +115,7 @@ def build_histogram(
     """
     signal = _check_sorted("signal", signal_ts)
     idler = _check_sorted("idler", idler_ts)
-    if not bin_width_s > 0.0:
-        raise DomainError("bin width must be > 0")
-    n_bins_f = window_s / bin_width_s
-    n_bins = int(round(n_bins_f))
-    if n_bins < 1 or abs(n_bins_f - n_bins) > 1e-9 * n_bins:
-        raise DomainError(
-            f"window {window_s!r} s is not an integer multiple of bin width {bin_width_s!r} s"
-        )
+    n_bins = histogram_bins(bin_width_s, window_s)
     half = 0.5 * window_s
     edges = -half + bin_width_s * np.arange(n_bins + 1)
 

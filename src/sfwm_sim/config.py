@@ -29,7 +29,7 @@ from .circuit import (
     SegmentNode,
     SplitterNode,
 )
-from .coincidence import RateModel
+from .coincidence import RateModel, histogram_bins
 from .dispersion import (
     DispersionModel,
     PumpConfig,
@@ -131,7 +131,11 @@ def _number(value, where: str) -> float:
         raise ConfigError(f"{where}: expected a number, got NaN")
     if value in (inf, -inf):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        message = "expected a finite number, got an integer too large for a float"
+        raise ConfigError(f"{where}: {message}") from None
 
 
 def _integer(value, where: str) -> int:
@@ -172,15 +176,25 @@ LENGTH_UNITS = {"_m": 1.0, "_mm": 1e-3, "_um": 1e-6}
 TIME_UNITS = {"_s": 1.0, "_us": 1e-6, "_ns": 1e-9, "_ps": 1e-12}
 
 
-def take_quantity(sec: _Section, stem: str, units: dict) -> float:
-    """Read one quantity given under exactly one key ``stem + suffix``, converted to SI."""
+def _quantity_key(sec: _Section, stem: str, units: dict) -> str:
+    """The one key ``stem + suffix`` a section gives a quantity under."""
     keys = tuple(stem + suffix for suffix in units)
     present = [k for k in keys if sec.has(k)]
     if len(present) != 1:
         raise ConfigError(f"{sec.where}: give exactly one of {keys}")
-    value = _number(sec.take(present[0]), f"{sec.where}.{present[0]}")
-    unit = units[present[0][len(stem) :]]
-    return unit(value) if callable(unit) else value * unit
+    return present[0]
+
+
+def take_quantity(sec: _Section, stem: str, units: dict) -> float:
+    """Read one quantity given under exactly one key ``stem + suffix``, converted to SI."""
+    key = _quantity_key(sec, stem, units)
+    where = f"{sec.where}.{key}"
+    value = _number(sec.take(key), where)
+    unit = units[key[len(stem) :]]
+    try:
+        return unit(value) if callable(unit) else value * unit
+    except OverflowError:  # e.g. 10 ** (power_dbm / 10) past the float range
+        raise ConfigError(f"{where}: {value!r} is out of range") from None
 
 
 def parse_pump(sec: _Section) -> PumpConfig:
@@ -462,7 +476,9 @@ class CarRun:
 def parse_car_config(doc: dict, config_dir: str | Path = ".") -> CarRun:
     """``config_dir``: the config file's directory, for a relative ``timestamps_csv``."""
     top = _Section(doc, "config")
+    bin_where = f"{top.where}.{_quantity_key(top, 'bin_width', TIME_UNITS)}"
     bin_width = take_quantity(top, "bin_width", TIME_UNITS)
+    window_where = f"{top.where}.{_quantity_key(top, 'window', TIME_UNITS)}"
     window = take_quantity(top, "window", TIME_UNITS)
     guard = _integer(top.take("guard_bins", 0), "config.guard_bins")
     if guard < 0:
@@ -491,4 +507,6 @@ def parse_car_config(doc: dict, config_dir: str | Path = ".") -> CarRun:
             model = RateModel(pair_rate_hz=pair_rate, bin_width_s=bin_width, **rates)
     path = None if ts_path is None else _data_file(ts_path, "config.timestamps_csv", config_dir)
     top.finish()
+    with _naming(f"{bin_where}, {window_where}"):
+        histogram_bins(bin_width, window)
     return CarRun(bin_width, window, guard, path, model, duration)

@@ -12,6 +12,7 @@ from functools import partial
 from itertools import islice, repeat
 from math import isfinite
 from pathlib import Path
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -26,6 +27,10 @@ HISTOGRAM_HEADER = ("bin_center_s", "counts")
 # more than one block of cell strings in memory.
 _WRITE_BLOCK_ROWS = 1 << 12
 _READ_BLOCK_CHARS = 1 << 16
+
+# The omega and detuning cells of a grid, formatted by its first spectrum or
+# mismatch table and reused by the others; an entry dies with its grid.
+_GRID_CELLS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def write_table(path: str | Path, header, columns, comments=()) -> None:
@@ -122,16 +127,41 @@ def _sha_comment(config_sha: str) -> tuple[str]:
     return (f"config_sha256={config_sha}",)
 
 
+def _cells(values: np.ndarray) -> list[str]:
+    """The ``str`` of each value, as ``write_table`` would format them.
+
+    A float64 column that mirrors bit for bit (compared as int64, so 0.0 and
+    -0.0 differ) formats only its upper half; the lower half reuses those
+    strings in reverse.
+    """
+    values = np.asarray(values)
+    if values.dtype == np.float64:
+        bits = values.view(np.int64)
+        if np.array_equal(bits, bits[::-1]):
+            half = len(values) // 2
+            upper = list(map(str, values[half:].tolist()))
+            return upper[::-1][:half] + upper
+    return list(map(str, values.tolist()))
+
+
+def _grid_cells(grid: SpectralGrid) -> tuple[list[str], list[str]]:
+    """The omega and detuning (THz) cells of ``grid``, formatted once while it lives."""
+    cells = _GRID_CELLS.get(grid)
+    if cells is None:
+        cells = (_cells(grid.omegas), _cells(grid.detunings_hz() / 1e12))
+        _GRID_CELLS[grid] = cells
+    return cells
+
+
 def write_spectrum_csv(path: str | Path, spectrum: BiphotonSpectrum, config_sha: str) -> None:
-    grid = spectrum.grid
-    columns = (grid.omegas, grid.detunings_hz() / 1e12, spectrum.flux_density)
+    columns = (*_grid_cells(spectrum.grid), _cells(spectrum.flux_density))
     write_table(path, SPECTRUM_HEADER, columns, _sha_comment(config_sha))
 
 
 def write_mismatch_csv(
     path: str | Path, grid: SpectralGrid, delta_k: np.ndarray, config_sha: str
 ) -> None:
-    columns = (grid.omegas, grid.detunings_hz() / 1e12, delta_k)
+    columns = (*_grid_cells(grid), _cells(delta_k))
     write_table(path, MISMATCH_HEADER, columns, _sha_comment(config_sha))
 
 

@@ -13,7 +13,13 @@ from sfwm_sim import (
     predict_rates,
     synthesize_timestamps,
 )
-from sfwm_sim.coincidence import CAR_PEAK_BINS, read_timestamps_csv, write_timestamps_csv
+from sfwm_sim.coincidence import (
+    CAR_PEAK_BINS,
+    MAX_HISTOGRAM_BINS,
+    histogram_bins,
+    read_timestamps_csv,
+    write_timestamps_csv,
+)
 
 
 class TestBuildHistogram:
@@ -65,6 +71,13 @@ class TestBuildHistogram:
         ts = np.linspace(0, 1, 10)
         with pytest.raises(DomainError):
             build_histogram(ts, ts, 1e-9, 10.5e-9)
+
+    @pytest.mark.parametrize("bin_width_s", [1e-12, 1e-320])
+    def test_window_past_the_bin_limit_rejected_before_allocating(self, bin_width_s):
+        ts = np.linspace(0, 1, 10)
+        with pytest.raises(DomainError, match=f"more than the {MAX_HISTOGRAM_BINS} a histogram"):
+            build_histogram(ts, ts, bin_width_s, 1e291)
+        assert histogram_bins(1.0, float(MAX_HISTOGRAM_BINS)) == MAX_HISTOGRAM_BINS
 
     def test_right_edge_excluded(self):
         signal = np.array([0.0])

@@ -649,6 +649,26 @@ def test_value_error_names_config_path(tmp_path, capsys, command, path, value, c
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, edit, code, where",
+    [
+        ("spectrum", {"pump": {"mode": "degenerate", "wavelength_nm": 1552.5, "power_dbm": 4000.0}},
+         2, "config.pump.power_dbm: 4000.0 is out of range"),
+        ("car", {"synthesize": {**CAR_SYNTH_DOC["synthesize"], "pair_rate_hz": 10**400}}, 2,
+         "config.synthesize.pair_rate_hz: expected a finite number, got an integer too large"),
+        ("car", {"window_ns": 1.0e300, "bin_width_ps": 1.0}, 4,
+         "config.bin_width_ps, config.window_ns: window 1.0000000000000001e+291 s over bin "
+         "width 1e-12 s needs 1e+303 bins, more than the 4194304 a histogram may have"),
+    ],
+    ids=["power-dbm-overflow", "401-digit-integer", "histogram-too-large"],
+)
+def test_number_out_of_range_exits_naming_it(tmp_path, capsys, command, edit, code, where):
+    doc = {**{"spectrum": SPECTRUM_DOC, "car": CAR_SYNTH_DOC}[command], **edit}
+    cfg = write_yaml(tmp_path / "run.yaml", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    assert where in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("node_id", ["src,strip", "src/strip"])
 def test_unsafe_node_id_exits_2(tmp_path, capsys, node_id):
     doc = copy.deepcopy(CIRCUIT_DOC)

@@ -1,5 +1,6 @@
 """The one CSV table format: write_table / read_table and every table the CLI emits."""
 
+import gc
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sfwm_sim import csvio
 from sfwm_sim.cli import SUMMARY_HEADER, main
 from sfwm_sim.coincidence import TIMESTAMP_HEADER
 from sfwm_sim.csvio import (
@@ -16,8 +18,11 @@ from sfwm_sim.csvio import (
     MISMATCH_HEADER,
     SPECTRUM_HEADER,
     read_table,
+    write_mismatch_csv,
+    write_spectrum_csv,
     write_table,
 )
+from sfwm_sim.engine import BiphotonSpectrum, SpectralGrid
 from sfwm_sim.errors import DataError
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -148,3 +153,50 @@ def test_every_emitted_table_reads_back_with_its_header(tmp_path):
         assert len({len(col) for col in columns}) == 1 and len(columns[0]) > 0, path.name
         seen.add(suffix)
     assert seen == set(declared)
+
+
+def _grid_and_values(draw) -> tuple[SpectralGrid, np.ndarray]:
+    n = draw(st.integers(2, 40))
+    center = draw(st.floats(1e12, 1e16))
+    grid = SpectralGrid(center, center * draw(st.floats(1e-6, 0.99)), n)
+    x = grid.omegas - grid.center
+    kind = draw(st.sampled_from(["mirrored", "ulp_off", "signed_zeros", "off_centre", "any"]))
+    if kind == "any":
+        return grid, draw(arrays(np.float64, n, elements=FINITE))
+    if kind == "off_centre":  # an even function about a point beside the grid centre
+        return grid, (x - draw(st.floats(-0.5, 0.5)) * grid.half_span) ** 2
+    half = draw(arrays(np.float64, n - n // 2, elements=FINITE))
+    values = np.concatenate([half[::-1][: n // 2], half])  # bit-mirrored
+    k = draw(st.integers(0, n // 2 - 1))
+    if kind == "ulp_off":
+        values[k] = np.nextafter(values[k], np.inf)
+    elif kind == "signed_zeros":  # equal under ==, not bit for bit
+        values[k], values[n - 1 - k] = -0.0, 0.0
+    return grid, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=st.composite(_grid_and_values)())
+def test_spectrum_and_mismatch_files_are_the_old_write_table_bytes(tmp_path_factory, drawn):
+    grid, values = drawn
+    flux = np.where(values < 0.0, -values, values)  # keeps -0.0
+    tmp = tmp_path_factory.mktemp("cells")
+    write_spectrum_csv(tmp / "spectrum.csv", BiphotonSpectrum(grid, flux), "abc")
+    write_mismatch_csv(tmp / "mismatch.csv", grid, values, "abc")
+    for name, header, column in (("spectrum", SPECTRUM_HEADER, flux),
+                                 ("mismatch", MISMATCH_HEADER, values)):
+        old = (grid.omegas, grid.detunings_hz() / 1e12, column)
+        write_table(tmp / "old.csv", header, old, ("config_sha256=abc",))
+        assert (tmp / f"{name}.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+def test_grid_cells_live_only_as_long_as_their_grid(tmp_path):
+    gc.collect()
+    before = len(csvio._GRID_CELLS)
+    grid = SpectralGrid(1.2e15, 3.0e13, 7)
+    write_mismatch_csv(tmp_path / "m.csv", grid, np.zeros(7), "abc")
+    write_spectrum_csv(tmp_path / "s.csv", BiphotonSpectrum(grid, np.ones(7)), "abc")
+    assert grid in csvio._GRID_CELLS and len(csvio._GRID_CELLS) == before + 1
+    del grid
+    gc.collect()
+    assert len(csvio._GRID_CELLS) == before
