@@ -70,6 +70,8 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"{path}: cannot read config ({exc})") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
+    except ValueError as exc:  # e.g. an integer past Python's 4,300-digit conversion limit
+        raise ConfigError(f"{path}: cannot load config ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping at top level")
     return doc
@@ -276,11 +278,20 @@ def parse_waveguide(sec: _Section, omega_c: float) -> WaveguideSpec:
         return WaveguideSpec("custom", length, **given)
 
 
+# The largest spectral grid: 8 MB per float64 array.  A CLI run formats a
+# few cells per point, so `spectrum --svg` on the shipped four-waveguide
+# config peaks at about 650 MB of memory at this size.
+MAX_GRID_POINTS = 1 << 20
+
+
 def grid_points(value, where: str) -> int:
-    """A grid size from ``where`` (a config key or a flag): an integer >= 2."""
+    """A grid size from ``where`` (a config key or a flag): an integer in [2, MAX_GRID_POINTS]."""
     n_points = _integer(value, where)
     if n_points < 2:
         raise ConfigError(f"{where}: a grid needs at least 2 points, got {n_points}")
+    if n_points > MAX_GRID_POINTS:
+        message = f"a grid may have at most {MAX_GRID_POINTS} points, got {n_points}"
+        raise ConfigError(f"{where}: {message}")
     return n_points
 
 

@@ -28,8 +28,8 @@ HISTOGRAM_HEADER = ("bin_center_s", "counts")
 _WRITE_BLOCK_ROWS = 1 << 12
 _READ_BLOCK_CHARS = 1 << 16
 
-# The omega and detuning cells of a grid, formatted by its first spectrum or
-# mismatch table and reused by the others; an entry dies with its grid.
+# Per grid: [omega cells, detuning cells, key and cells of the last value
+# column written on it] (see _table_cells); an entry dies with its grid.
 _GRID_CELLS: WeakKeyDictionary = WeakKeyDictionary()
 
 
@@ -144,24 +144,33 @@ def _cells(values: np.ndarray) -> list[str]:
     return list(map(str, values.tolist()))
 
 
-def _grid_cells(grid: SpectralGrid) -> tuple[list[str], list[str]]:
-    """The omega and detuning (THz) cells of ``grid``, formatted once while it lives."""
-    cells = _GRID_CELLS.get(grid)
-    if cells is None:
-        cells = (_cells(grid.omegas), _cells(grid.detunings_hz() / 1e12))
-        _GRID_CELLS[grid] = cells
-    return cells
+def _table_cells(grid: SpectralGrid, values: np.ndarray) -> tuple[list[str], ...]:
+    """The omega, detuning (THz) and ``values`` cells of a table on ``grid``.
+
+    The grid cells are formatted once while the grid lives.  Only the last
+    value column is kept, keyed on its bytes (so 0.0 and -0.0 differ); a
+    bit-identical next column on the grid reuses its cells.
+    """
+    entry = _GRID_CELLS.get(grid)
+    if entry is None:
+        entry = [_cells(grid.omegas), _cells(grid.detunings_hz() / 1e12), None, None]
+        _GRID_CELLS[grid] = entry
+    values = np.asarray(values)
+    key = (values.dtype.str, values.shape, values.tobytes())
+    if entry[2] != key:
+        entry[2:] = key, _cells(values)
+    return entry[0], entry[1], entry[3]
 
 
 def write_spectrum_csv(path: str | Path, spectrum: BiphotonSpectrum, config_sha: str) -> None:
-    columns = (*_grid_cells(spectrum.grid), _cells(spectrum.flux_density))
+    columns = _table_cells(spectrum.grid, spectrum.flux_density)
     write_table(path, SPECTRUM_HEADER, columns, _sha_comment(config_sha))
 
 
 def write_mismatch_csv(
     path: str | Path, grid: SpectralGrid, delta_k: np.ndarray, config_sha: str
 ) -> None:
-    columns = (*_grid_cells(grid), _cells(delta_k))
+    columns = _table_cells(grid, delta_k)
     write_table(path, MISMATCH_HEADER, columns, _sha_comment(config_sha))
 
 

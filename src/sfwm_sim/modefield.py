@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import read_table, write_table
+from .csvio import read_table
 from .dispersion import C_VACUUM
 from .errors import DataError, DomainError
 
@@ -172,23 +172,3 @@ def read_mode_field_csv(path: str | Path) -> ModeFieldGrid:
     mask = data[:, 14].reshape(x.size, y.size) != 0.0
     return ModeFieldGrid(x, y, e, h, mask)
 
-
-def write_mode_field_csv(path: str | Path, grid: ModeFieldGrid) -> None:
-    """Write a grid back out in the ingestion format (row-major)."""
-    nx, ny = grid.core_mask.shape
-    components = [
-        part
-        for vec in (grid.e_field, grid.h_field)
-        for k in range(3)
-        for part in (vec[..., k].real.ravel(), vec[..., k].imag.ravel())
-    ]
-    write_table(
-        path,
-        MODE_FIELD_COLUMNS,
-        (
-            np.repeat(grid.x_coords, ny),
-            np.tile(grid.y_coords, nx),
-            *components,
-            grid.core_mask.ravel().astype(int),
-        ),
-    )

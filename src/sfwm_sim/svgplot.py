@@ -80,10 +80,17 @@ def write_line_plot(
         f'font-family="sans-serif" transform="rotate(-90 18 {MARGIN_T + inner_h / 2:.1f})">'
         f"{y_label}</text>"
     )
-    # Series
+    # Series.  sx and sy run on whole arrays (same operations, so the same
+    # bits as per point); the x cells are formatted once into a template that
+    # takes each series' y values, and bit-identical series share one string.
+    points = " ".join(f"{xv:.2f},%.2f" for xv in sx(x).tolist())
+    pts_of: dict[bytes, str] = {}
     for idx, (label, y) in enumerate(series.items()):
         y = np.asarray(y, dtype=float)
-        pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, y))
+        key = y.tobytes()
+        if key not in pts_of:
+            pts_of[key] = points % tuple(sy(y).tolist())
+        pts = pts_of[key]
         color = COLORS[idx % len(COLORS)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = MARGIN_T + 16 + 16 * idx

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sfwm_sim import DispersionModel, ModeFieldGrid, PumpConfig, WaveguideSpec
-from sfwm_sim.modefield import Z0_OHM
+from sfwm_sim.csvio import write_table
+from sfwm_sim.modefield import MODE_FIELD_COLUMNS, Z0_OHM
 
 
 def gaussian_mode(n_points: int, waist_m: float = 1.0e-6, span_waists: float = 5.0,
@@ -25,6 +26,27 @@ def gaussian_mode(n_points: int, waist_m: float = 1.0e-6, span_waists: float = 5
     # so coarse and fine grids agree far below the 1e-6 oracle tolerance.
     core = (np.abs(x)[:, None] <= 4.0 * waist_m) & (np.abs(y)[None, :] <= 4.0 * waist_m)
     return ModeFieldGrid(x, y, e, h, core)
+
+
+def write_mode_field_csv(path, grid: ModeFieldGrid) -> None:
+    """Write a grid in the mode-field ingestion format (row-major), as a mode solver would."""
+    nx, ny = grid.core_mask.shape
+    components = [
+        part
+        for vec in (grid.e_field, grid.h_field)
+        for k in range(3)
+        for part in (vec[..., k].real.ravel(), vec[..., k].imag.ravel())
+    ]
+    write_table(
+        path,
+        MODE_FIELD_COLUMNS,
+        (
+            np.repeat(grid.x_coords, ny),
+            np.tile(grid.y_coords, nx),
+            *components,
+            grid.core_mask.ravel().astype(int),
+        ),
+    )
 
 
 @pytest.fixture

@@ -17,11 +17,13 @@ from sfwm_sim import (
     CouplerNode,
     MaterialConstants,
     RateModel,
+    SpectralGrid,
     angular_frequency_from_wavelength,
 )
 from sfwm_sim.cli import main
 from sfwm_sim.config import (
     CUSTOM_N_EFF,
+    MAX_GRID_POINTS,
     config_hash,
     load_config,
     parse_car_config,
@@ -37,7 +39,6 @@ from sfwm_sim.csvio import (
     read_table,
     write_spectrum_csv,
 )
-from sfwm_sim.modefield import write_mode_field_csv
 from sfwm_sim.templates import (
     APP1_LONG_ARM_M,
     APP1_PUMP_PEAK_W,
@@ -48,7 +49,7 @@ from sfwm_sim.templates import (
     evaluate_circuit,
 )
 
-from conftest import gaussian_mode
+from conftest import gaussian_mode, write_mode_field_csv
 
 SPECTRUM_DOC = {
     "pump": {"mode": "degenerate", "wavelength_nm": 1552.5, "power_w": 1.0},
@@ -395,6 +396,24 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out"), *flag]) == 2
         assert f"config error: {source}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", [MAX_GRID_POINTS + 1, 10**30], ids=["limit+1", "31-digit"])
+    @pytest.mark.parametrize("source", ["--grid-points", "config.grid.points"])
+    def test_too_many_grid_points_exit_2_before_any_sample(
+        self, tmp_path, capsys, monkeypatch, source, points
+    ):
+        def no_samples(grid):
+            raise AssertionError(f"built the samples of a {grid.n_points}-point grid")
+
+        monkeypatch.setattr(SpectralGrid, "omegas", property(no_samples))
+        doc = copy.deepcopy(SPECTRUM_DOC)
+        flag = ["--grid-points", str(points)] if source == "--grid-points" else []
+        if not flag:
+            doc["grid"]["points"] = points
+        cfg = write_yaml(tmp_path / "run.yaml", doc)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out"), *flag]) == 2
+        message = f"{source}: a grid may have at most {MAX_GRID_POINTS} points, got {points}"
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_svg_emitted(self, tmp_path):
         cfg = write_yaml(tmp_path / "run.yaml", SPECTRUM_DOC)
         out = tmp_path / "out"
@@ -667,6 +686,18 @@ def test_number_out_of_range_exits_naming_it(tmp_path, capsys, command, edit, co
     cfg = write_yaml(tmp_path / "run.yaml", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python parses integers of any length"
+)
+def test_integer_past_the_digit_limit_exits_2_naming_the_file(tmp_path, capsys):
+    text = yaml.safe_dump(CAR_SYNTH_DOC)
+    text = re.sub(r"pair_rate_hz: .*", f"pair_rate_hz: {'9' * 5001}", text)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text)
+    assert main(["car", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {cfg}: cannot load config (" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("node_id", ["src,strip", "src/strip"])

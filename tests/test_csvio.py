@@ -168,8 +168,8 @@ def _grid_and_values(draw) -> tuple[SpectralGrid, np.ndarray]:
     half = draw(arrays(np.float64, n - n // 2, elements=FINITE))
     values = np.concatenate([half[::-1][: n // 2], half])  # bit-mirrored
     k = draw(st.integers(0, n // 2 - 1))
-    if kind == "ulp_off":
-        values[k] = np.nextafter(values[k], np.inf)
+    if kind == "ulp_off":  # one ulp toward zero (up from 0.0), so no value overflows to inf
+        values[k] = np.nextafter(values[k], -np.inf if values[k] > 0.0 else np.inf)
     elif kind == "signed_zeros":  # equal under ==, not bit for bit
         values[k], values[n - 1 - k] = -0.0, 0.0
     return grid, values
@@ -190,12 +190,62 @@ def test_spectrum_and_mismatch_files_are_the_old_write_table_bytes(tmp_path_fact
         assert (tmp / f"{name}.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
 
+def _column_pool(draw, n: int) -> list[np.ndarray]:
+    """Value columns for one grid, several of them equal under == but not bit for bit."""
+    base = np.abs(draw(arrays(np.float64, n, elements=FINITE)))
+    signed = base.copy()
+    signed[draw(st.integers(0, n - 1))] = -0.0  # equal to 0.0 under ==, not bit for bit
+    zeros = np.zeros(n)
+    return [base, base.copy(), signed, zeros, -zeros, zeros.astype(np.int64),
+            np.nextafter(base, 0.0)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_runs_of_identical_and_different_columns_are_the_write_table_bytes(
+    tmp_path_factory, data
+):
+    n = data.draw(st.integers(2, 12))
+    grid = SpectralGrid(1.2e15, 3.0e13, n)
+    pool = _column_pool(data.draw, n)
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))
+    tmp = tmp_path_factory.mktemp("runs")
+    for k, pick in enumerate(picks):
+        column = pool[pick]
+        if column.dtype == np.float64 and data.draw(st.booleans()):
+            header = SPECTRUM_HEADER
+            write_spectrum_csv(tmp / f"{k}.csv", BiphotonSpectrum(grid, column), "abc")
+        else:
+            header = MISMATCH_HEADER
+            write_mismatch_csv(tmp / f"{k}.csv", grid, column, "abc")
+        old = (grid.omegas, grid.detunings_hz() / 1e12, column)
+        write_table(tmp / "old.csv", header, old, ("config_sha256=abc",))
+        assert (tmp / f"{k}.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+        # The memo holds the grid cells and the last value column, nothing more.
+        entry = csvio._GRID_CELLS[grid]
+        assert [part for part in entry if isinstance(part, list)] == [
+            entry[0], entry[1], list(map(str, column.tolist()))
+        ]
+
+
+def test_a_repeated_column_reuses_the_cells_and_a_new_one_replaces_them(tmp_path):
+    grid = SpectralGrid(1.2e15, 3.0e13, 5)
+    flux = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
+    write_spectrum_csv(tmp_path / "a.csv", BiphotonSpectrum(grid, flux), "abc")
+    cells = csvio._GRID_CELLS[grid][3]
+    write_spectrum_csv(tmp_path / "b.csv", BiphotonSpectrum(grid, flux.copy()), "abc")
+    assert csvio._GRID_CELLS[grid][3] is cells
+    write_mismatch_csv(tmp_path / "c.csv", grid, -flux, "abc")
+    assert csvio._GRID_CELLS[grid][3] == ["-1.0", "-2.0", "-3.0", "-2.0", "-1.0"]
+
+
 def test_grid_cells_live_only_as_long_as_their_grid(tmp_path):
     gc.collect()
     before = len(csvio._GRID_CELLS)
     grid = SpectralGrid(1.2e15, 3.0e13, 7)
     write_mismatch_csv(tmp_path / "m.csv", grid, np.zeros(7), "abc")
     write_spectrum_csv(tmp_path / "s.csv", BiphotonSpectrum(grid, np.ones(7)), "abc")
+    write_spectrum_csv(tmp_path / "t.csv", BiphotonSpectrum(grid, np.ones(7)), "abc")
     assert grid in csvio._GRID_CELLS and len(csvio._GRID_CELLS) == before + 1
     del grid
     gc.collect()

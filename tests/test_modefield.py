@@ -10,9 +10,9 @@ from sfwm_sim import (
     gamma_report,
 )
 from sfwm_sim.dispersion import C_VACUUM
-from sfwm_sim.modefield import Z0_OHM, read_mode_field_csv, write_mode_field_csv
+from sfwm_sim.modefield import Z0_OHM, read_mode_field_csv
 
-from conftest import gaussian_mode
+from conftest import gaussian_mode, write_mode_field_csv
 
 OMEGA = angular_frequency_from_wavelength(1552.5e-9)
 
