@@ -37,7 +37,6 @@ from .engine import (
     BiphotonSpectrum,
     SpectralGrid,
     WaveguideSpec,
-    band_flux,
     biphoton_spectrum,
 )
 from .errors import ConfigError, TopologyError, UsageError
@@ -379,9 +378,6 @@ class SegmentContribution:
     transmission: float
     spectrum: BiphotonSpectrum  # already scaled by transmission**pair_loss_exponent
 
-    def band_flux(self, band: tuple[float, float]) -> float:
-        return band_flux(self.spectrum, band)
-
 
 def segment_contributions(
     circuit: CircuitGraph,
@@ -419,24 +415,18 @@ def segment_contributions(
     return tuple(contributions)
 
 
-def selection_ratio(
-    contributions,
-    band: tuple[float, float],
-    designated_segments,
-) -> float:
-    """Designated-to-rest band-flux ratio; +inf when the rest contributes 0."""
-    contributions = tuple(contributions)
-    if not contributions:
-        raise UsageError("selection_ratio needs at least one contribution")
+def selection_ratio(band_fluxes: dict[str, float], designated_segments) -> float:
+    """Designated-to-rest ratio of the band fluxes per segment id; +inf when the rest is 0."""
+    if not band_fluxes:
+        raise UsageError("selection_ratio needs at least one band flux")
     designated = set(designated_segments)
     if not designated:
         raise UsageError("designated segment set must be non-empty")
-    known = {c.segment_id for c in contributions}
-    missing = designated - known
+    missing = designated - band_fluxes.keys()
     if missing:
-        raise UsageError(f"designated segments {sorted(missing)} not in contributions")
-    num = sum(c.band_flux(band) for c in contributions if c.segment_id in designated)
-    den = sum(c.band_flux(band) for c in contributions if c.segment_id not in designated)
+        raise UsageError(f"designated segments {sorted(missing)} have no band flux")
+    num = sum(flux for seg, flux in band_fluxes.items() if seg in designated)
+    den = sum(flux for seg, flux in band_fluxes.items() if seg not in designated)
     if den == 0.0:
         return inf
     return num / den

@@ -118,7 +118,7 @@ def cmd_circuit(args, doc: dict, doc_hash: str, out: Path):
     setup = parse_circuit_config({**doc, "all_strip": True} if args.all_strip else doc)
     report = evaluate_circuit(setup)
     name = setup.name
-    band, designated = report.band_omega, set(setup.designated_segments)
+    designated = set(setup.designated_segments)
 
     contribs = report.contributions
     for c in contribs:
@@ -133,7 +133,7 @@ def cmd_circuit(args, doc: dict, doc_hash: str, out: Path):
             [int(c.segment_id in designated) for c in contribs],
             ["/".join(map(repr, c.pump_powers_w)) for c in contribs],
             [c.transmission for c in contribs],
-            [c.band_flux(band) for c in contribs],
+            [report.band_fluxes[c.segment_id] for c in contribs],
         ),
         (f"config_sha256={doc_hash}", f"selection_ratio={report.ratio!r}"),
     )
@@ -274,6 +274,9 @@ def main(argv=None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return 4
     except SfwmError as exc:  # fallback for future subclasses
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file the system refuses, e.g. an output named by a long label
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,6 +30,9 @@ from .errors import DataError, DomainError
 CAR_PEAK_BINS = 5
 # The edges and counts take 16 bytes per bin, so 64 MB at this limit.
 MAX_HISTOGRAM_BINS = 1 << 22
+# A draw of n events takes 8 n bytes per array, so 128 MB at this limit; the
+# shipped 600 s config draws about 9 M idler events.
+MAX_EVENTS_PER_DRAW = 1 << 24
 TIMESTAMP_HEADER = ("channel", "timestamp_s")
 
 
@@ -235,6 +238,27 @@ def predict_rates(model: RateModel) -> dict[str, float]:
     }
 
 
+def draw_rates(model: RateModel, duration_s: float) -> tuple[float, float, float]:
+    """The rates (Hz) of the pair, extra-signal and extra-idler Poisson draws.
+
+    Raises DomainError unless ``duration_s`` > 0 and no draw expects more than
+    ``MAX_EVENTS_PER_DRAW`` events, before anything is drawn.
+    """
+    if not duration_s > 0.0:
+        raise DomainError("duration_s must be > 0")
+    rates = (
+        model.pair_rate_hz,
+        model.efficiency_signal * model.noise_rate_signal_hz + model.dark_rate_signal_hz,
+        model.efficiency_idler * model.noise_rate_idler_hz + model.dark_rate_idler_hz,
+    )
+    if not max(rates) * duration_s <= MAX_EVENTS_PER_DRAW:  # also an infinite product
+        raise DomainError(
+            f"{duration_s!r} s at up to {max(rates)!r} Hz expects {max(rates) * duration_s:.3g} "
+            f"events in one draw, more than the {MAX_EVENTS_PER_DRAW} a draw may have"
+        )
+    return rates
+
+
 def synthesize_timestamps(
     model: RateModel, duration_s: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -244,8 +268,7 @@ def synthesize_timestamps(
     efficiencies; uncorrelated noise photons pass the same efficiencies and
     dark counts add directly.  Deterministic for a fixed seed.
     """
-    if not duration_s > 0.0:
-        raise DomainError("duration_s must be > 0")
+    pair_rate, extra_signal_rate, extra_idler_rate = draw_rates(model, duration_s)
     rng = np.random.default_rng(seed)
 
     def poisson_times(rate_hz: float) -> np.ndarray:
@@ -254,17 +277,11 @@ def synthesize_timestamps(
         n = rng.poisson(rate_hz * duration_s)
         return rng.random(n) * duration_s
 
-    pair_times = poisson_times(model.pair_rate_hz)
+    pair_times = poisson_times(pair_rate)
     signal = pair_times[rng.random(pair_times.size) < model.efficiency_signal]
     idler = pair_times[rng.random(pair_times.size) < model.efficiency_idler]
-    extra_signal = poisson_times(
-        model.efficiency_signal * model.noise_rate_signal_hz + model.dark_rate_signal_hz
-    )
-    extra_idler = poisson_times(
-        model.efficiency_idler * model.noise_rate_idler_hz + model.dark_rate_idler_hz
-    )
-    signal = np.sort(np.concatenate([signal, extra_signal]))
-    idler = np.sort(np.concatenate([idler, extra_idler]))
+    signal = np.sort(np.concatenate([signal, poisson_times(extra_signal_rate)]))
+    idler = np.sort(np.concatenate([idler, poisson_times(extra_idler_rate)]))
     return signal, idler
 
 

@@ -15,7 +15,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from math import inf, pi
+from math import inf, isfinite, pi
 from pathlib import Path
 
 import yaml
@@ -29,7 +29,7 @@ from .circuit import (
     SegmentNode,
     SplitterNode,
 )
-from .coincidence import RateModel, histogram_bins
+from .coincidence import RateModel, draw_rates, histogram_bins
 from .dispersion import (
     DispersionModel,
     PumpConfig,
@@ -79,7 +79,10 @@ def load_config(path: str | Path) -> dict:
 
 def config_hash(doc: dict) -> str:
     """Stable sha256 over the parsed document; embedded in output headers."""
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
+    try:
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
+    except (TypeError, ValueError) as exc:  # keys of mixed types; an alias inside its anchor
+        raise ConfigError(f"config cannot be hashed ({exc})") from None
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -173,6 +176,11 @@ ANGULAR_FREQUENCY_UNITS = {
     "_thz": lambda v: 2.0 * pi * v * 1e12,
     "_rad_s": 1.0,
 }
+# A dispersion block's reference frequency: one key per angular-frequency unit.
+REFERENCE_UNITS = {
+    stem + suffix: ANGULAR_FREQUENCY_UNITS[suffix]
+    for stem, suffix in (("lambda_c", "_nm"), ("frequency_c", "_thz"), ("omega_c", "_rad_s"))
+}
 POWER_UNITS = {"_w": 1.0, "_mw": 1e-3, "_dbm": lambda v: 1e-3 * 10.0 ** (v / 10.0)}
 LENGTH_UNITS = {"_m": 1.0, "_mm": 1e-3, "_um": 1e-6}
 TIME_UNITS = {"_s": 1.0, "_us": 1e-6, "_ns": 1e-9, "_ps": 1e-12}
@@ -194,9 +202,13 @@ def take_quantity(sec: _Section, stem: str, units: dict) -> float:
     value = _number(sec.take(key), where)
     unit = units[key[len(stem) :]]
     try:
-        return unit(value) if callable(unit) else value * unit
+        with _naming(where):  # e.g. wavelength_nm: 0
+            si = unit(value) if callable(unit) else value * unit
     except OverflowError:  # e.g. 10 ** (power_dbm / 10) past the float range
-        raise ConfigError(f"{where}: {value!r} is out of range") from None
+        si = inf
+    if not isfinite(si):  # e.g. wavelength_nm: 1.0e-300 is an infinite frequency
+        raise ConfigError(f"{where}: {value!r} is out of range")
+    return si
 
 
 def parse_pump(sec: _Section) -> PumpConfig:
@@ -217,46 +229,30 @@ def parse_pump(sec: _Section) -> PumpConfig:
     return pump
 
 
-def parse_dispersion(sec: _Section, omega_c: float) -> DispersionModel:
+def parse_dispersion(sec: _Section) -> DispersionModel:
     """Dispersion block: optional reference frequency plus beta2, beta4, ...
 
-    Without an explicit ``lambda_c``/``omega_c`` the model is referenced at
-    the pump average; an explicit value must agree with it to 0.1% (checked
-    when the mismatch is evaluated).
+    Without a reference key the model is taken at the average of the pump it
+    is evaluated with; a stated reference must agree with that average to
+    0.1% (checked when the mismatch is evaluated).
     """
-    ref_keys = ("lambda_c_nm", "frequency_c_thz", "omega_c_rad_s")
-    present = [k for k in ref_keys if sec.has(k)]
-    if len(present) > 1:
-        raise ConfigError(f"{sec.where}: give at most one of {ref_keys}")
-    if present:
-        value = _number(sec.take(present[0]), f"{sec.where}.{present[0]}")
-        if present[0] == "lambda_c_nm":
-            omega_c = angular_frequency_from_wavelength(value * 1e-9)
-        elif present[0] == "frequency_c_thz":
-            omega_c = 2.0 * pi * value * 1e12
-        else:
-            omega_c = value
+    omega_c = take_quantity(sec, "", REFERENCE_UNITS) if sec.has(*REFERENCE_UNITS) else None
     beta = []
     for order in (2, 4, 6, 8):
-        si_key = f"beta{order}_s{order}_per_m"
-        km_key = f"beta{order}_ps{order}_per_km"
-        if sec.has(si_key) and sec.has(km_key):
-            raise ConfigError(f"{sec.where}: give only one of {si_key}/{km_key}")
-        if sec.has(si_key):
-            beta.append(_number(sec.take(si_key), f"{sec.where}.{si_key}"))
-        elif sec.has(km_key):
-            # 1 ps^n/km = (1e-12)^n s^n / 1e3 m
-            value = _number(sec.take(km_key), f"{sec.where}.{km_key}")
-            beta.append(value * (1e-12**order) / 1e3)
-        else:
+        units = {
+            f"_s{order}_per_m": 1.0,
+            f"_ps{order}_per_km": lambda v, n=order: v * 1e-12**n / 1e3,  # (1e-12)^n s^n / 1e3 m
+        }
+        if not sec.has(*(f"beta{order}{suffix}" for suffix in units)):
             break
+        beta.append(take_quantity(sec, f"beta{order}", units))
     if not beta:
         raise ConfigError(f"{sec.where}: needs at least beta2")
     sec.finish()
-    return DispersionModel(omega_c=omega_c, beta_even=tuple(beta))
+    return DispersionModel(omega_c, tuple(beta))
 
 
-def parse_waveguide(sec: _Section, omega_c: float) -> WaveguideSpec:
+def parse_waveguide(sec: _Section) -> WaveguideSpec:
     """A preset ``kind`` starts from the shipped preset and the config overrides
     only the fields it gives; ``kind: custom`` needs gamma and dispersion.
     """
@@ -267,11 +263,11 @@ def parse_waveguide(sec: _Section, omega_c: float) -> WaveguideSpec:
     given = _given(sec, _number, "gamma_per_w_m", "attenuation_db_per_cm")
     disp_sec = sec.take_section("dispersion")
     if disp_sec is not None:
-        given["dispersion"] = parse_dispersion(disp_sec, omega_c)
+        given["dispersion"] = parse_dispersion(disp_sec)
     sec.finish()
     with _naming(sec.where):
         if kind != "custom":
-            return replace(preset_waveguide(kind, length, omega_c), **given)
+            return replace(preset_waveguide(kind, length), **given)
         for key in ("gamma_per_w_m", "dispersion"):
             if key not in given:  # _naming puts sec.where in front
                 raise ConfigError(f"custom waveguide needs {key}")
@@ -327,7 +323,7 @@ def parse_spectrum_config(doc: dict) -> SpectrumRun:
     for i, item in enumerate(wg_list):
         sec = _Section(item, f"config.waveguides[{i}]")
         label = sec.take("label", None)
-        spec = parse_waveguide(sec, pump.omega_c)
+        spec = parse_waveguide(sec)
         label = spec.kind if label is None else str(label)
         if label in labels:
             raise ConfigError(f"config.waveguides[{i}]: duplicate label {label!r}")
@@ -341,7 +337,7 @@ def parse_spectrum_config(doc: dict) -> SpectrumRun:
 CUSTOM_N_EFF = 2.5
 
 
-def _parse_node(sec: _Section, omega_c: float):
+def _parse_node(sec: _Section):
     kind = sec.take("kind")
     node_id = str(sec.take("id"))
     if not NODE_ID.fullmatch(node_id):
@@ -362,7 +358,7 @@ def _parse_node(sec: _Section, omega_c: float):
             loss["bandwidth_3db_m"] = loss.pop("bandwidth_3db_nm") * 1e-9
         make = partial(CouplerNode, node_id, wavelength_from_angular_frequency(center), **loss)
     elif kind == "segment":
-        spec = parse_waveguide(sec.take_section("waveguide", required=True), omega_c)
+        spec = parse_waveguide(sec.take_section("waveguide", required=True))
         n_eff = CUSTOM_N_EFF if spec.kind == "custom" else preset_n_eff(spec.kind)
         make = partial(
             SegmentNode,
@@ -404,7 +400,7 @@ def parse_circuit_config(doc: dict) -> CircuitSetup:
 
     nodes = []
     for i, item in enumerate(_list(top.take("nodes"), "config.nodes")):
-        nodes.append(_parse_node(_Section(item, f"config.nodes[{i}]"), pump.omega_c))
+        nodes.append(_parse_node(_Section(item, f"config.nodes[{i}]")))
     edges = []
     for i, item in enumerate(_list(top.take("edges"), "config.edges")):
         sec = _Section(item, f"config.edges[{i}]")
@@ -458,7 +454,7 @@ class GammaRun:
 def _data_file(value, where: str, config_dir: str | Path) -> Path:
     """A data file named in a config; a relative name is read from ``config_dir``."""
     path = Path(config_dir) / str(value)
-    if not path.exists():
+    if not os.path.exists(path):  # unlike Path.exists, False for a name too long to look up
         raise ConfigError(f"{where}: file {path} does not exist")
     return path
 
@@ -516,6 +512,8 @@ def parse_car_config(doc: dict, config_dir: str | Path = ".") -> CarRun:
         sec.finish()
         with _naming(sec.where):
             model = RateModel(pair_rate_hz=pair_rate, bin_width_s=bin_width, **rates)
+        with _naming(f"{sec.where}.duration_s"):
+            draw_rates(model, duration)
     path = None if ts_path is None else _data_file(ts_path, "config.timestamps_csv", config_dir)
     top.finish()
     with _naming(f"{bin_where}, {window_where}"):

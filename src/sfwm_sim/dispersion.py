@@ -59,18 +59,19 @@ class DispersionModel:
 
     Parameters
     ----------
-    omega_c : float
-        Angular frequency (rad/s) at which the coefficients were taken.
+    omega_c : float or None
+        Angular frequency (rad/s) at which the coefficients were taken; None
+        when they are taken at the average of each pump evaluated with.
     beta_even : tuple of float
         (beta_2, beta_4, ..., beta_2M) in s^(2m)/m, M >= 1.  Signs are free:
         anomalous dispersion has beta_2 < 0, normal beta_2 > 0.
     """
 
-    omega_c: float
+    omega_c: float | None
     beta_even: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.omega_c > 0.0:
+        if self.omega_c is not None and not self.omega_c > 0.0:
             raise DomainError(f"omega_c must be > 0, got {self.omega_c!r}")
         beta = tuple(float(b) for b in self.beta_even)
         if len(beta) == 0:
@@ -156,13 +157,15 @@ def linear_mismatch(model: DispersionModel, omega, pump: PumpConfig):
 
     Evaluates 2 * sum_m beta_2m/(2m)! * [(omega-omega_c)^(2m) - omega_d^(2m)]
     truncated at the model's highest order.  ``omega`` may be a scalar or an
-    ndarray; the result matches its shape.  The model must have been taken at
-    the pump's average frequency (relative offset <= 0.1%).
+    ndarray; the result matches its shape.  A model with a stated reference
+    must have been taken at the pump's average frequency (relative offset
+    <= 0.1%); one without is taken there.
     """
-    if abs(model.omega_c - pump.omega_c) > REFERENCE_ALIGNMENT_RTOL * pump.omega_c:
+    ref = model.omega_c
+    if ref is not None and abs(ref - pump.omega_c) > REFERENCE_ALIGNMENT_RTOL * pump.omega_c:
         raise ConfigError(
             "dispersion model reference frequency "
-            f"{model.omega_c:.6e} rad/s is not aligned with the pump average "
+            f"{ref:.6e} rad/s is not aligned with the pump average "
             f"{pump.omega_c:.6e} rad/s"
         )
     om = np.asarray(omega, dtype=float)

@@ -263,10 +263,17 @@ def parametric_gain(spec: WaveguideSpec, pump: PumpConfig, omega):
     om = np.asarray(omega, dtype=float)
     if not np.all(om > 0.0):
         raise DomainError("omega must be > 0")
-    dk = np.asarray(total_mismatch(spec, pump, om), dtype=float)
-    power_term = _power_term(spec.gamma_per_w_m, pump)
-    _check_peak_gain(spec, pump, power_term, dk)
-    gain = gain_from_mismatch(power_term, dk, spec.length_m)
+    try:  # float ** raises OverflowError; numpy raises FloatingPointError here
+        with np.errstate(over="raise", invalid="raise"):
+            dk = np.asarray(total_mismatch(spec, pump, om), dtype=float)
+            power_term = _power_term(spec.gamma_per_w_m, pump)
+            _check_peak_gain(spec, pump, power_term, dk)
+            gain = gain_from_mismatch(power_term, dk, spec.length_m)
+    except (OverflowError, FloatingPointError) as exc:
+        raise DomainError(
+            f"{spec.kind} waveguide of length {spec.length_m:g} m: "
+            f"the phase mismatch or gain overflows float64 ({exc})"
+        ) from None
     if np.isscalar(omega):
         return float(gain)
     return np.asarray(gain)

@@ -18,6 +18,7 @@ per frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -122,12 +123,13 @@ def gamma_report(
             f"mode carries no power in +z (Poynting integral {ip:.3e} W); "
             "degenerate or mis-oriented mode fields"
         )
-    gamma = (
-        (omega * constants.n2_m2_per_w / C_VACUUM)
-        * constants.n0**2
-        * i4
-        / (Z0_OHM * Z0_OHM * ip * ip)
-    )
+    n0, n2 = constants.n0, constants.n2_m2_per_w
+    try:
+        gamma = (omega * n2 / C_VACUUM) * n0**2 * i4 / (Z0_OHM * Z0_OHM * ip * ip)
+    except OverflowError:  # n0 ** 2 past the float range
+        gamma = inf
+    if not isfinite(gamma):
+        raise DomainError(f"gamma overflows float64 at n0 = {n0!r}, n2_m2_per_w = {n2!r}")
     return {
         "gamma_per_w_m": gamma,
         "core_quartic_integral": i4,

@@ -30,19 +30,15 @@ def preset_parameters(kind: str) -> dict:
         ) from None
 
 
-def preset_waveguide(kind: str, length_m: float, omega_c: float) -> WaveguideSpec:
-    """WaveguideSpec for a preset kind, dispersion referenced at omega_c."""
+def preset_waveguide(kind: str, length_m: float) -> WaveguideSpec:
+    """WaveguideSpec for a preset kind, dispersion taken at the pump average."""
     params = preset_parameters(kind)
     disp = params["dispersion"]
-    model = DispersionModel(
-        omega_c=omega_c,
-        beta_even=(disp["beta2_s2_per_m"], disp["beta4_s4_per_m"]),
-    )
     return WaveguideSpec(
         kind=kind,
         length_m=length_m,
         gamma_per_w_m=params["gamma_per_w_m"],
-        dispersion=model,
+        dispersion=DispersionModel(None, (disp["beta2_s2_per_m"], disp["beta4_s4_per_m"])),
         attenuation_db_per_cm=params["attenuation_db_per_cm"],
     )
 

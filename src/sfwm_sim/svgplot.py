@@ -34,6 +34,8 @@ def write_line_plot(
     y_lo, y_hi = float(y_all.min()), float(y_all.max())
     if y_lo == y_hi:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+        if y_lo == y_hi:  # from 2**53 up, y +- 1 can round back to y
+            y_lo, y_hi = float(np.nextafter(y_lo, -np.inf)), float(np.nextafter(y_hi, np.inf))
 
     inner_w = WIDTH - MARGIN_L - MARGIN_R
     inner_h = HEIGHT - MARGIN_T - MARGIN_B

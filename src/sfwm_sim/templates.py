@@ -35,7 +35,7 @@ from .circuit import (
     selection_ratio,
 )
 from .dispersion import PumpConfig, angular_frequency_from_wavelength
-from .engine import SpectralGrid, detuning_band_to_omega
+from .engine import SpectralGrid, band_flux, detuning_band_to_omega
 from .errors import ConfigError
 from .presets import preset_n_eff, preset_waveguide
 
@@ -76,25 +76,21 @@ class CircuitSetup:
 
 @dataclass(frozen=True, eq=False)
 class CircuitReport:
-    """Evaluated template: contributions, selection ratio, pump bookkeeping."""
+    """Evaluated circuit: contributions, their band fluxes, selection ratio, pump bookkeeping."""
 
     setup: CircuitSetup
     contributions: tuple[SegmentContribution, ...]
+    band_omega: tuple[float, float]  # the selection band in rad/s
+    band_fluxes: dict[str, float]  # photons/s in the band, per segment id
     ratio: float
     inter_pulse_delay_s: float
 
-    @property
-    def band_omega(self) -> tuple[float, float]:
-        return detuning_band_to_omega(self.setup.pump.omega_c, self.setup.band_detuning_hz)
 
-
-def _segment(
-    seg_id: str, kind: str, length_m: float, omega_c: float, all_strip: bool
-) -> SegmentNode:
+def _segment(seg_id: str, kind: str, length_m: float, all_strip: bool) -> SegmentNode:
     actual = "strip" if all_strip else kind
     return SegmentNode(
         seg_id,
-        waveguide=preset_waveguide(actual, length_m, omega_c),
+        waveguide=preset_waveguide(actual, length_m),
         n_eff=preset_n_eff(actual),
     )
 
@@ -104,15 +100,14 @@ def app1_timebin(all_strip: bool = False) -> CircuitSetup:
     pump = PumpConfig.degenerate(
         angular_frequency_from_wavelength(APP1_PUMP_WAVELENGTH_M), APP1_PUMP_PEAK_W
     )
-    wc = pump.omega_c
     nodes = (
         PortNode("pump_in", "input"),
         SplitterNode("umzi_split", 0.5),
-        _segment("umzi_long", "shallow_ridge", APP1_LONG_ARM_M, wc, all_strip),
-        _segment("umzi_short", "shallow_ridge", APP1_SHORT_ARM_M, wc, all_strip),
+        _segment("umzi_long", "shallow_ridge", APP1_LONG_ARM_M, all_strip),
+        _segment("umzi_short", "shallow_ridge", APP1_SHORT_ARM_M, all_strip),
         PhaseShifterNode("bin_phase"),
         SplitterNode("umzi_merge", 0.5),
-        _segment("source_strip", "strip", APP1_STRIP_M, wc, all_strip),
+        _segment("source_strip", "strip", APP1_STRIP_M, all_strip),
         PortNode("to_filters", "output"),
     )
     edges = (
@@ -133,7 +128,7 @@ def app1_timebin(all_strip: bool = False) -> CircuitSetup:
         detection_node="to_filters",
         designated_segments=("source_strip",),
         band_detuning_hz=APP1_BAND_HZ,
-        grid=SpectralGrid.symmetric(wc, 2.0 * pi * 6.0e12, 4096),
+        grid=SpectralGrid.symmetric(pump.omega_c, 2.0 * pi * 6.0e12, 4096),
         delay_probe_node="source_strip",
     )
 
@@ -143,7 +138,6 @@ def app2_path(all_strip: bool = False) -> CircuitSetup:
     w1 = angular_frequency_from_wavelength(APP2_PUMP_WAVELENGTHS_M[0])
     w2 = angular_frequency_from_wavelength(APP2_PUMP_WAVELENGTHS_M[1])
     pump = PumpConfig.non_degenerate(w1, w2, APP2_PUMP_POWER_W, APP2_PUMP_POWER_W)
-    wc = pump.omega_c
 
     nodes: list = [
         PortNode("pump1_in", "input"),
@@ -163,8 +157,8 @@ def app2_path(all_strip: bool = False) -> CircuitSetup:
         theta_ps = f"theta_{mzi}"
         nodes += [
             SplitterNode(split, 0.5),
-            _segment(arm1, "strip", APP2_STRIP_M, wc, all_strip),
-            _segment(arm2, "strip", APP2_STRIP_M, wc, all_strip),
+            _segment(arm1, "strip", APP2_STRIP_M, all_strip),
+            _segment(arm2, "strip", APP2_STRIP_M, all_strip),
             PhaseShifterNode(theta_ps),
             SplitterNode(merge, 0.5),
         ]
@@ -187,11 +181,11 @@ def app2_path(all_strip: bool = False) -> CircuitSetup:
         arm1, arm2 = f"analyzer_{rail + 1}_arm1", f"analyzer_{rail + 1}_arm2"
         rz = f"analyzer_{rail + 1}_rz"
         nodes += [
-            _segment(dist_a, "shallow_ridge", APP2_DISTRIBUTION_M, wc, all_strip),
-            _segment(dist_b, "shallow_ridge", APP2_DISTRIBUTION_M, wc, all_strip),
+            _segment(dist_a, "shallow_ridge", APP2_DISTRIBUTION_M, all_strip),
+            _segment(dist_b, "shallow_ridge", APP2_DISTRIBUTION_M, all_strip),
             SplitterNode(split, 0.5),
-            _segment(arm1, "shallow_ridge", APP2_ANALYZER_ARM_M, wc, all_strip),
-            _segment(arm2, "shallow_ridge", APP2_ANALYZER_ARM_M, wc, all_strip),
+            _segment(arm1, "shallow_ridge", APP2_ANALYZER_ARM_M, all_strip),
+            _segment(arm2, "shallow_ridge", APP2_ANALYZER_ARM_M, all_strip),
             PhaseShifterNode(rz),
             SplitterNode(merge, 0.5),
             PortNode(f"detect_{rail + 1}a", "output"),
@@ -220,7 +214,7 @@ def app2_path(all_strip: bool = False) -> CircuitSetup:
         detection_node=None,
         designated_segments=tuple(sources),
         band_detuning_hz=APP2_BAND_HZ,
-        grid=SpectralGrid.symmetric(wc, 2.0 * pi * 5.0e12, 4096),
+        grid=SpectralGrid.symmetric(pump.omega_c, 2.0 * pi * 5.0e12, 4096),
         delay_probe_node=None,
     )
 
@@ -234,7 +228,7 @@ def build_template(name: str, all_strip: bool = False) -> CircuitSetup:
 
 
 def evaluate_circuit(setup: CircuitSetup) -> CircuitReport:
-    """Run pump propagation, per-segment spectra and the selection ratio."""
+    """Run pump propagation, per-segment spectra, their band fluxes and the selection ratio."""
     propagation = propagate_pump(setup.graph, setup.pump, setup.input_ports)
     contributions = segment_contributions(
         setup.graph,
@@ -245,10 +239,11 @@ def evaluate_circuit(setup: CircuitSetup) -> CircuitReport:
         propagation=propagation,
     )
     band = detuning_band_to_omega(setup.pump.omega_c, setup.band_detuning_hz)
-    ratio = selection_ratio(contributions, band, setup.designated_segments)
+    fluxes = {c.segment_id: band_flux(c.spectrum, band) for c in contributions}
+    ratio = selection_ratio(fluxes, setup.designated_segments)
     delay = (
         propagation.inter_pulse_delay_s(setup.delay_probe_node)
         if setup.delay_probe_node
         else 0.0
     )
-    return CircuitReport(setup, contributions, ratio, delay)
+    return CircuitReport(setup, contributions, band, fluxes, ratio, delay)

@@ -95,8 +95,8 @@ def test_criterion_2_phase_matching_zeros_and_symmetry():
     # exact zeros with exactly representable pump frequencies
     wc, wd = 2.0**50, 2.0**44
     pump = PumpConfig.non_degenerate(wc + wd, wc - wd, 0.01, 0.01)
-    strip = preset_waveguide("strip", 5e-3, wc)
-    ridge = preset_waveguide("shallow_ridge", 15e-3, wc)
+    strip = preset_waveguide("strip", 5e-3)
+    ridge = preset_waveguide("shallow_ridge", 15e-3)
     zero_max = 0.0
     for wg in (strip, ridge):
         for omega in (wc + wd, wc - wd):
@@ -148,7 +148,7 @@ def test_criterion_4_bandwidth_contrast_of_default_waveguides():
     timings = []
 
     def width(kind: str, length_m: float) -> float:
-        spec = preset_waveguide(kind, length_m, OMEGA_P)
+        spec = preset_waveguide(kind, length_m)
         start = time.perf_counter()
         spectrum = biphoton_spectrum(spec, pump, grid)
         timings.append(time.perf_counter() - start)

@@ -15,7 +15,9 @@ from sfwm_sim import (
 )
 from sfwm_sim.coincidence import (
     CAR_PEAK_BINS,
+    MAX_EVENTS_PER_DRAW,
     MAX_HISTOGRAM_BINS,
+    draw_rates,
     histogram_bins,
     read_timestamps_csv,
     write_timestamps_csv,
@@ -245,6 +247,14 @@ class TestSynthesize:
         model = RateModel(pair_rate_hz=1.0, bin_width_s=1e-9)
         with pytest.raises(DomainError):
             synthesize_timestamps(model, 0.0, seed=0)
+
+    @pytest.mark.parametrize("duration_s", [MAX_EVENTS_PER_DRAW + 1.0, 1e300])
+    def test_draw_past_the_event_limit_rejected_before_drawing(self, monkeypatch, duration_s):
+        model = RateModel(pair_rate_hz=0.5, bin_width_s=1e-9, noise_rate_idler_hz=1.0)
+        monkeypatch.setattr(np.random, "default_rng", None)  # a draw would raise TypeError
+        with pytest.raises(DomainError, match=f"more than the {MAX_EVENTS_PER_DRAW} a draw"):
+            synthesize_timestamps(model, duration_s, seed=0)
+        assert draw_rates(model, float(MAX_EVENTS_PER_DRAW)) == (0.5, 0.0, 1.0)
 
 
 class TestTimestampCsv:

@@ -15,6 +15,7 @@ from sfwm_sim import (
     BiphotonSpectrum,
     ConfigError,
     CouplerNode,
+    DomainError,
     MaterialConstants,
     RateModel,
     SpectralGrid,
@@ -31,7 +32,7 @@ from sfwm_sim.config import (
     parse_gamma_config,
     parse_spectrum_config,
 )
-from sfwm_sim.coincidence import write_timestamps_csv
+from sfwm_sim.coincidence import MAX_EVENTS_PER_DRAW, write_timestamps_csv
 from sfwm_sim.csvio import (
     HISTOGRAM_HEADER,
     MISMATCH_HEADER,
@@ -208,6 +209,28 @@ class TestConfigParsing:
         beta_b = run.waveguides[1][0].dispersion.beta_even[0]
         assert beta_a == pytest.approx(beta_b, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "key, value, omega_c",
+        [
+            (None, None, None),
+            ("lambda_c_nm", 1552.5, angular_frequency_from_wavelength(1552.5 * 1e-9)),
+            ("frequency_c_thz", 193.1, 2.0 * math.pi * 193.1 * 1e12),
+            ("omega_c_rad_s", 1.2e15, 1.2e15),
+        ],
+    )
+    def test_dispersion_keys_convert_bit_for_bit(self, key, value, omega_c):
+        disp = {"beta2_ps2_per_km": -1.1, "beta4_s4_per_m": 2e-49, "beta6_ps6_per_km": 3.3}
+        if key is not None:
+            disp[key] = value
+        doc = {**SPECTRUM_DOC, "waveguides": [{"kind": "strip", "length_mm": 5.0, "dispersion": disp}]}
+        model = parse_spectrum_config(doc).waveguides[0][0].dispersion
+        assert model.omega_c == omega_c
+        assert model.beta_even == (-1.1 * 1e-12**2 / 1e3, 2e-49, 3.3 * 1e-12**6 / 1e3)
+
+    def test_preset_dispersion_is_taken_at_the_pump_average(self):
+        for spec, _ in parse_spectrum_config(SPECTRUM_DOC).waveguides:
+            assert spec.dispersion.omega_c is None
+
     def test_dispersion_reference_must_align_with_pump(self, tmp_path):
         doc = {
             **SPECTRUM_DOC,
@@ -242,7 +265,7 @@ class TestConfigParsing:
                 }
             ],
         }
-        with pytest.raises(ConfigError, match="at most one"):
+        with pytest.raises(ConfigError, match="exactly one of"):
             parse_spectrum_config(doc)
 
     def test_duplicate_labels_rejected(self):
@@ -327,12 +350,12 @@ class TestConfigParsing:
         assert explicit.name == "circuit"
         a, b = evaluate_circuit(template), evaluate_circuit(explicit)
         assert a.band_omega == b.band_omega
+        assert a.band_fluxes == b.band_fluxes
         assert [c.segment_id for c in a.contributions] == [c.segment_id for c in b.contributions]
         for ca, cb in zip(a.contributions, b.contributions):
             np.testing.assert_array_equal(ca.spectrum.flux_density, cb.spectrum.flux_density)
             assert ca.pump_powers_w == cb.pump_powers_w
             assert ca.transmission == cb.transmission
-            assert ca.band_flux(a.band_omega) == cb.band_flux(b.band_omega)
         assert a.ratio == b.ratio
 
     def test_unknown_template_rejected(self):
@@ -438,6 +461,21 @@ class TestCircuitCommand:
         assert "source_strip" in summary and "umzi_long" in summary
         report = (out / "app1_timebin_report.txt").read_text()
         assert "selection ratio" in report and "inter-pulse delay" in report
+
+    @pytest.mark.parametrize("template", ["app1_timebin", "app2_path"])
+    def test_each_band_flux_integrated_once(self, tmp_path, monkeypatch, template):
+        original, integrated = sfwm_sim.engine.band_flux, []
+
+        def counting(spectrum, band):
+            integrated.append(spectrum.label)
+            return original(spectrum, band)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sfwm_sim") and getattr(module, "band_flux", None) is original:
+                monkeypatch.setattr(module, "band_flux", counting)
+        assert main(["circuit", "--template", template, "--out", str(tmp_path)]) == 0
+        segments = [seg.id for seg in build_template(template).graph.segments()]
+        assert sorted(integrated) == sorted(segments)
 
     def test_all_strip_variant(self, tmp_path):
         out = tmp_path / "out"
@@ -584,6 +622,19 @@ class TestCarCommand:
         err = capsys.readouterr().err
         assert f"config.synthesize: missing required key {key!r}" in err
 
+    def test_draw_past_the_event_limit_rejected_while_parsing(self):
+        doc = self._synth_doc()
+        doc["synthesize"] = {"duration_s": float(MAX_EVENTS_PER_DRAW + 1), "pair_rate_hz": 1.0}
+        message = f"config.synthesize.duration_s: .* more than the {MAX_EVENTS_PER_DRAW} a draw"
+        with pytest.raises(DomainError, match=message):
+            parse_car_config(doc)
+        doc["synthesize"]["duration_s"] = float(MAX_EVENTS_PER_DRAW)
+        assert parse_car_config(doc).duration_s == MAX_EVENTS_PER_DRAW
+
+    def test_shipped_600_s_config_is_under_the_event_limit(self):
+        run = parse_car_config(load_config(REPO_CONFIGS / "car_plausibility.yaml"), REPO_CONFIGS)
+        assert run.duration_s == 600.0
+
     def test_bad_window_exits_4(self, tmp_path):
         doc = self._synth_doc()
         doc["window_ns"] = 41.5
@@ -678,11 +729,26 @@ def test_value_error_names_config_path(tmp_path, capsys, command, path, value, c
         ("car", {"window_ns": 1.0e300, "bin_width_ps": 1.0}, 4,
          "config.bin_width_ps, config.window_ns: window 1.0000000000000001e+291 s over bin "
          "width 1e-12 s needs 1e+303 bins, more than the 4194304 a histogram may have"),
+        ("car", {"bin_width_ps": 50.0, "window_ns": 5.8,
+                 "synthesize": {"duration_s": 1.0e300, "pair_rate_hz": 1000.0}}, 4,
+         "config.synthesize.duration_s: 1e+300 s at up to 1000.0 Hz expects 1e+303 events in "
+         "one draw, more than the 16777216 a draw may have"),
+        ("gamma", {"wavelength_nm": 1.0e-300}, 2, "config.wavelength_nm: 1e-300 is out of range"),
+        ("gamma", {"wavelength_thz": 1.0e300}, 2, "config.wavelength_thz: 1e+300 is out of range"),
+        ("gamma", {"wavelength_nm": 0.0}, 4,
+         "config.wavelength_nm: wavelength must be > 0 m, got 0.0"),
+        ("gamma", {"wavelength_nm": 1552.5, "n0": 1.0e300}, 4,
+         "gamma overflows float64 at n0 = 1e+300, n2_m2_per_w = 4.5e-18"),
+        ("gamma", {"wavelength_nm": 1552.5, "n2_m2_per_w": 1.0e300}, 4,
+         "gamma overflows float64 at n0 = 3.48, n2_m2_per_w = 1e+300"),
     ],
-    ids=["power-dbm-overflow", "401-digit-integer", "histogram-too-large"],
+    ids=["power-dbm-overflow", "401-digit-integer", "histogram-too-large", "events-too-many",
+         "wavelength-nm-overflow", "wavelength-thz-overflow", "wavelength-nm-zero",
+         "gamma-n0-overflow", "gamma-n2-overflow"],
 )
 def test_number_out_of_range_exits_naming_it(tmp_path, capsys, command, edit, code, where):
-    doc = {**{"spectrum": SPECTRUM_DOC, "car": CAR_SYNTH_DOC}[command], **edit}
+    gamma_doc = {"mode_field_csv": str(REPO_CONFIGS / "modefields" / "gaussian_21x21.csv")}
+    doc = {**{"spectrum": SPECTRUM_DOC, "car": CAR_SYNTH_DOC, "gamma": gamma_doc}[command], **edit}
     cfg = write_yaml(tmp_path / "run.yaml", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
     assert where in capsys.readouterr().err
@@ -698,6 +764,40 @@ def test_integer_past_the_digit_limit_exits_2_naming_the_file(tmp_path, capsys):
     cfg.write_text(text)
     assert main(["car", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {cfg}: cannot load config (" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["pump: &p {power_w: *p}\n", "1: one\npump: two\n"],
+    ids=["alias-inside-its-anchor", "mixed-key-types"],
+)
+def test_config_that_cannot_be_hashed_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text)
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: config cannot be hashed (" in capsys.readouterr().err
+
+
+def test_data_file_name_too_long_to_look_up_exits_2(tmp_path, capsys):
+    cfg = write_yaml(tmp_path / "gamma.yaml", {"mode_field_csv": "9" * 400, "wavelength_nm": 1552.5})
+    assert main(["gamma", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config error: config.mode_field_csv: file " in capsys.readouterr().err
+
+
+def test_output_name_too_long_to_write_exits_2(tmp_path, capsys):
+    doc = copy.deepcopy(SPECTRUM_DOC)
+    doc["waveguides"][0]["label"] = "x" * 400
+    cfg = write_yaml(tmp_path / "run.yaml", doc)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and f"{'x' * 400}_spectrum.csv" in err
+
+
+def test_pump_power_past_float64_gain_exits_4(tmp_path, capsys):
+    doc = {**SPECTRUM_DOC, "pump": {"mode": "degenerate", "wavelength_nm": 1552.5, "power_w": 1e297}}
+    cfg = write_yaml(tmp_path / "run.yaml", doc)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    assert "the phase mismatch or gain overflows float64" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("node_id", ["src,strip", "src/strip"])

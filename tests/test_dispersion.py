@@ -130,6 +130,17 @@ class TestLinearMismatch:
         with pytest.raises(ConfigError):
             linear_mismatch(model, pump.omega_c, pump)
 
+    def test_model_without_reference_is_taken_at_any_pump_average(self):
+        betas = (-3e-26, 1e-50)
+        for pump in (
+            PumpConfig.degenerate(OMEGA_1552_5, 1.0),
+            PumpConfig.non_degenerate(OMEGA_1552_5 * 1.2, OMEGA_1552_5 * 1.1, 0.01, 0.01),
+        ):
+            omegas = pump.omega_c + np.linspace(-2e13, 2e13, 7)
+            free = linear_mismatch(DispersionModel(None, betas), omegas, pump)
+            stated = linear_mismatch(DispersionModel(pump.omega_c, betas), omegas, pump)
+            assert free.tobytes() == stated.tobytes()
+
     def test_vectorized_matches_scalar(self):
         pump = PumpConfig.degenerate(OMEGA_1552_5, 1.0)
         model = DispersionModel(pump.omega_c, (-3e-26, 1e-50))

@@ -434,3 +434,25 @@ def test_largest_finite_gain_still_evaluates():
     spec = WaveguideSpec("strip", 0.079, 223.3, DispersionModel(OMEGA_P, (-3e-26,)))
     grid = SpectralGrid.symmetric(OMEGA_P, 2 * math.pi * 100e12, 4096)
     assert np.isfinite(biphoton_spectrum(spec, pump, grid).flux_density.max())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "pump, betas, length_m",
+    [
+        # gamma*P = 2.2e299 /m: (gamma*P)**2 and (dk/2)**2 each raise OverflowError.
+        (PumpConfig.degenerate(OMEGA_P, 1e297), (-3e-26,), 5e-3),
+        (PumpConfig.non_degenerate(OMEGA_P * 1.01, OMEGA_P * 0.99, 1e297, 1e-2), (-3e-26,), 5e-3),
+        # Normal dispersion keeps q^2 < 0 on an even grid, where dk/2 * L overflows
+        # the sin argument: numpy warns and returns NaN.
+        (PumpConfig.degenerate(OMEGA_P, 1.0), (1e-24,), 1.7976931348623157e305),
+        # beta4 dw^4 overflows in the dispersion series itself: numpy warns.
+        (PumpConfig.degenerate(OMEGA_P, 1.0), (1e-24, 1e300), 5e-3),
+    ],
+    ids=["degenerate-power", "non-degenerate-power", "length", "beta4"],
+)
+def test_mismatch_past_float64_named(pump, betas, length_m):
+    spec = WaveguideSpec("strip", length_m, 223.3, DispersionModel(None, betas))
+    grid = SpectralGrid.symmetric(pump.omega_c, 2 * math.pi * 40e12, 64)
+    with pytest.raises(DomainError, match="the phase mismatch or gain overflows float64"):
+        biphoton_spectrum(spec, pump, grid)

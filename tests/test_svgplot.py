@@ -1,7 +1,11 @@
 """SVG line plots: the array-wise writer against the per-point reference."""
 
+import math
+import re
+
 import numpy as np
-from hypothesis import assume, example, given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -26,6 +30,8 @@ def reference_line_plot(x, series, x_label, y_label, title=""):
     y_lo, y_hi = float(y_all.min()), float(y_all.max())
     if y_lo == y_hi:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+        if y_lo == y_hi:
+            y_lo, y_hi = math.nextafter(y_lo, -math.inf), math.nextafter(y_hi, math.inf)
 
     inner_w = WIDTH - MARGIN_L - MARGIN_R
     inner_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -104,9 +110,6 @@ def plots(draw):
             series.append(np.full(n, draw(VALUES)))
         else:
             series.append(draw(arrays(np.float64, n, elements=VALUES)))
-    y_all = np.concatenate(series)
-    # A constant plot is widened to y +- 1, which is no range at all from 2**53 up.
-    assume(y_all.min() < y_all.max() or abs(y_all[0]) < 2.0**52)
     return x, {f"s{i}": y for i, y in enumerate(series)}
 
 
@@ -127,6 +130,7 @@ EDGE_Y = np.concatenate([[0.0, 1.0], 1.0 - (TIES - MARGIN_T) / (HEIGHT - MARGIN_
 @example(plot=(SPECTRUM_X, {f"s{i}": SPECTRUM_Y * (i % 3 - 1) for i in range(8)}))
 @example(plot=(SPECTRUM_X, {"zero": np.zeros(9), "negative zero": np.full(9, -0.0)}))
 @example(plot=(EDGE_X, {"edges": EDGE_Y}))
+@example(plot=(SPECTRUM_X, {"huge": np.full(9, 9.007199254740996e15)}))  # y +- 1 == y
 def test_plot_is_the_per_point_bytes(tmp_path_factory, plot):
     x, series = plot
     path = tmp_path_factory.mktemp("svg") / "plot.svg"
@@ -139,3 +143,12 @@ def test_series_may_be_lists_and_integer_arrays(tmp_path):
     series = {"list": [3, 1, 4, 1], "ints": np.array([5, 9, 2, 6]), "again": [3.0, 1.0, 4.0, 1.0]}
     write_line_plot(tmp_path / "plot.svg", x, series, "x", "y")
     assert (tmp_path / "plot.svg").read_text() == reference_line_plot(x, series, "x", "y")
+
+
+# Each value absorbs y +- 1 in rounding, so the plot needs a wider y range.
+@pytest.mark.parametrize("value", [9.007199254740996e15, 1e300, -1e300])
+def test_huge_constant_plot_draws_its_line_at_mid_height(tmp_path, value):
+    write_line_plot(tmp_path / "plot.svg", SPECTRUM_X, {"flat": np.full(9, value)}, "x", "y")
+    (points,) = re.findall(r'<polyline points="([^"]*)"', (tmp_path / "plot.svg").read_text())
+    mid = MARGIN_T + (HEIGHT - MARGIN_T - MARGIN_B) / 2
+    assert {point.split(",")[1] for point in points.split()} == {f"{mid:.2f}"}
