@@ -39,7 +39,7 @@ from .engine import (
     WaveguideSpec,
     biphoton_spectrum,
 )
-from .errors import ConfigError, TopologyError, UsageError
+from .errors import ConfigError, DomainError, TopologyError, UsageError
 
 # Pulses closer in time than this are treated as overlapping and their powers
 # add; CW light always merges, interferometer time bins never do.
@@ -195,6 +195,18 @@ class CircuitGraph:
         except KeyError:
             raise ConfigError(f"unknown node {node_id!r}") from None
 
+    def input_port(self, node_id: str) -> PortNode:
+        node = self.node(node_id)
+        if not (isinstance(node, PortNode) and node.direction == "input"):
+            raise ConfigError(f"{node_id!r} is not an input port")
+        return node
+
+    def segment(self, node_id: str) -> SegmentNode:
+        node = self.node(node_id)
+        if not isinstance(node, SegmentNode):
+            raise UsageError(f"{node_id!r} is not a segment")
+        return node
+
     def segments(self) -> tuple[SegmentNode, ...]:
         return tuple(n for n in self.nodes if isinstance(n, SegmentNode))
 
@@ -299,9 +311,7 @@ def propagate_pump(
     # where the pump enters from outside.
     pending: dict[str, dict[int, list[Pulse]]] = {}
     for line, port_id in enumerate(ports):
-        node = circuit.node(port_id)
-        if not (isinstance(node, PortNode) and node.direction == "input"):
-            raise ConfigError(f"{port_id!r} is not an input port")
+        circuit.input_port(port_id)
         powers = tuple(line_powers[i] if i == line else 0.0 for i in range(len(line_omegas)))
         pending.setdefault(port_id, {}).setdefault(0, []).append(Pulse(powers))
 
@@ -343,8 +353,7 @@ def photon_transmission(
     (splitter ratios, coupler transmission, transit attenuation of
     intermediate segments).  0 when unreachable.
     """
-    if not isinstance(circuit.node(from_segment), SegmentNode):
-        raise UsageError(f"{from_segment!r} is not a segment")
+    circuit.segment(from_segment)
     circuit.node(detection_node)
     cache: dict[tuple[str, int], float] = {}
 
@@ -401,7 +410,7 @@ def segment_contributions(
     for segment in circuit.segments():
         powers = propagation.peak_powers_w(segment.id)
         local_pump = pump.with_powers(*powers)
-        spectrum = biphoton_spectrum(segment.waveguide, local_pump, grid, label=segment.id)
+        spectrum = biphoton_spectrum(segment.waveguide, local_pump, grid)
         if detection_node is None:
             transmission = 1.0
         else:
@@ -416,7 +425,7 @@ def segment_contributions(
 
 
 def selection_ratio(band_fluxes: dict[str, float], designated_segments) -> float:
-    """Designated-to-rest ratio of the band fluxes per segment id; +inf when the rest is 0."""
+    """Designated-to-rest ratio of the band fluxes per segment id; +inf when only the rest is 0."""
     if not band_fluxes:
         raise UsageError("selection_ratio needs at least one band flux")
     designated = set(designated_segments)
@@ -428,5 +437,7 @@ def selection_ratio(band_fluxes: dict[str, float], designated_segments) -> float
     num = sum(flux for seg, flux in band_fluxes.items() if seg in designated)
     den = sum(flux for seg, flux in band_fluxes.items() if seg not in designated)
     if den == 0.0:
+        if num == 0.0:
+            raise DomainError("no segment delivers flux in the selection band")
         return inf
     return num / den

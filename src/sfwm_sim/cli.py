@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    sfwm-sim spectrum --config FILE [--out DIR] [--svg] [--grid-points N]
+    sfwm-sim spectrum --config FILE [--out DIR] [--svg]
     sfwm-sim circuit  (--config FILE | --template NAME) [--all-strip] [--out DIR] [--svg]
     sfwm-sim gamma    --config FILE [--out DIR] [--verify-scale]
     sfwm-sim car      --config FILE [--out DIR] [--seed N]
@@ -31,7 +31,6 @@ from .coincidence import (
 )
 from .config import (
     config_hash,
-    grid_points,
     load_config,
     locate_config,
     parse_car_config,
@@ -42,10 +41,10 @@ from .config import (
 from .csvio import write_histogram_csv, write_mismatch_csv, write_spectrum_csv, write_table
 from .dispersion import wavelength_from_angular_frequency
 from .engine import bandwidth_3db_hz, biphoton_spectrum, total_mismatch
-from .errors import ConfigError, DataError, DomainError, SfwmError
+from .errors import ConfigError, DataError, DomainError
 from .modefield import gamma_report, read_mode_field_csv
 from .svgplot import write_line_plot
-from .templates import TEMPLATE_NAMES, evaluate_circuit
+from .templates import TEMPLATE_NAMES, build_template, evaluate_circuit
 
 
 def _out_dir(out: str) -> Path:
@@ -65,12 +64,10 @@ def _out_dir(out: str) -> Path:
 def cmd_spectrum(args, doc: dict, doc_hash: str, out: Path):
     run = parse_spectrum_config(doc)
     grid = run.grid
-    if args.grid_points is not None:
-        grid = replace(grid, n_points=grid_points(args.grid_points, "--grid-points"))
     lines, notes = [], []
     svg_series: dict[str, np.ndarray] = {}
     for spec, label in run.waveguides:
-        spectrum = biphoton_spectrum(spec, run.pump, grid, label=label)
+        spectrum = biphoton_spectrum(spec, run.pump, grid)
         delta_k = np.asarray(total_mismatch(spec, run.pump, grid.omegas))
         write_spectrum_csv(out / f"{label}_spectrum.csv", spectrum, doc_hash)
         write_mismatch_csv(out / f"{label}_mismatch.csv", grid, delta_k, doc_hash)
@@ -115,7 +112,10 @@ def _circuit_report_lines(report) -> list[str]:
 
 
 def cmd_circuit(args, doc: dict, doc_hash: str, out: Path):
-    setup = parse_circuit_config({**doc, "all_strip": True} if args.all_strip else doc)
+    if args.template is not None:
+        setup = build_template(args.template, args.all_strip)
+    else:
+        setup = parse_circuit_config(doc)
     report = evaluate_circuit(setup)
     name = setup.name
     designated = set(setup.designated_segments)
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spectrum = command("spectrum", cmd_spectrum, "phase mismatch and biphoton spectra")
     p_spectrum.add_argument("--svg", action="store_true", help="also write SVG plots")
-    p_spectrum.add_argument("--grid-points", type=int, default=None, help="override grid points")
 
     p_circuit = command(
         "circuit", cmd_circuit, "per-segment circuit contributions", config_required=False
@@ -243,9 +242,12 @@ def _config_doc(args) -> dict:
     if template is not None:
         if args.config is not None:
             raise ConfigError("circuit: give --config FILE or --template NAME, not both")
-        return {"template": template, "all_strip": bool(args.all_strip)}
+        # Not parsed, only hashed: each template run's config_sha256 comes from this dict.
+        return {"template": template, "all_strip": args.all_strip}
     if args.config is None:
         raise ConfigError("circuit: give --config FILE or --template NAME")
+    if getattr(args, "all_strip", False):
+        raise ConfigError("circuit: --all-strip applies only to --template, not to --config")
     args.config = locate_config(args.config)
     return load_config(args.config)
 
@@ -273,9 +275,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 4
-    except SfwmError as exc:  # fallback for future subclasses
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:  # a file the system refuses, e.g. an output named by a long label
         print(f"error: {exc}", file=sys.stderr)
         return 2

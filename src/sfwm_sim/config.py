@@ -36,11 +36,11 @@ from .dispersion import (
     angular_frequency_from_wavelength,
     wavelength_from_angular_frequency,
 )
-from .engine import SpectralGrid, WaveguideSpec
-from .errors import ConfigError, SfwmError
+from .engine import SpectralGrid, WaveguideSpec, detuning_band_to_omega
+from .errors import ConfigError, DomainError, SfwmError
 from .modefield import MaterialConstants
 from .presets import PRESET_KINDS, preset_n_eff, preset_waveguide
-from .templates import CircuitSetup, build_template
+from .templates import CircuitSetup
 
 CONFIG_PATH_ENV = "SFWM_SIM_CONFIG_PATH"
 
@@ -155,6 +155,14 @@ def _list(value, where: str) -> list:
     return value
 
 
+def _file_name(value, where: str) -> str:
+    """A node id or waveguide label: it names output files, so it is held to ``NODE_ID``."""
+    name = str(value)
+    if not NODE_ID.fullmatch(name):
+        raise ConfigError(f"{where}: {name!r} may use only letters, digits, '_', '.' and '-'")
+    return name
+
+
 def _given(sec: _Section, convert, *keys: str) -> dict:
     """The ``keys`` a section gives, converted; an omitted key keeps its class default."""
     return {key: convert(sec.take(key), f"{sec.where}.{key}") for key in keys if sec.has(key)}
@@ -217,7 +225,7 @@ def parse_pump(sec: _Section) -> PumpConfig:
         omega = take_quantity(sec, "wavelength", ANGULAR_FREQUENCY_UNITS)
         power = take_quantity(sec, "power", POWER_UNITS)
         pump = PumpConfig.degenerate(omega, power)
-    elif mode in ("non-degenerate", "non_degenerate"):
+    elif mode == "non-degenerate":
         omega1 = take_quantity(sec, "wavelength1", ANGULAR_FREQUENCY_UNITS)
         omega2 = take_quantity(sec, "wavelength2", ANGULAR_FREQUENCY_UNITS)
         power1 = take_quantity(sec, "power1", POWER_UNITS)
@@ -281,7 +289,7 @@ MAX_GRID_POINTS = 1 << 20
 
 
 def grid_points(value, where: str) -> int:
-    """A grid size from ``where`` (a config key or a flag): an integer in [2, MAX_GRID_POINTS]."""
+    """The grid size given at config key ``where``: an integer in [2, MAX_GRID_POINTS]."""
     n_points = _integer(value, where)
     if n_points < 2:
         raise ConfigError(f"{where}: a grid needs at least 2 points, got {n_points}")
@@ -324,7 +332,7 @@ def parse_spectrum_config(doc: dict) -> SpectrumRun:
         sec = _Section(item, f"config.waveguides[{i}]")
         label = sec.take("label", None)
         spec = parse_waveguide(sec)
-        label = spec.kind if label is None else str(label)
+        label = spec.kind if label is None else _file_name(label, f"{sec.where}.label")
         if label in labels:
             raise ConfigError(f"config.waveguides[{i}]: duplicate label {label!r}")
         labels.add(label)
@@ -339,12 +347,7 @@ CUSTOM_N_EFF = 2.5
 
 def _parse_node(sec: _Section):
     kind = sec.take("kind")
-    node_id = str(sec.take("id"))
-    if not NODE_ID.fullmatch(node_id):
-        # Ids name output files and summary cells.
-        raise ConfigError(
-            f"{sec.where}.id: {node_id!r} may use only letters, digits, '_', '.' and '-'"
-        )
+    node_id = _file_name(sec.take("id"), f"{sec.where}.id")
     if kind == "port":
         make = partial(PortNode, node_id, **_given(sec, lambda value, where: value, "direction"))
     elif kind == "splitter":
@@ -376,27 +379,26 @@ def _parse_node(sec: _Section):
 
 
 def parse_circuit_config(doc: dict) -> CircuitSetup:
-    """A built-in template (``template``, ``all_strip``) or an explicit graph.
+    """An explicit circuit graph, named ``circuit``, the prefix of its output files.
 
-    Explicit graphs are named ``circuit``, the prefix of their output files.
+    Every name the graph is run with, and the selection band, is checked
+    against the graph and the grid here, before anything is evaluated.
     """
     top = _Section(doc, "config")
-    template = top.take("template", None)
-    all_strip = top.take("all_strip", None)
-    if all_strip is not None and not isinstance(all_strip, bool):
-        raise ConfigError(f"config.all_strip: expected true or false, got {all_strip!r}")
-    if template is not None:
-        top.finish()
-        return build_template(template, all_strip=bool(all_strip))
-    if all_strip is not None:
-        raise ConfigError("config.all_strip: applies only to templates, not to explicit graphs")
-
     pump = parse_pump(top.take_section("pump", required=True))
     grid = parse_grid(top.take_section("grid"), pump.omega_c)
     band = top.take("band_thz")
     if not (isinstance(band, list) and len(band) == 2):
         raise ConfigError("config.band_thz: expected [lo_thz, hi_thz]")
-    band_hz = tuple(_number(v, f"config.band_thz[{i}]") * 1e12 for i, v in enumerate(band))
+    band_thz = [_number(v, f"config.band_thz[{i}]") for i, v in enumerate(band)]
+    band_hz = tuple(v * 1e12 for v in band_thz)
+    with _naming("config.band_thz"):
+        lo, hi = detuning_band_to_omega(pump.omega_c, band_hz)
+        if lo < grid.omega_min or hi > grid.omega_max:
+            half_thz = grid.half_span / (2.0 * pi) / 1e12
+            raise DomainError(
+                f"{band_thz} THz reaches past the grid's detuning span of +-{half_thz:g} THz"
+            )
 
     nodes = []
     for i, item in enumerate(_list(top.take("nodes"), "config.nodes")):
@@ -426,19 +428,29 @@ def parse_circuit_config(doc: dict) -> CircuitSetup:
         raise ConfigError(
             f"config.input_ports: expected a port id or a list of 1-2 ids, got {inputs!r}"
         )
-    input_ports = inputs[0] if len(inputs) == 1 else tuple(inputs)
+    with _naming("config.input_ports"):
+        for port in inputs:
+            graph.input_port(port)
     detection = top.take("detection_node", None)
+    if detection is not None:
+        detection = str(detection)
+        with _naming("config.detection_node"):
+            graph.node(detection)
     designated = top.take("designated_segments")
     if not isinstance(designated, list) or not designated:
         raise ConfigError("config.designated_segments: expected a non-empty list")
+    designated = tuple(str(s) for s in designated)
+    for i, segment_id in enumerate(designated):
+        with _naming(f"config.designated_segments[{i}]"):
+            graph.segment(segment_id)
     top.finish()
     return CircuitSetup(
         name="circuit",
         graph=graph,
         pump=pump,
-        input_ports=input_ports,
-        detection_node=None if detection is None else str(detection),
-        designated_segments=tuple(str(s) for s in designated),
+        input_ports=inputs[0] if len(inputs) == 1 else tuple(inputs),
+        detection_node=detection,
+        designated_segments=designated,
         band_detuning_hz=band_hz,
         grid=grid,
     )

@@ -142,7 +142,6 @@ class BiphotonSpectrum:
 
     grid: SpectralGrid
     flux_density: np.ndarray = field(repr=False)
-    label: str = ""
 
     def __post_init__(self) -> None:
         flux = np.asarray(self.flux_density, dtype=float)
@@ -158,7 +157,7 @@ class BiphotonSpectrum:
         """Spectrum multiplied by a non-negative transmission factor."""
         if not factor >= 0.0:
             raise DomainError(f"scale factor must be >= 0, got {factor!r}")
-        return BiphotonSpectrum(self.grid, self.flux_density * factor, self.label)
+        return BiphotonSpectrum(self.grid, self.flux_density * factor)
 
 
 def nonlinear_mismatch(gamma_per_w_m: float, pump: PumpConfig) -> float:
@@ -287,7 +286,7 @@ def _attenuated_pump(spec: WaveguideSpec, pump: PumpConfig) -> PumpConfig:
 
 
 def biphoton_spectrum(
-    spec: WaveguideSpec, pump: PumpConfig, grid: SpectralGrid, label: str | None = None
+    spec: WaveguideSpec, pump: PumpConfig, grid: SpectralGrid
 ) -> BiphotonSpectrum:
     """Biphoton flux spectrum: flux density per Hz equals G on the grid.
 
@@ -309,7 +308,7 @@ def biphoton_spectrum(
     if spec.attenuation_db_per_cm > 0.0:
         total_db = spec.attenuation_db_per_cm * spec.length_m * 100.0
         gain *= 10.0 ** (-total_db / 20.0)
-    return BiphotonSpectrum(grid, gain, spec.kind if label is None else label)
+    return BiphotonSpectrum(grid, gain)
 
 
 def band_flux(spectrum: BiphotonSpectrum, passband: tuple[float, float]) -> float:
@@ -363,6 +362,6 @@ def detuning_band_to_omega(
     """Map an ordinary-frequency detuning band (Hz) to (omega_lo, omega_hi)."""
     lo_hz, hi_hz = band_hz
     if not lo_hz < hi_hz:
-        raise DomainError(f"empty detuning band ({lo_hz!r}, {hi_hz!r})")
+        raise DomainError(f"empty detuning band ({lo_hz!r}, {hi_hz!r}) Hz")
     two_pi = 2.0 * np.pi
     return omega_c + two_pi * lo_hz, omega_c + two_pi * hi_hz

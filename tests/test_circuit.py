@@ -10,6 +10,7 @@ from sfwm_sim import (
     ConfigError,
     CouplerNode,
     DispersionModel,
+    DomainError,
     Edge,
     PhaseShifterNode,
     PortNode,
@@ -383,6 +384,10 @@ class TestContributions:
         (wg,) = segment_contributions(graph, pump, grid, "in", "out")
         band = (OMEGA_P + 2 * math.pi * 2.5e12, OMEGA_P + 2 * math.pi * 5e12)
         assert selection_ratio({"wg": band_flux(wg.spectrum, band)}, ["wg"]) == math.inf
+
+    def test_selection_ratio_without_any_band_flux_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="no segment delivers flux in the selection band"):
+            selection_ratio({"source": 0.0, "noise": 0.0}, ["source"])
 
     def test_selection_ratio_input_validation(self):
         with pytest.raises(UsageError):

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import math
 import os
@@ -21,7 +22,7 @@ from sfwm_sim import (
     SpectralGrid,
     angular_frequency_from_wavelength,
 )
-from sfwm_sim.cli import main
+from sfwm_sim.cli import build_parser, main
 from sfwm_sim.config import (
     CUSTOM_N_EFF,
     MAX_GRID_POINTS,
@@ -45,7 +46,6 @@ from sfwm_sim.templates import (
     APP1_PUMP_PEAK_W,
     APP1_SHORT_ARM_M,
     APP1_STRIP_M,
-    CircuitSetup,
     build_template,
     evaluate_circuit,
 )
@@ -298,15 +298,6 @@ class TestConfigParsing:
         doc = load_config("run.yaml")
         assert doc["pump"]["wavelength_nm"] == 1552.5
 
-    def test_template_circuit_config(self):
-        setup = parse_circuit_config({"template": "app1_timebin", "all_strip": True})
-        assert isinstance(setup, CircuitSetup)
-        assert setup.name == "app1_timebin_all_strip"
-
-    def test_all_strip_must_be_a_bool(self):
-        with pytest.raises(ConfigError, match="all_strip"):
-            parse_circuit_config({"template": "app1_timebin", "all_strip": "no"})
-
     def test_explicit_graph_matches_template(self):
         template = build_template("app1_timebin")
 
@@ -359,8 +350,8 @@ class TestConfigParsing:
         assert a.ratio == b.ratio
 
     def test_unknown_template_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_circuit_config({"template": "app3"})
+        with pytest.raises(ConfigError, match="unknown template 'app3'"):
+            build_template("app3")
 
     def test_car_config_requires_one_source(self, tmp_path):
         with pytest.raises(ConfigError, match="exactly one"):
@@ -402,25 +393,16 @@ class TestSpectrumCommand:
         for name in ("strip_5mm_spectrum.csv", "ridge_15mm_mismatch.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_grid_points_override_two_rows(self, tmp_path):
-        cfg = write_yaml(tmp_path / "run.yaml", SPECTRUM_DOC)
-        out = tmp_path / "out"
-        assert main(["spectrum", "--config", cfg, "--out", str(out), "--grid-points", "2"]) == 0
-        lines = (out / "strip_5mm_spectrum.csv").read_text().splitlines()
-        assert len(lines) == 4  # hash comment + header + 2 samples
-
-    @pytest.mark.parametrize("source", ["--grid-points", "config.grid.points"])
+    @pytest.mark.parametrize("source", ["config.grid.points"])
     def test_too_few_grid_points_exit_2_naming_source(self, tmp_path, capsys, source):
         doc = copy.deepcopy(SPECTRUM_DOC)
-        flag = ["--grid-points", "1"] if source == "--grid-points" else []
-        if not flag:
-            doc["grid"]["points"] = 1
+        doc["grid"]["points"] = 1
         cfg = write_yaml(tmp_path / "run.yaml", doc)
-        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out"), *flag]) == 2
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {source}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("points", [MAX_GRID_POINTS + 1, 10**30], ids=["limit+1", "31-digit"])
-    @pytest.mark.parametrize("source", ["--grid-points", "config.grid.points"])
+    @pytest.mark.parametrize("source", ["config.grid.points"])
     def test_too_many_grid_points_exit_2_before_any_sample(
         self, tmp_path, capsys, monkeypatch, source, points
     ):
@@ -429,11 +411,9 @@ class TestSpectrumCommand:
 
         monkeypatch.setattr(SpectralGrid, "omegas", property(no_samples))
         doc = copy.deepcopy(SPECTRUM_DOC)
-        flag = ["--grid-points", str(points)] if source == "--grid-points" else []
-        if not flag:
-            doc["grid"]["points"] = points
+        doc["grid"]["points"] = points
         cfg = write_yaml(tmp_path / "run.yaml", doc)
-        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out"), *flag]) == 2
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         message = f"{source}: a grid may have at most {MAX_GRID_POINTS} points, got {points}"
         assert f"config error: {message}" in capsys.readouterr().err
 
@@ -467,15 +447,16 @@ class TestCircuitCommand:
         original, integrated = sfwm_sim.engine.band_flux, []
 
         def counting(spectrum, band):
-            integrated.append(spectrum.label)
+            integrated.append(spectrum)
             return original(spectrum, band)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("sfwm_sim") and getattr(module, "band_flux", None) is original:
                 monkeypatch.setattr(module, "band_flux", counting)
         assert main(["circuit", "--template", template, "--out", str(tmp_path)]) == 0
-        segments = [seg.id for seg in build_template(template).graph.segments()]
-        assert sorted(integrated) == sorted(segments)
+        # One call per segment, each on a spectrum of its own.
+        assert len(integrated) == len(build_template(template).graph.segments())
+        assert len({id(spectrum) for spectrum in integrated}) == len(integrated)
 
     def test_all_strip_variant(self, tmp_path):
         out = tmp_path / "out"
@@ -504,7 +485,7 @@ class TestCircuitCommand:
     def test_all_strip_on_explicit_graph_exits_2(self, tmp_path, capsys, extra_key, argv):
         cfg = write_yaml(tmp_path / "circ.yaml", {**CIRCUIT_DOC, **extra_key})
         assert main(["circuit", "--config", cfg, "--out", str(tmp_path), *argv]) == 2
-        assert "all_strip" in capsys.readouterr().err
+        assert ("--all-strip" if argv else "all_strip") in capsys.readouterr().err
 
     def test_requires_some_input(self):
         assert main(["circuit"]) == 2
@@ -694,12 +675,37 @@ def test_bad_config_value_exits_2_naming_field(tmp_path, capsys, command, path, 
         ("car", ("window_ns",), math.inf, 2, "config.window_ns: expected a finite number, got inf"),
         ("spectrum", ("pump", "power_w"), math.inf, 2,
          "config.pump.power_w: expected a finite number, got inf"),
+        ("spectrum", ("pump", "mode"), "non_degenerate", 2,
+         "config.pump.mode: unknown pump mode 'non_degenerate'"),
+        ("spectrum", ("waveguides", 1, "label"), "../escaped", 2,
+         "config.waveguides[1].label: '../escaped' may use only"),
+        ("spectrum", ("waveguides", 1, "label"), "", 2, "config.waveguides[1].label: '' may"),
+        ("spectrum", ("waveguides", 0, "label"), "a b", 2, "config.waveguides[0].label: 'a b'"),
+        ("circuit", ("band_thz",), [5.0, 2.5], 4, "config.band_thz: empty detuning band"),
+        ("circuit", ("band_thz",), [2.5, 50.0], 4,
+         "config.band_thz: [2.5, 50.0] THz reaches past the grid's detuning span of +-6 THz"),
+        ("circuit", ("detection_node",), "nope", 2, "config.detection_node: unknown node 'nope'"),
+        ("circuit", ("designated_segments",), ["wg", "nope"], 2,
+         "config.designated_segments[1]: unknown node 'nope'"),
+        ("circuit", ("designated_segments",), ["gc"], 2,
+         "config.designated_segments[0]: 'gc' is not a segment"),
+        ("circuit", ("input_ports",), "gc", 2, "config.input_ports: 'gc' is not an input port"),
     ],
     ids=["direction", "ratio", "segment-length", "waveguide-length", "efficiency", "n0",
          "grid-span", "grid-span-below-resolution", "guard-bins", "inf-pair-rate", "inf-window",
-         "inf-power"],
+         "inf-power", "pump-mode-spelling", "label-escapes", "label-empty", "label-space",
+         "empty-band", "band-past-grid", "detection-node", "designated-missing",
+         "designated-not-segment", "input-port"],
 )
-def test_value_error_names_config_path(tmp_path, capsys, command, path, value, code, where):
+def test_value_error_names_config_path(
+    tmp_path, capsys, monkeypatch, command, path, value, code, where
+):
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("computed a spectrum before the config was checked")
+
+    # Every case is caught while parsing, so nothing is computed or written.
+    for module in (sfwm_sim.cli, sfwm_sim.circuit):
+        monkeypatch.setattr(module, "biphoton_spectrum", no_spectrum)
     field_csv = tmp_path / "mode.csv"
     write_mode_field_csv(field_csv, gaussian_mode(5))
     doc = copy.deepcopy(
@@ -967,25 +973,13 @@ class TestOneCommandShape:
             ["gamma", "--config", "gamma.yaml", "--svg"],
             ["car", "--config", "car.yaml", "--svg"],
             ["spectrum", "--config", "run.yaml", "--seed", "1"],
+            ["spectrum", "--config", "run.yaml", "--grid-points", "513"],
         ],
     )
     def test_flag_only_on_the_command_that_reads_it(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-
-    def test_grid_points_gives_the_config_grid(self, tmp_path):
-        cfg = write_yaml(tmp_path / "run.yaml", SPECTRUM_DOC)
-        cfg_513 = write_yaml(
-            tmp_path / "run_513.yaml", {**SPECTRUM_DOC, "grid": {"span_thz": 20.0, "points": 513}}
-        )
-        flag, points = tmp_path / "flag", tmp_path / "points"
-        assert main(["spectrum", "--config", cfg, "--out", str(flag), "--grid-points", "513"]) == 0
-        assert main(["spectrum", "--config", cfg_513, "--out", str(points)]) == 0
-        for name in ("strip_5mm_spectrum.csv", "ridge_15mm_mismatch.csv"):
-            rows = (flag / name).read_text().splitlines()
-            assert len(rows) == 2 + 513  # hash comment + header + samples
-            assert rows[1:] == (points / name).read_text().splitlines()[1:]
 
 
 @pytest.mark.parametrize(
@@ -1054,3 +1048,58 @@ def test_config_and_template_together_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--config" in err and "--template" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [{"template": "app1_timebin"}, {"template": "app2_path", "all_strip": True}],
+    ids=["template", "template+all_strip"],
+)
+def test_template_config_keys_exit_2(tmp_path, capsys, keys):
+    # A template runs from --template/--all-strip only; a config is an explicit graph.
+    alone = write_yaml(tmp_path / "alone.yaml", keys)
+    assert main(["circuit", "--config", alone, "--out", str(tmp_path / "a")]) == 2
+    assert capsys.readouterr().err.startswith("config error: config: ")
+    beside = write_yaml(tmp_path / "beside.yaml", {**CIRCUIT_DOC, **keys})
+    assert main(["circuit", "--config", beside, "--out", str(tmp_path / "b")]) == 2
+    assert f"config error: config: unknown key(s) {sorted(keys)}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("key, value", [("pump.power_w", 0.0), ("detection_node", "pump_in")])
+def test_circuit_without_any_band_flux_exits_4(tmp_path, capsys, key, value):
+    doc = load_config(REPO_CONFIGS / "custom_circuit.yaml")
+    section, _, name = key.rpartition(".")
+    (doc[section] if section else doc)[name] = value
+    cfg = write_yaml(tmp_path / "circ.yaml", doc)
+    assert main(["circuit", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    captured = capsys.readouterr()
+    assert "domain error: no segment delivers flux in the selection band" in captured.err
+    assert "selection threshold" not in captured.out
+
+
+FLAG = re.compile(r"--[a-z][a-z-]*")
+
+
+def _synopsis_flags(synopsis: str) -> dict[str, set[str]]:
+    """The flags of each ``sfwm-sim <command> ...`` line of a synopsis."""
+    flags = {}
+    for line in synopsis.splitlines():
+        words = line.split(maxsplit=2)
+        if len(words) == 3 and words[0] == "sfwm-sim":
+            flags[words[1]] = set(FLAG.findall(words[2]))
+    return flags
+
+
+def test_each_flag_is_documented_where_it_is_parsed():
+    actions = build_parser()._actions
+    (subparsers,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {flag for action in sub._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    readme = (REPO_CONFIGS.parent / "README.md").read_text()
+    readme_synopsis = readme.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    assert _synopsis_flags(sfwm_sim.cli.__doc__) == parsed
+    assert _synopsis_flags(readme_synopsis) == parsed

@@ -167,11 +167,6 @@ class TestSpectrum:
         flux = biphoton_spectrum(spec, pump, grid).flux_density
         np.testing.assert_allclose(flux, flux[::-1], rtol=1e-12)
 
-    def test_label_defaults_to_kind(self):
-        pump = PumpConfig.degenerate(OMEGA_P, 1.0)
-        grid = SpectralGrid.symmetric(OMEGA_P, 1e13, 16)
-        assert biphoton_spectrum(make_spec(1e-24), pump, grid).label == "custom"
-
     def test_attenuation_reduces_flux_and_preserves_shape(self):
         pump = PumpConfig.degenerate(OMEGA_P, 1.0)
         lossless = make_spec(-3e-26)
