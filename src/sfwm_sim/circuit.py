@@ -125,22 +125,18 @@ class SegmentNode(_Lossless):
 
     id: str
     waveguide: WaveguideSpec
-    n_eff: float
     pair_loss_exponent: int = 1
 
     def __post_init__(self) -> None:
-        if not self.n_eff > 0.0:
-            raise ConfigError(f"segment {self.id!r}: n_eff must be > 0")
         if self.pair_loss_exponent not in (1, 2):
             raise ConfigError(f"segment {self.id!r}: pair_loss_exponent must be 1 or 2")
 
     @property
     def delay_s(self) -> float:
-        return self.n_eff * self.waveguide.length_m / C_VACUUM
+        return self.waveguide.n_eff * self.waveguide.length_m / C_VACUUM
 
     def transfer(self, in_slot: int, out_slot: int, omega: float) -> float:
-        db = self.waveguide.attenuation_db_per_cm * self.waveguide.length_m * 100.0
-        return 10.0 ** (-db / 10.0)
+        return 10.0 ** (-self.waveguide.loss_db / 10.0)
 
 
 Node = PortNode | SplitterNode | PhaseShifterNode | CouplerNode | SegmentNode

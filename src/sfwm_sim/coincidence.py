@@ -77,7 +77,7 @@ def _check_sorted(name: str, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
         raise DataError(f"{name} timestamps must be 1-D")
-    if ts.size > 1 and np.any(np.diff(ts) < 0.0):
+    if np.any(ts[1:] < ts[:-1]):  # compared, not subtracted: np.diff may overflow
         raise DataError(f"{name} timestamps are not sorted ascending")
     return ts
 
@@ -306,11 +306,12 @@ def read_timestamps_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         raise row_error(path, row, f"unknown channel {channel[row]!r} (signal|idler)")
     is_signal = np.fromiter(map("signal".__eq__, channel), bool, len(channel))
     signal, idler = stamps[is_signal], stamps[~is_signal]
-    # Per channel, the row of the first timestamp below the one before it.
+    # Per channel, the row of the first timestamp below the one before it
+    # (compared, not subtracted: a difference of two finite stamps may overflow).
     late = [
-        int(np.flatnonzero(mask)[np.argmax(np.diff(ts) < 0.0) + 1])
+        int(np.flatnonzero(mask)[np.argmax(ts[1:] < ts[:-1]) + 1])
         for mask, ts in ((is_signal, signal), (~is_signal, idler))
-        if np.any(np.diff(ts) < 0.0)
+        if np.any(ts[1:] < ts[:-1])
     ]
     if late:
         row = min(late)

@@ -39,7 +39,7 @@ from .dispersion import (
 from .engine import SpectralGrid, WaveguideSpec, detuning_band_to_omega
 from .errors import ConfigError, DomainError, SfwmError
 from .modefield import MaterialConstants
-from .presets import PRESET_KINDS, preset_n_eff, preset_waveguide
+from .presets import preset_waveguide
 from .templates import CircuitSetup
 
 CONFIG_PATH_ENV = "SFWM_SIM_CONFIG_PATH"
@@ -169,11 +169,11 @@ def _given(sec: _Section, convert, *keys: str) -> dict:
 
 
 @contextmanager
-def _naming(where: str):
-    """Re-raise an error from building a value, same class, with ``where`` in front."""
+def _naming(where: str, errors: type[SfwmError] = SfwmError):
+    """Re-raise an ``errors`` from building a value, same class, with ``where`` in front."""
     try:
         yield
-    except SfwmError as exc:
+    except errors as exc:
         raise type(exc)(f"{where}: {exc}") from exc
 
 
@@ -264,22 +264,22 @@ def parse_waveguide(sec: _Section) -> WaveguideSpec:
     """A preset ``kind`` starts from the shipped preset and the config overrides
     only the fields it gives; ``kind: custom`` needs gamma and dispersion.
     """
-    kind = str(sec.take("kind", "custom")).replace("-", "_")
+    kind = str(sec.take("kind", "custom"))
     length = take_quantity(sec, "length", LENGTH_UNITS)
-    if kind not in PRESET_KINDS and kind != "custom":
-        raise ConfigError(f"{sec.where}.kind: unknown kind {kind!r}")
     given = _given(sec, _number, "gamma_per_w_m", "attenuation_db_per_cm")
     disp_sec = sec.take_section("dispersion")
     if disp_sec is not None:
         given["dispersion"] = parse_dispersion(disp_sec)
     sec.finish()
     with _naming(sec.where):
-        if kind != "custom":
-            return replace(preset_waveguide(kind, length), **given)
-        for key in ("gamma_per_w_m", "dispersion"):
-            if key not in given:  # _naming puts sec.where in front
-                raise ConfigError(f"custom waveguide needs {key}")
-        return WaveguideSpec("custom", length, **given)
+        if kind == "custom":
+            for key in ("gamma_per_w_m", "dispersion"):
+                if key not in given:  # _naming puts sec.where in front
+                    raise ConfigError(f"custom waveguide needs {key}")
+            return WaveguideSpec("custom", length, **given)
+    # A preset raises ConfigError only for an unknown kind, DomainError for a bad value.
+    with _naming(sec.where, DomainError), _naming(f"{sec.where}.kind", ConfigError):
+        return replace(preset_waveguide(kind, length), **given)
 
 
 # The largest spectral grid: 8 MB per float64 array.  A CLI run formats a
@@ -341,10 +341,6 @@ def parse_spectrum_config(doc: dict) -> SpectrumRun:
     return SpectrumRun(pump, grid, tuple(waveguides))
 
 
-# Group index for the pump delay of a custom-kind segment that gives no n_eff.
-CUSTOM_N_EFF = 2.5
-
-
 def _parse_node(sec: _Section):
     kind = sec.take("kind")
     node_id = _file_name(sec.take("id"), f"{sec.where}.id")
@@ -362,14 +358,10 @@ def _parse_node(sec: _Section):
         make = partial(CouplerNode, node_id, wavelength_from_angular_frequency(center), **loss)
     elif kind == "segment":
         spec = parse_waveguide(sec.take_section("waveguide", required=True))
-        n_eff = CUSTOM_N_EFF if spec.kind == "custom" else preset_n_eff(spec.kind)
-        make = partial(
-            SegmentNode,
-            node_id,
-            spec,
-            _number(sec.take("n_eff", n_eff), f"{sec.where}.n_eff"),
-            **_given(sec, _integer, "pair_loss_exponent"),
-        )
+        n_eff = _given(sec, _number, "n_eff")  # a group index other than the waveguide's
+        with _naming(f"{sec.where}.n_eff"):
+            spec = replace(spec, **n_eff)
+        make = partial(SegmentNode, node_id, spec, **_given(sec, _integer, "pair_loss_exponent"))
     else:
         raise ConfigError(f"{sec.where}.kind: unknown node kind {kind!r}")
     with _naming(sec.where):
@@ -385,6 +377,12 @@ def parse_circuit_config(doc: dict) -> CircuitSetup:
     against the graph and the grid here, before anything is evaluated.
     """
     top = _Section(doc, "config")
+    template_keys = [key for key in ("all_strip", "template") if top.has(key)]
+    if template_keys:
+        raise ConfigError(
+            f"config: unknown key(s) {template_keys}; "
+            "a template runs only from --template NAME [--all-strip]"
+        )
     pump = parse_pump(top.take_section("pump", required=True))
     grid = parse_grid(top.take_section("grid"), pump.omega_c)
     band = top.take("band_thz")
@@ -428,6 +426,9 @@ def parse_circuit_config(doc: dict) -> CircuitSetup:
         raise ConfigError(
             f"config.input_ports: expected a port id or a list of 1-2 ids, got {inputs!r}"
         )
+    if pump.mode == "degenerate" and len(inputs) == 2:
+        message = f"a degenerate pump has one line, so one input port; got {inputs!r}"
+        raise ConfigError(f"config.input_ports: {message}")
     with _naming("config.input_ports"):
         for port in inputs:
             graph.input_port(port)

@@ -37,22 +37,23 @@ import numpy as np
 from .dispersion import DispersionModel, PumpConfig, linear_mismatch
 from .errors import ConfigError, DomainError
 
-WAVEGUIDE_KINDS = ("strip", "shallow_ridge", "custom")
-
 
 @dataclass(frozen=True)
 class WaveguideSpec:
-    """A single waveguide: geometry class, length, gamma, dispersion, loss."""
+    """One waveguide: kind (a preset or "custom"), length, gamma, dispersion, loss, n_eff."""
 
     kind: str
     length_m: float
     gamma_per_w_m: float
     dispersion: DispersionModel
     attenuation_db_per_cm: float = 0.0
+    n_eff: float = 2.5
 
     def __post_init__(self) -> None:
-        if self.kind not in WAVEGUIDE_KINDS:
-            raise ConfigError(f"unknown waveguide kind {self.kind!r}")
+        from .presets import waveguide_kinds  # presets builds its specs from this module
+
+        if self.kind not in waveguide_kinds():
+            raise ConfigError(f"unknown kind {self.kind!r}; the kinds are {waveguide_kinds()}")
         if not self.length_m > 0.0:
             raise DomainError(f"length_m must be > 0, got {self.length_m!r}")
         if not self.gamma_per_w_m >= 0.0:
@@ -61,6 +62,13 @@ class WaveguideSpec:
             raise DomainError(
                 f"attenuation must be >= 0 dB/cm, got {self.attenuation_db_per_cm!r}"
             )
+        if not self.n_eff > 0.0:
+            raise ConfigError(f"n_eff must be > 0, got {self.n_eff!r}")
+
+    @property
+    def loss_db(self) -> float:
+        """Total propagation loss over the length (dB)."""
+        return self.attenuation_db_per_cm * self.length_m * 100.0
 
     @property
     def attenuation_per_m(self) -> float:
@@ -306,8 +314,7 @@ def biphoton_spectrum(
     else:
         gain = parametric_gain(spec, lossy_pump, omegas)
     if spec.attenuation_db_per_cm > 0.0:
-        total_db = spec.attenuation_db_per_cm * spec.length_m * 100.0
-        gain *= 10.0 ** (-total_db / 20.0)
+        gain *= 10.0 ** (-spec.loss_db / 20.0)
     return BiphotonSpectrum(grid, gain)
 
 

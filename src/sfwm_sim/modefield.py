@@ -17,6 +17,7 @@ per frequency.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from math import inf, isfinite
 from pathlib import Path
@@ -71,7 +72,7 @@ class ModeFieldGrid:
         mask = np.asarray(self.core_mask, dtype=bool)
         if x.ndim != 1 or y.ndim != 1 or x.size < 2 or y.size < 2:
             raise DataError("x_coords and y_coords must be 1-D with >= 2 samples")
-        if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
+        if np.any(x[1:] <= x[:-1]) or np.any(y[1:] <= y[:-1]):  # np.diff may overflow
             raise DataError("grid coordinates must be strictly increasing")
         shape = (x.size, y.size, 3)
         if e.shape != shape or h.shape != shape:
@@ -114,18 +115,31 @@ def gamma_report(
     if not np.any(grid.core_mask):
         raise DataError("core_mask selects no grid points (empty core region)")
 
-    e2 = np.sum(np.abs(grid.e_field) ** 2, axis=-1)
-    quartic = np.where(grid.core_mask, e2 * e2, 0.0)
-    i4 = _trapz2d(quartic, grid.x_coords, grid.y_coords)
-    ip = _trapz2d(grid.poynting_z(), grid.x_coords, grid.y_coords)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        e2 = np.sum(np.abs(grid.e_field) ** 2, axis=-1)
+        quartic = np.where(grid.core_mask, e2 * e2, 0.0)
+        i4 = _trapz2d(quartic, grid.x_coords, grid.y_coords)
+        ip = _trapz2d(grid.poynting_z(), grid.x_coords, grid.y_coords)
+    for name, integral in (("core |E|^4", i4), ("Poynting", ip)):
+        if not isfinite(integral):
+            raise DataError(
+                f"the {name} integral of the mode fields overflows float64; "
+                "rescale the field or coordinate columns"
+            )
     if ip <= 0.0:
         raise DataError(
             f"mode carries no power in +z (Poynting integral {ip:.3e} W); "
             "degenerate or mis-oriented mode fields"
         )
+    norm = Z0_OHM * Z0_OHM * ip * ip
+    if not sys.float_info.min <= norm < inf:  # a subnormal keeps too few digits
+        raise DataError(
+            f"the squared Poynting integral ({ip:.3e} W)^2 is outside the normal float64 "
+            "range; rescale the field or coordinate columns"
+        )
     n0, n2 = constants.n0, constants.n2_m2_per_w
     try:
-        gamma = (omega * n2 / C_VACUUM) * n0**2 * i4 / (Z0_OHM * Z0_OHM * ip * ip)
+        gamma = (omega * n2 / C_VACUUM) * n0**2 * i4 / norm
     except OverflowError:  # n0 ** 2 past the float range
         gamma = inf
     if not isfinite(gamma):

@@ -1,4 +1,4 @@
-"""Built-in waveguide presets loaded from the shipped defaults file."""
+"""Built-in waveguide presets: the keys of the shipped defaults file's ``waveguides``."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from .dispersion import DispersionModel
 from .engine import WaveguideSpec
 from .errors import ConfigError
 
-PRESET_KINDS = ("strip", "shallow_ridge")
-
 
 @lru_cache(maxsize=1)
 def _defaults() -> dict:
@@ -20,19 +18,17 @@ def _defaults() -> dict:
     return yaml.safe_load(text)
 
 
-def preset_parameters(kind: str) -> dict:
-    """Raw preset dict for a waveguide kind (gamma, n_eff, dispersion...)."""
-    try:
-        return _defaults()["waveguides"][kind]
-    except KeyError:
-        raise ConfigError(
-            f"no preset for waveguide kind {kind!r}; expected one of {PRESET_KINDS}"
-        ) from None
+def waveguide_kinds() -> tuple[str, ...]:
+    """Every accepted waveguide kind: ``custom`` and the keys of the preset table."""
+    return ("custom", *_defaults()["waveguides"])
 
 
 def preset_waveguide(kind: str, length_m: float) -> WaveguideSpec:
     """WaveguideSpec for a preset kind, dispersion taken at the pump average."""
-    params = preset_parameters(kind)
+    presets = _defaults()["waveguides"]
+    if kind not in presets:
+        raise ConfigError(f"no preset for kind {kind!r}; the kinds are {waveguide_kinds()}")
+    params = presets[kind]
     disp = params["dispersion"]
     return WaveguideSpec(
         kind=kind,
@@ -40,9 +36,5 @@ def preset_waveguide(kind: str, length_m: float) -> WaveguideSpec:
         gamma_per_w_m=params["gamma_per_w_m"],
         dispersion=DispersionModel(None, (disp["beta2_s2_per_m"], disp["beta4_s4_per_m"])),
         attenuation_db_per_cm=params["attenuation_db_per_cm"],
+        n_eff=params["n_eff"],
     )
-
-
-def preset_n_eff(kind: str) -> float:
-    """Group effective index used for pump-delay bookkeeping."""
-    return float(preset_parameters(kind)["n_eff"])

@@ -12,14 +12,14 @@ frequency-degenerate pairs (selected at zero detuning, between the pumps at
 about +-3.3 THz) are path entangled.  Shallow-ridge distribution waveguides
 and two analyzer interferometers are the parasitic sources here.
 
-The `all_strip` switch rebuilds the same topology with every waveguide forced
-to the strip parameters, the comparison case in which post-selection cannot
-isolate the intended source.
+``build_template(name, all_strip=True)`` swaps every segment's waveguide for
+the strip preset of the same length, keeping the topology and node order: the
+comparison case in which post-selection cannot isolate the intended source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import pi
 
 from .circuit import (
@@ -37,7 +37,7 @@ from .circuit import (
 from .dispersion import PumpConfig, angular_frequency_from_wavelength
 from .engine import SpectralGrid, band_flux, detuning_band_to_omega
 from .errors import ConfigError
-from .presets import preset_n_eff, preset_waveguide
+from .presets import preset_waveguide
 
 TEMPLATE_NAMES = ("app1_timebin", "app2_path")
 
@@ -86,16 +86,7 @@ class CircuitReport:
     inter_pulse_delay_s: float
 
 
-def _segment(seg_id: str, kind: str, length_m: float, all_strip: bool) -> SegmentNode:
-    actual = "strip" if all_strip else kind
-    return SegmentNode(
-        seg_id,
-        waveguide=preset_waveguide(actual, length_m),
-        n_eff=preset_n_eff(actual),
-    )
-
-
-def app1_timebin(all_strip: bool = False) -> CircuitSetup:
+def app1_timebin() -> CircuitSetup:
     """Time-bin entanglement circuit (degenerate SFWM behind a UMZI)."""
     pump = PumpConfig.degenerate(
         angular_frequency_from_wavelength(APP1_PUMP_WAVELENGTH_M), APP1_PUMP_PEAK_W
@@ -103,11 +94,11 @@ def app1_timebin(all_strip: bool = False) -> CircuitSetup:
     nodes = (
         PortNode("pump_in", "input"),
         SplitterNode("umzi_split", 0.5),
-        _segment("umzi_long", "shallow_ridge", APP1_LONG_ARM_M, all_strip),
-        _segment("umzi_short", "shallow_ridge", APP1_SHORT_ARM_M, all_strip),
+        SegmentNode("umzi_long", preset_waveguide("shallow_ridge", APP1_LONG_ARM_M)),
+        SegmentNode("umzi_short", preset_waveguide("shallow_ridge", APP1_SHORT_ARM_M)),
         PhaseShifterNode("bin_phase"),
         SplitterNode("umzi_merge", 0.5),
-        _segment("source_strip", "strip", APP1_STRIP_M, all_strip),
+        SegmentNode("source_strip", preset_waveguide("strip", APP1_STRIP_M)),
         PortNode("to_filters", "output"),
     )
     edges = (
@@ -121,7 +112,7 @@ def app1_timebin(all_strip: bool = False) -> CircuitSetup:
         Edge("source_strip", "to_filters"),
     )
     return CircuitSetup(
-        name="app1_timebin" + ("_all_strip" if all_strip else ""),
+        name="app1_timebin",
         graph=CircuitGraph(nodes, edges),
         pump=pump,
         input_ports="pump_in",
@@ -133,7 +124,7 @@ def app1_timebin(all_strip: bool = False) -> CircuitSetup:
     )
 
 
-def app2_path(all_strip: bool = False) -> CircuitSetup:
+def app2_path() -> CircuitSetup:
     """Path entanglement circuit (non-degenerate SFWM in two source MZIs)."""
     w1 = angular_frequency_from_wavelength(APP2_PUMP_WAVELENGTHS_M[0])
     w2 = angular_frequency_from_wavelength(APP2_PUMP_WAVELENGTHS_M[1])
@@ -157,8 +148,8 @@ def app2_path(all_strip: bool = False) -> CircuitSetup:
         theta_ps = f"theta_{mzi}"
         nodes += [
             SplitterNode(split, 0.5),
-            _segment(arm1, "strip", APP2_STRIP_M, all_strip),
-            _segment(arm2, "strip", APP2_STRIP_M, all_strip),
+            SegmentNode(arm1, preset_waveguide("strip", APP2_STRIP_M)),
+            SegmentNode(arm2, preset_waveguide("strip", APP2_STRIP_M)),
             PhaseShifterNode(theta_ps),
             SplitterNode(merge, 0.5),
         ]
@@ -181,11 +172,11 @@ def app2_path(all_strip: bool = False) -> CircuitSetup:
         arm1, arm2 = f"analyzer_{rail + 1}_arm1", f"analyzer_{rail + 1}_arm2"
         rz = f"analyzer_{rail + 1}_rz"
         nodes += [
-            _segment(dist_a, "shallow_ridge", APP2_DISTRIBUTION_M, all_strip),
-            _segment(dist_b, "shallow_ridge", APP2_DISTRIBUTION_M, all_strip),
+            SegmentNode(dist_a, preset_waveguide("shallow_ridge", APP2_DISTRIBUTION_M)),
+            SegmentNode(dist_b, preset_waveguide("shallow_ridge", APP2_DISTRIBUTION_M)),
             SplitterNode(split, 0.5),
-            _segment(arm1, "shallow_ridge", APP2_ANALYZER_ARM_M, all_strip),
-            _segment(arm2, "shallow_ridge", APP2_ANALYZER_ARM_M, all_strip),
+            SegmentNode(arm1, preset_waveguide("shallow_ridge", APP2_ANALYZER_ARM_M)),
+            SegmentNode(arm2, preset_waveguide("shallow_ridge", APP2_ANALYZER_ARM_M)),
             PhaseShifterNode(rz),
             SplitterNode(merge, 0.5),
             PortNode(f"detect_{rail + 1}a", "output"),
@@ -206,7 +197,7 @@ def app2_path(all_strip: bool = False) -> CircuitSetup:
         ]
 
     return CircuitSetup(
-        name="app2_path" + ("_all_strip" if all_strip else ""),
+        name="app2_path",
         graph=CircuitGraph(tuple(nodes), tuple(edges)),
         pump=pump,
         input_ports=("pump1_in", "pump2_in"),
@@ -220,11 +211,19 @@ def app2_path(all_strip: bool = False) -> CircuitSetup:
 
 
 def build_template(name: str, all_strip: bool = False) -> CircuitSetup:
-    if name == "app1_timebin":
-        return app1_timebin(all_strip=all_strip)
-    if name == "app2_path":
-        return app2_path(all_strip=all_strip)
-    raise ConfigError(f"unknown template {name!r}; expected one of {TEMPLATE_NAMES}")
+    """A template circuit; ``all_strip`` swaps each segment's waveguide for the strip preset."""
+    if name not in TEMPLATE_NAMES:
+        raise ConfigError(f"unknown template {name!r}; expected one of {TEMPLATE_NAMES}")
+    setup = app1_timebin() if name == "app1_timebin" else app2_path()
+    if not all_strip:
+        return setup
+    nodes = tuple(
+        replace(node, waveguide=preset_waveguide("strip", node.waveguide.length_m))
+        if isinstance(node, SegmentNode) else node
+        for node in setup.graph.nodes
+    )
+    graph = CircuitGraph(nodes, setup.graph.edges)
+    return replace(setup, name=f"{setup.name}_all_strip", graph=graph)
 
 
 def evaluate_circuit(setup: CircuitSetup) -> CircuitReport:

@@ -24,6 +24,7 @@ from sfwm_sim import (
     bandwidth_3db_hz,
     biphoton_spectrum,
     build_histogram,
+    build_template,
     car_from_histogram,
     effective_gamma,
     evaluate_circuit,
@@ -172,7 +173,7 @@ def test_criterion_4_bandwidth_contrast_of_default_waveguides():
 
 def test_criterion_5_app1_selection_ratio():
     hybrid = evaluate_circuit(app1_timebin())
-    all_strip = evaluate_circuit(app1_timebin(all_strip=True))
+    all_strip = evaluate_circuit(build_template("app1_timebin", all_strip=True))
     assert hybrid.ratio >= 10.0
     assert all_strip.ratio <= 2.0
     _passed(5, f"hybrid ratio {hybrid.ratio:.0f}, all-strip ratio {all_strip.ratio:.3f}")
@@ -180,7 +181,7 @@ def test_criterion_5_app1_selection_ratio():
 
 def test_criterion_6_app2_selection_ratio():
     hybrid = evaluate_circuit(app2_path())
-    all_strip = evaluate_circuit(app2_path(all_strip=True))
+    all_strip = evaluate_circuit(build_template("app2_path", all_strip=True))
     assert hybrid.ratio >= 10.0
     assert all_strip.ratio < 10.0
     _passed(6, f"hybrid ratio {hybrid.ratio:.0f}, all-strip ratio {all_strip.ratio:.3f}")

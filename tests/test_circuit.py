@@ -25,21 +25,23 @@ from sfwm_sim import (
     app1_timebin,
     app2_path,
     band_flux,
+    build_template,
     evaluate_circuit,
     photon_transmission,
     propagate_pump,
     segment_contributions,
     selection_ratio,
 )
+from sfwm_sim.presets import preset_waveguide
 
 OMEGA_P = angular_frequency_from_wavelength(1552.5e-9)
 
 
 def seg(seg_id, length=5e-3, gamma=223.3, beta2=-3e-26, n_eff=2.6, attenuation=0.0):
     spec = WaveguideSpec(
-        "custom", length, gamma, DispersionModel(OMEGA_P, (beta2, 0.0)), attenuation
+        "custom", length, gamma, DispersionModel(OMEGA_P, (beta2, 0.0)), attenuation, n_eff
     )
-    return SegmentNode(seg_id, waveguide=spec, n_eff=n_eff)
+    return SegmentNode(seg_id, waveguide=spec)
 
 
 def identity_circuit():
@@ -413,7 +415,7 @@ class TestTemplates:
         assert report.ratio >= 10.0
 
     def test_app1_all_strip_fails_selection(self):
-        report = evaluate_circuit(app1_timebin(all_strip=True))
+        report = evaluate_circuit(build_template("app1_timebin", all_strip=True))
         assert report.ratio <= 2.0
 
     def test_app2_uniform_powers(self):
@@ -423,11 +425,30 @@ class TestTemplates:
                 contrib.pump_powers_w, (2.5e-3, 2.5e-3), rtol=1e-12
             )
 
+    @pytest.mark.parametrize("name", ["app1_timebin", "app2_path"])
+    def test_all_strip_swaps_only_the_waveguides(self, name):
+        hybrid, strip = build_template(name), build_template(name, all_strip=True)
+        assert strip.name == f"{name}_all_strip"
+        assert strip.graph.edges == hybrid.graph.edges
+        assert [n.id for n in strip.graph.nodes] == [n.id for n in hybrid.graph.nodes]
+        kinds = set()
+        for old, new in zip(hybrid.graph.nodes, strip.graph.nodes):
+            if isinstance(old, SegmentNode):
+                kinds.add(old.waveguide.kind)
+                assert new.waveguide == preset_waveguide("strip", old.waveguide.length_m)
+                assert new.pair_loss_exponent == old.pair_loss_exponent
+            else:
+                assert new == old
+        assert kinds == {"strip", "shallow_ridge"}
+        assert (strip.pump, strip.grid, strip.band_detuning_hz) == (
+            hybrid.pump, hybrid.grid, hybrid.band_detuning_hz
+        )
+
     def test_app2_ratio_exceeds_ten(self):
         assert evaluate_circuit(app2_path()).ratio >= 10.0
 
     def test_app2_all_strip_fails_selection(self):
-        assert evaluate_circuit(app2_path(all_strip=True)).ratio < 10.0
+        assert evaluate_circuit(build_template("app2_path", all_strip=True)).ratio < 10.0
 
     def test_template_determinism(self):
         a = evaluate_circuit(app1_timebin())

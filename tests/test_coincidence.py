@@ -69,6 +69,13 @@ class TestBuildHistogram:
         with pytest.raises(DataError, match=r"^signal timestamps are not sorted ascending$"):
             build_histogram(np.array([2.0, 1.0]), np.array([0.5]), 1e-9, 11e-9)
 
+    def test_stamps_whose_difference_overflows_are_checked_without_overflow(self):
+        huge = np.finfo(np.float64).max
+        hist = build_histogram(np.array([-huge, huge]), np.array([0.0]), 1e-9, 41e-9)
+        assert hist.counts.sum() == 0
+        with pytest.raises(DataError, match="not sorted"):
+            build_histogram(np.array([huge, -huge]), np.array([0.0]), 1e-9, 41e-9)
+
     def test_window_must_be_bin_multiple(self):
         ts = np.linspace(0, 1, 10)
         with pytest.raises(DomainError):
@@ -298,6 +305,12 @@ class TestTimestampCsv:
         path = tmp_path / "ts.csv"
         path.write_text(f"channel,timestamp_s\nsignal,0.1\nsignal,{value}\nidler,0.2\n")
         with pytest.raises(DataError, match=r"ts\.csv:3: .*not finite"):
+            read_timestamps_csv(path)
+
+    def test_stamps_whose_difference_overflows_name_the_late_line(self, tmp_path):
+        path = tmp_path / "ts.csv"
+        path.write_text("channel,timestamp_s\nsignal,-1e308\nsignal,1e308\nsignal,0.0\n")
+        with pytest.raises(DataError, match=r"ts\.csv:4: signal timestamp 0\.0 is earlier"):
             read_timestamps_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):

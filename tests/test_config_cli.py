@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from sfwm_sim import (
 )
 from sfwm_sim.cli import build_parser, main
 from sfwm_sim.config import (
-    CUSTOM_N_EFF,
     MAX_GRID_POINTS,
     config_hash,
     load_config,
@@ -46,6 +46,7 @@ from sfwm_sim.templates import (
     APP1_PUMP_PEAK_W,
     APP1_SHORT_ARM_M,
     APP1_STRIP_M,
+    TEMPLATE_NAMES,
     build_template,
     evaluate_circuit,
 )
@@ -141,9 +142,9 @@ class TestConfigParsing:
         assert graph.node("s").ratio == 0.5
         gc = graph.node("gc")
         assert gc == CouplerNode("gc", gc.center_wavelength_m)
-        assert (graph.node("wg").n_eff, graph.node("wg").pair_loss_exponent) == (2.4, 1)
-        assert graph.node("c").n_eff == CUSTOM_N_EFF
-        assert graph.node("c3").n_eff == 3.0
+        assert (graph.node("wg").waveguide.n_eff, graph.node("wg").pair_loss_exponent) == (2.4, 1)
+        assert graph.node("c").waveguide.n_eff == 2.5
+        assert graph.node("c3").waveguide.n_eff == 3.0
 
     @pytest.mark.parametrize("text", ["2e1", "2E+1", "+20e0", "200e-1", ".2e2", "2.e1"])
     def test_yaml_1_2_float_literals_parse(self, tmp_path, text):
@@ -690,12 +691,22 @@ def test_bad_config_value_exits_2_naming_field(tmp_path, capsys, command, path, 
         ("circuit", ("designated_segments",), ["gc"], 2,
          "config.designated_segments[0]: 'gc' is not a segment"),
         ("circuit", ("input_ports",), "gc", 2, "config.input_ports: 'gc' is not an input port"),
+        ("circuit", ("input_ports",), ["in", "in"], 2,
+         "config.input_ports: a degenerate pump has one line, so one input port"),
+        ("circuit", ("nodes", 2, "waveguide", "kind"), "shallow-ridge", 2,
+         "config.nodes[2].waveguide.kind: no preset for kind 'shallow-ridge'; "
+         "the kinds are ('custom', 'strip', 'shallow_ridge')"),
+        ("spectrum", ("waveguides", 1, "kind"), "shallow-ridge", 2,
+         "config.waveguides[1].kind: no preset for kind 'shallow-ridge'"),
+        ("circuit", ("nodes", 2, "n_eff"), -1.0, 2,
+         "config.nodes[2].n_eff: n_eff must be > 0, got -1.0"),
     ],
     ids=["direction", "ratio", "segment-length", "waveguide-length", "efficiency", "n0",
          "grid-span", "grid-span-below-resolution", "guard-bins", "inf-pair-rate", "inf-window",
          "inf-power", "pump-mode-spelling", "label-escapes", "label-empty", "label-space",
          "empty-band", "band-past-grid", "detection-node", "designated-missing",
-         "designated-not-segment", "input-port"],
+         "designated-not-segment", "input-port", "degenerate-two-ports", "segment-kind-spelling",
+         "waveguide-kind-spelling", "n_eff"],
 )
 def test_value_error_names_config_path(
     tmp_path, capsys, monkeypatch, command, path, value, code, where
@@ -1059,7 +1070,10 @@ def test_template_config_keys_exit_2(tmp_path, capsys, keys):
     # A template runs from --template/--all-strip only; a config is an explicit graph.
     alone = write_yaml(tmp_path / "alone.yaml", keys)
     assert main(["circuit", "--config", alone, "--out", str(tmp_path / "a")]) == 2
-    assert capsys.readouterr().err.startswith("config error: config: ")
+    assert capsys.readouterr().err == (
+        f"config error: config: unknown key(s) {sorted(keys)}; "
+        "a template runs only from --template NAME [--all-strip]\n"
+    )
     beside = write_yaml(tmp_path / "beside.yaml", {**CIRCUIT_DOC, **keys})
     assert main(["circuit", "--config", beside, "--out", str(tmp_path / "b")]) == 2
     assert f"config error: config: unknown key(s) {sorted(keys)}" in capsys.readouterr().err
@@ -1103,3 +1117,39 @@ def test_each_flag_is_documented_where_it_is_parsed():
     readme_synopsis = readme.split("\n## Command line\n", 1)[1].split("```", 2)[1]
     assert _synopsis_flags(sfwm_sim.cli.__doc__) == parsed
     assert _synopsis_flags(readme_synopsis) == parsed
+
+
+def _example_lines() -> dict[str, list[str]]:
+    """The ``sfwm-sim ...`` example lines of README.md's code blocks and of each
+    shipped config's header comment, by file; synopsis lines are not examples."""
+    readme = (REPO_CONFIGS.parent / "README.md").read_text()
+    sources = {"README.md": "".join(readme.split("```")[1::2]).splitlines()}
+    for cfg in sorted(REPO_CONFIGS.glob("*.yaml")):
+        header = takewhile(lambda line: line.startswith("#"), cfg.read_text().splitlines())
+        sources[cfg.name] = [line.lstrip("# ") for line in header]
+    return {
+        source: [
+            line.split("#")[0].strip()
+            for line in lines
+            if line.startswith("sfwm-sim ") and not re.search(r"[\[(]|FILE", line)
+        ]
+        for source, lines in sources.items()
+    }
+
+
+EXAMPLES = _example_lines()
+
+
+def test_every_shipped_config_shows_an_example():
+    assert all(EXAMPLES.values()), EXAMPLES
+
+
+@pytest.mark.parametrize(
+    "line", sorted({line for lines in EXAMPLES.values() for line in lines})
+)
+def test_documented_example_parses(line):
+    args = build_parser().parse_args(line.split()[1:])
+    if args.config is not None:
+        assert (REPO_CONFIGS.parent / args.config).is_file()
+    if getattr(args, "template", None) is not None:
+        assert args.template in TEMPLATE_NAMES

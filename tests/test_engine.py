@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sfwm_sim import (
     BiphotonSpectrum,
+    ConfigError,
     DispersionModel,
     DomainError,
     PumpConfig,
@@ -26,6 +27,7 @@ from sfwm_sim import (
     total_mismatch,
 )
 from sfwm_sim.csvio import SPECTRUM_HEADER, read_table, write_spectrum_csv
+from sfwm_sim.presets import preset_waveguide
 
 OMEGA_P = angular_frequency_from_wavelength(1552.5e-9)
 
@@ -246,6 +248,18 @@ def test_waveguide_validation():
         WaveguideSpec("strip", 1.0, -1.0, model)
     with pytest.raises(Exception):
         WaveguideSpec("nonsense", 1.0, 1.0, model)
+
+
+def test_waveguide_kind_group_index_and_loss():
+    model = DispersionModel(OMEGA_P, (1e-24,))
+    spec = WaveguideSpec("custom", 0.02, 1.0, model, 2.0)
+    assert (spec.n_eff, spec.loss_db) == (2.5, 2.0 * 0.02 * 100.0)
+    assert preset_waveguide("shallow_ridge", 0.02).n_eff == 2.6
+    with pytest.raises(ConfigError, match=r"^n_eff must be > 0, got 0\.0$"):
+        WaveguideSpec("custom", 0.02, 1.0, model, n_eff=0.0)
+    # The accepted kinds are 'custom' and the keys of the shipped preset table.
+    with pytest.raises(ConfigError, match=r"the kinds are \('custom', 'strip', 'shallow_ridge'\)"):
+        WaveguideSpec("shallow-ridge", 0.02, 1.0, model)
 
 
 BETA2 = st.floats(-1e-24, 1e-24)

@@ -139,6 +139,39 @@ def test_counter_propagating_mode_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "fields, x_scale, integral",
+    [(1e200, 1.0, "core |E|^4"), (1.0, 1e305, "core |E|^4"), (1e-100, 1.0, "squared Poynting")],
+    ids=["field-overflow", "coordinate-overflow", "poynting-underflow"],
+)
+def test_quadrature_out_of_float64_range_names_the_integral(fields, x_scale, integral):
+    # Scaled fields or coordinates push a quadrature past float64, which
+    # printed a numpy overflow warning and then blamed n0 and n2.
+    grid = gaussian_mode(21)
+    scaled = ModeFieldGrid(
+        grid.x_coords * x_scale,
+        grid.y_coords,
+        grid.e_field * fields,
+        grid.h_field * fields,
+        grid.core_mask,
+    )
+    with pytest.raises(DataError, match=rf"^the {integral} integral .* float64"):
+        gamma_report(scaled, OMEGA)
+
+
+def test_coordinates_spanning_the_float64_range_are_checked_without_overflow():
+    # Two finite coordinates whose difference overflows: the order check
+    # compares them, and the quadrature names the overflow.
+    huge = np.finfo(np.float64).max
+    ones = np.ones((2, 2))
+    zeros = np.zeros((2, 2))
+    e = np.stack([ones, zeros, zeros], axis=-1)
+    h = np.stack([zeros, ones / Z0_OHM, zeros], axis=-1)
+    grid = ModeFieldGrid(np.array([-huge, huge]), np.array([0.0, 1e-6]), e, h, ones)
+    with pytest.raises(DataError, match="overflows float64"):
+        gamma_report(grid, OMEGA)
+
+
 def test_report_components_consistent():
     grid = gaussian_mode(41)
     constants = MaterialConstants()
