@@ -68,6 +68,6 @@ from .states import (
     product_rail_state,
     time_bin_state,
 )
-from .templates import app1_timebin, app2_path, build_template, evaluate_circuit
+from .templates import build_template, evaluate_circuit
 
 __version__ = "0.1.0"

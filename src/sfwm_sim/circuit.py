@@ -232,6 +232,20 @@ class CircuitGraph:
 
 
 @dataclass(frozen=True)
+class CircuitSetup:
+    """Everything needed to evaluate one circuit, as ``parse_circuit_config`` reads it."""
+
+    name: str
+    graph: CircuitGraph
+    pump: PumpConfig
+    input_ports: str | tuple[str, str]
+    detection_node: str | None
+    designated_segments: tuple[str, ...]
+    band_detuning_hz: tuple[float, float]
+    grid: SpectralGrid
+
+
+@dataclass(frozen=True)
 class Pulse:
     """One pump pulse: per-line powers (W) plus accumulated delay."""
 

@@ -103,11 +103,8 @@ def _circuit_report_lines(report) -> list[str]:
         f"selection ratio: {report.ratio:.6g}",
         f"selection threshold (>= {SELECTION_THRESHOLD:g}): {verdict}",
     ]
-    if setup.delay_probe_node:
-        lines.append(
-            f"inter-pulse delay at {setup.delay_probe_node}: "
-            f"{report.inter_pulse_delay_s * 1e12:.2f} ps"
-        )
+    for segment_id, delay_s in report.inter_pulse_delays_s.items():
+        lines.append(f"inter-pulse delay at {segment_id}: {delay_s * 1e12:.2f} ps")
     return lines
 
 
@@ -153,7 +150,13 @@ def cmd_circuit(args, doc: dict, doc_hash: str, out: Path):
 def cmd_gamma(args, doc: dict, doc_hash: str, out: Path):
     run = parse_gamma_config(doc, args.config.parent)
     grid = read_mode_field_csv(run.mode_field_csv)
-    report = gamma_report(grid, run.omega, run.constants)
+    try:  # the reader names path:line; the quadrature's errors get the path too
+        report = gamma_report(grid, run.omega, run.constants)
+        if args.verify_scale:
+            tripled = replace(grid, e_field=grid.e_field * 3.0, h_field=grid.h_field * 3.0)
+            scaled = gamma_report(tripled, run.omega, run.constants)
+    except DataError as exc:
+        raise DataError(f"{run.mode_field_csv}: {exc}") from exc
     lines = [
         f"mode field: {run.mode_field_csv}",
         f"wavelength: {wavelength_from_angular_frequency(run.omega) * 1e9:.2f} nm",
@@ -162,8 +165,6 @@ def cmd_gamma(args, doc: dict, doc_hash: str, out: Path):
         f"gamma: {report['gamma_per_w_m']:.4f} /(W m)",
     ]
     if args.verify_scale:
-        tripled = replace(grid, e_field=grid.e_field * 3.0, h_field=grid.h_field * 3.0)
-        scaled = gamma_report(tripled, run.omega, run.constants)
         rel = abs(scaled["gamma_per_w_m"] - report["gamma_per_w_m"]) / report["gamma_per_w_m"]
         lines.append(f"scale invariance (fields x3): relative change {rel:.3e}")
     return "gamma_report.txt", lines, []

@@ -22,6 +22,7 @@ import yaml
 
 from .circuit import (
     CircuitGraph,
+    CircuitSetup,
     CouplerNode,
     Edge,
     PhaseShifterNode,
@@ -39,8 +40,7 @@ from .dispersion import (
 from .engine import SpectralGrid, WaveguideSpec, detuning_band_to_omega
 from .errors import ConfigError, DomainError, SfwmError
 from .modefield import MaterialConstants
-from .presets import preset_waveguide
-from .templates import CircuitSetup
+from .presets import load_yaml, preset_waveguide
 
 CONFIG_PATH_ENV = "SFWM_SIM_CONFIG_PATH"
 
@@ -65,7 +65,7 @@ def locate_config(name: str | Path) -> Path:
 def load_config(path: str | Path) -> dict:
     path = locate_config(path)
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        doc = load_yaml(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config ({exc})") from exc
     except yaml.YAMLError as exc:

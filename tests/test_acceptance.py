@@ -18,8 +18,6 @@ from sfwm_sim import (
     TwoModeState,
     analyzer_coincidence,
     angular_frequency_from_wavelength,
-    app1_timebin,
-    app2_path,
     band_flux,
     bandwidth_3db_hz,
     biphoton_spectrum,
@@ -172,7 +170,7 @@ def test_criterion_4_bandwidth_contrast_of_default_waveguides():
 
 
 def test_criterion_5_app1_selection_ratio():
-    hybrid = evaluate_circuit(app1_timebin())
+    hybrid = evaluate_circuit(build_template("app1_timebin"))
     all_strip = evaluate_circuit(build_template("app1_timebin", all_strip=True))
     assert hybrid.ratio >= 10.0
     assert all_strip.ratio <= 2.0
@@ -180,7 +178,7 @@ def test_criterion_5_app1_selection_ratio():
 
 
 def test_criterion_6_app2_selection_ratio():
-    hybrid = evaluate_circuit(app2_path())
+    hybrid = evaluate_circuit(build_template("app2_path"))
     all_strip = evaluate_circuit(build_template("app2_path", all_strip=True))
     assert hybrid.ratio >= 10.0
     assert all_strip.ratio < 10.0
@@ -326,7 +324,8 @@ def test_criterion_9_coincidence_pipeline():
 
 
 def test_criterion_10_umzi_delay():
-    report = evaluate_circuit(app1_timebin())
-    delay_ps = report.inter_pulse_delay_s * 1e12
+    report = evaluate_circuit(build_template("app1_timebin"))
+    assert list(report.inter_pulse_delays_s) == ["source_strip"]
+    delay_ps = report.inter_pulse_delays_s["source_strip"] * 1e12
     assert delay_ps == pytest.approx(99.7, abs=0.5)
     _passed(10, f"inter-pulse delay {delay_ps:.2f} ps (11.5 mm arm difference, n_eff 2.6)")

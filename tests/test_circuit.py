@@ -22,8 +22,6 @@ from sfwm_sim import (
     UsageError,
     WaveguideSpec,
     angular_frequency_from_wavelength,
-    app1_timebin,
-    app2_path,
     band_flux,
     build_template,
     evaluate_circuit,
@@ -261,7 +259,7 @@ class TestPropagation:
         assert total == pytest.approx(power, rel=1e-12)
 
     def test_app1_powers_and_delay(self):
-        setup = app1_timebin()
+        setup = build_template("app1_timebin")
         prop = propagate_pump(setup.graph, setup.pump, setup.input_ports)
         assert prop.peak_powers_w("umzi_long") == pytest.approx((0.5,), rel=1e-12)
         assert prop.peak_powers_w("umzi_short") == pytest.approx((0.5,), rel=1e-12)
@@ -349,7 +347,7 @@ class TestPropagation:
 
 class TestContributions:
     def test_app1_transmissions(self):
-        setup = app1_timebin()
+        setup = build_template("app1_timebin")
         by_id = {c.segment_id: c for c in evaluate_circuit(setup).contributions}
         assert by_id["source_strip"].transmission == pytest.approx(1.0)
         assert by_id["umzi_long"].transmission == pytest.approx(0.5)
@@ -363,7 +361,7 @@ class TestContributions:
         assert_transmission_matches_enumeration(graph, omega)
 
     def test_transmission_scales_band_flux_linearly(self):
-        report = evaluate_circuit(app1_timebin())
+        report = evaluate_circuit(build_template("app1_timebin"))
         for contrib in report.contributions:
             doubled = contrib.spectrum.scaled(2.0)
             assert band_flux(doubled, report.band_omega) == pytest.approx(
@@ -371,7 +369,7 @@ class TestContributions:
             )
 
     def test_zero_power_pump_zero_contributions(self):
-        setup = app1_timebin()
+        setup = build_template("app1_timebin")
         pump = PumpConfig.degenerate(setup.pump.omega_p1, 0.0)
         contributions = segment_contributions(
             setup.graph, pump, setup.grid, setup.input_ports, setup.detection_node
@@ -411,7 +409,7 @@ class TestContributions:
 
 class TestTemplates:
     def test_app1_ratio_exceeds_ten(self):
-        report = evaluate_circuit(app1_timebin())
+        report = evaluate_circuit(build_template("app1_timebin"))
         assert report.ratio >= 10.0
 
     def test_app1_all_strip_fails_selection(self):
@@ -419,7 +417,7 @@ class TestTemplates:
         assert report.ratio <= 2.0
 
     def test_app2_uniform_powers(self):
-        report = evaluate_circuit(app2_path())
+        report = evaluate_circuit(build_template("app2_path"))
         for contrib in report.contributions:
             np.testing.assert_allclose(
                 contrib.pump_powers_w, (2.5e-3, 2.5e-3), rtol=1e-12
@@ -445,14 +443,14 @@ class TestTemplates:
         )
 
     def test_app2_ratio_exceeds_ten(self):
-        assert evaluate_circuit(app2_path()).ratio >= 10.0
+        assert evaluate_circuit(build_template("app2_path")).ratio >= 10.0
 
     def test_app2_all_strip_fails_selection(self):
         assert evaluate_circuit(build_template("app2_path", all_strip=True)).ratio < 10.0
 
     def test_template_determinism(self):
-        a = evaluate_circuit(app1_timebin())
-        b = evaluate_circuit(app1_timebin())
+        a = evaluate_circuit(build_template("app1_timebin"))
+        b = evaluate_circuit(build_template("app1_timebin"))
         assert a.ratio == b.ratio
         for ca, cb in zip(a.contributions, b.contributions):
             np.testing.assert_array_equal(

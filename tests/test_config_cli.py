@@ -41,17 +41,12 @@ from sfwm_sim.csvio import (
     read_table,
     write_spectrum_csv,
 )
-from sfwm_sim.templates import (
-    APP1_LONG_ARM_M,
-    APP1_PUMP_PEAK_W,
-    APP1_SHORT_ARM_M,
-    APP1_STRIP_M,
-    TEMPLATE_NAMES,
-    build_template,
-    evaluate_circuit,
-)
+from sfwm_sim.templates import TEMPLATE_NAMES, build_template
 
 from conftest import gaussian_mode, write_mode_field_csv
+
+REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PACKAGE_DATA = Path(sfwm_sim.__file__).with_name("data")
 
 SPECTRUM_DOC = {
     "pump": {"mode": "degenerate", "wavelength_nm": 1552.5, "power_w": 1.0},
@@ -299,56 +294,48 @@ class TestConfigParsing:
         doc = load_config("run.yaml")
         assert doc["pump"]["wavelength_nm"] == 1552.5
 
-    def test_explicit_graph_matches_template(self):
-        template = build_template("app1_timebin")
+    def test_explicit_graph_matches_template(self, tmp_path):
+        # The packaged template file, run as a user's config, gives the
+        # template run's spectra, band fluxes and ratio; only the file names
+        # and the config hash differ.
+        config = PACKAGE_DATA / "app1_timebin.yaml"
+        outs = {"config": tmp_path / "config", "template": tmp_path / "template"}
+        assert main(["circuit", "--config", str(config), "--out", str(outs["config"])]) == 0
+        assert main(["circuit", "--template", "app1_timebin", "--out", str(outs["template"])]) == 0
 
-        def segment(seg_id, kind, length_m):
-            waveguide = {"kind": kind, "length_m": length_m}
-            return {"id": seg_id, "kind": "segment", "waveguide": waveguide}
+        def tables(out: Path, prefix: str) -> dict[str, list[str]]:
+            # Each CSV's rows after its comments, by file name without the prefix.
+            return {
+                path.name.removeprefix(prefix): [
+                    line for line in path.read_text().splitlines() if not line.startswith("#")
+                ]
+                for path in out.glob("*.csv")
+            }
 
-        doc = {
-            "pump": {
-                "mode": "degenerate",
-                "wavelength_rad_s": template.pump.omega_p1,
-                "power_w": APP1_PUMP_PEAK_W,
-            },
-            "grid": {"span_thz": 12.0, "points": 4096},
-            "band_thz": [2.5, 5.0],
-            "input_ports": "pump_in",
-            "detection_node": "to_filters",
-            "designated_segments": ["source_strip"],
-            "nodes": [
-                {"id": "pump_in", "kind": "port", "direction": "input"},
-                {"id": "umzi_split", "kind": "splitter", "ratio": 0.5},
-                segment("umzi_long", "shallow_ridge", APP1_LONG_ARM_M),
-                segment("umzi_short", "shallow_ridge", APP1_SHORT_ARM_M),
-                {"id": "bin_phase", "kind": "phase_shifter"},
-                {"id": "umzi_merge", "kind": "splitter", "ratio": 0.5},
-                segment("source_strip", "strip", APP1_STRIP_M),
-                {"id": "to_filters", "kind": "port", "direction": "output"},
-            ],
-            "edges": [
-                {"from": "pump_in", "to": "umzi_split"},
-                {"from": "umzi_split", "from_port": 0, "to": "umzi_long"},
-                {"from": "umzi_split", "from_port": 1, "to": "umzi_short"},
-                {"from": "umzi_long", "to": "bin_phase"},
-                {"from": "bin_phase", "to": "umzi_merge", "to_port": 0},
-                {"from": "umzi_short", "to": "umzi_merge", "to_port": 1},
-                {"from": "umzi_merge", "from_port": 0, "to": "source_strip"},
-                {"from": "source_strip", "to": "to_filters"},
-            ],
+        explicit = tables(outs["config"], "circuit_")
+        template = tables(outs["template"], "app1_timebin_")
+        assert sorted(template) == [
+            "source_strip_spectrum.csv", "summary.csv", "umzi_long_spectrum.csv",
+            "umzi_short_spectrum.csv",
+        ]
+        assert explicit == template
+        ratios = [
+            (out / f"{name}_summary.csv").read_text().splitlines()[1]
+            for out, name in ((outs["config"], "circuit"), (outs["template"], "app1_timebin"))
+        ]
+        assert ratios[0] == ratios[1] and ratios[0].startswith("# selection_ratio=")
+
+    def test_packaged_app1_holds_the_design_values(self):
+        setup = build_template("app1_timebin")
+        lengths = {node.id: node.waveguide.length_m for node in setup.graph.segments()}
+        assert lengths == {
+            "umzi_long": 1.0e-3 + 11.5e-3, "umzi_short": 1.0e-3, "source_strip": 5.0e-3
         }
-        explicit = parse_circuit_config(doc)
-        assert explicit.name == "circuit"
-        a, b = evaluate_circuit(template), evaluate_circuit(explicit)
-        assert a.band_omega == b.band_omega
-        assert a.band_fluxes == b.band_fluxes
-        assert [c.segment_id for c in a.contributions] == [c.segment_id for c in b.contributions]
-        for ca, cb in zip(a.contributions, b.contributions):
-            np.testing.assert_array_equal(ca.spectrum.flux_density, cb.spectrum.flux_density)
-            assert ca.pump_powers_w == cb.pump_powers_w
-            assert ca.transmission == cb.transmission
-        assert a.ratio == b.ratio
+        # wavelength_rad_s, since wavelength_nm: 1552.5 converts one ulp away.
+        assert setup.pump.omega_p1 == angular_frequency_from_wavelength(1552.5e-9)
+        assert setup.pump.omega_p1 != angular_frequency_from_wavelength(1552.5 * 1e-9)
+        assert setup.pump.power_w == 1.0
+        assert setup.band_detuning_hz == (2.5e12, 5.0e12)
 
     def test_unknown_template_rejected(self):
         with pytest.raises(ConfigError, match="unknown template 'app3'"):
@@ -491,6 +478,47 @@ class TestCircuitCommand:
     def test_requires_some_input(self):
         assert main(["circuit"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, delays",
+        [
+            (["--template", "app1_timebin"], ["source_strip: 99.74 ps"]),
+            (["--template", "app1_timebin", "--all-strip"], ["source_strip: 92.06 ps"]),
+            (["--template", "app2_path"], []),
+            (["--config", str(REPO_CONFIGS / "custom_circuit.yaml")], ["source_strip: 99.74 ps"]),
+        ],
+        ids=["app1", "app1-all-strip", "app2", "custom"],
+    )
+    def test_delay_line_per_designated_segment_reached_by_several_pulses(
+        self, tmp_path, capsys, argv, delays
+    ):
+        assert main(["circuit", *argv, "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        prefix = "inter-pulse delay at "
+        assert [line.removeprefix(prefix) for line in lines if line.startswith(prefix)] == delays
+
+    @pytest.mark.parametrize("template", TEMPLATE_NAMES)
+    @pytest.mark.parametrize(
+        "path, value, where",
+        [
+            (("nodes", 2, "bogus"), 1, "config.nodes[2]: unknown key(s) ['bogus']"),
+            (("edges", 4, "to_port"), "zero", "config.edges[4].to_port: expected an integer"),
+            (("designated_segments",), ["nope"], "config.designated_segments[0]: unknown node"),
+        ],
+        ids=["unknown-key", "to-port", "designated"],
+    )
+    def test_packaged_template_gets_the_config_checks(
+        self, tmp_path, capsys, template, path, value, where
+    ):
+        doc = load_config(PACKAGE_DATA / f"{template}.yaml")
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        cfg = write_yaml(tmp_path / "run.yaml", doc)
+        assert main(["circuit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert where in capsys.readouterr().err
+        assert not list((tmp_path / "out").iterdir())
+
 
 class TestGammaCommand:
     def test_report_and_scale_check(self, tmp_path):
@@ -515,6 +543,23 @@ class TestGammaCommand:
             {"mode_field_csv": str(field_csv), "wavelength_nm": 1552.5},
         )
         assert main(["gamma", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+    def test_quadrature_data_error_names_the_file(self, tmp_path, capsys):
+        # A mode with no +z power: the shipped field with its hy_re column zeroed.
+        lines = (REPO_CONFIGS / "modefields" / "gaussian_21x21.csv").read_text().splitlines()
+        column = lines[0].split(",").index("hy_re")
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows:
+            row[column] = "0"
+        field_csv = tmp_path / "no_power.csv"
+        field_csv.write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n")
+        cfg = write_yaml(
+            tmp_path / "gamma.yaml", {"mode_field_csv": str(field_csv), "wavelength_nm": 1552.5}
+        )
+        assert main(["gamma", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"data error: {field_csv}: mode carries no power in +z"
+        )
 
     def test_nan_cell_exits_3_naming_line(self, tmp_path, capsys):
         field_csv = tmp_path / "mode.csv"
@@ -908,7 +953,6 @@ def test_console_script_wired():
     assert "sfwm-sim" in proc.stdout
 
 
-REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 NOTE_PREFIXES = ("summary -> ", "plot -> ")
 
 
@@ -1120,11 +1164,13 @@ def test_each_flag_is_documented_where_it_is_parsed():
 
 
 def _example_lines() -> dict[str, list[str]]:
-    """The ``sfwm-sim ...`` example lines of README.md's code blocks and of each
-    shipped config's header comment, by file; synopsis lines are not examples."""
+    """The ``sfwm-sim ...`` example lines of README.md's code blocks and of the
+    header comment of each shipped config and packaged template, by file;
+    synopsis lines are not examples."""
     readme = (REPO_CONFIGS.parent / "README.md").read_text()
     sources = {"README.md": "".join(readme.split("```")[1::2]).splitlines()}
-    for cfg in sorted(REPO_CONFIGS.glob("*.yaml")):
+    templates = [PACKAGE_DATA / f"{name}.yaml" for name in TEMPLATE_NAMES]
+    for cfg in [*sorted(REPO_CONFIGS.glob("*.yaml")), *templates]:
         header = takewhile(lambda line: line.startswith("#"), cfg.read_text().splitlines())
         sources[cfg.name] = [line.lstrip("# ") for line in header]
     return {
@@ -1153,3 +1199,19 @@ def test_documented_example_parses(line):
         assert (REPO_CONFIGS.parent / args.config).is_file()
     if getattr(args, "template", None) is not None:
         assert args.template in TEMPLATE_NAMES
+
+
+@pytest.mark.parametrize(
+    "path",
+    [*sorted(REPO_CONFIGS.glob("*.yaml")), *sorted(PACKAGE_DATA.glob("*.yaml"))],
+    ids=lambda path: path.name,
+)
+def test_libyaml_and_python_loaders_read_the_same_document(path):
+    text = path.read_text(encoding="utf-8")
+    python_doc = yaml.load(text, Loader=yaml.SafeLoader)
+    assert isinstance(python_doc, dict) and python_doc
+    if not yaml.__with_libyaml__:
+        pytest.skip("PyYAML was built without libyaml")
+    libyaml_doc = yaml.load(text, Loader=yaml.CSafeLoader)
+    assert libyaml_doc == python_doc
+    assert config_hash(libyaml_doc) == config_hash(python_doc)

@@ -1,8 +1,8 @@
-"""Fuzz ``cli.main`` with mutated copies of the shipped configs.
+"""Fuzz ``cli.main`` with mutated copies of the shipped configs and templates.
 
-Each example takes one shipped config, changes value types, drops keys,
-adds keys and puts in huge, tiny and non-finite numbers, then runs the
-command.  Every outcome must be an exit code of 0, 2, 3 or 4: an exception
+Each example takes one shipped config or packaged template circuit config,
+changes value types, drops keys, adds keys and puts in huge, tiny and
+non-finite numbers, then runs the command.  Every outcome must be an exit code of 0, 2, 3 or 4: an exception
 escaping ``main`` (a RuntimeWarning included, since pytest turns those into
 errors) fails the test.
 
@@ -19,23 +19,28 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import sfwm_sim
 from sfwm_sim.cli import main
 from sfwm_sim.coincidence import MAX_HISTOGRAM_BINS
 from sfwm_sim.config import MAX_GRID_POINTS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PACKAGE_DATA = Path(sfwm_sim.__file__).with_name("data")
 COMMANDS = {
     "degenerate_bandwidth_contrast.yaml": "spectrum",
     "nondegenerate_bandwidth_contrast.yaml": "spectrum",
     "custom_circuit.yaml": "circuit",
     "gamma_gaussian.yaml": "gamma",
     "car_plausibility.yaml": "car",
+    "app1_timebin.yaml": "circuit",
+    "app2_path.yaml": "circuit",
 }
 
 
 def _base_doc(name: str) -> dict:
     """A shipped config, cut to a small run: 64 grid points, a 1 s stream."""
-    doc = yaml.safe_load((CONFIGS / name).read_text())
+    folder = PACKAGE_DATA if name.startswith("app") else CONFIGS
+    doc = yaml.safe_load((folder / name).read_text())
     if "grid" in doc:
         doc["grid"]["points"] = 64
     if "synthesize" in doc:
