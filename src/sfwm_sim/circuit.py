@@ -150,6 +150,18 @@ class Edge:
     dst_port: int = 0
 
 
+class GraphError(ConfigError):
+    """A fault in one node or edge of a CircuitGraph.
+
+    ``field`` names it as a circuit config does, after ``config.``: for
+    example ``nodes[1].id`` or ``edges[2].to_port``.
+    """
+
+    def __init__(self, message: str, field: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class CircuitGraph:
     """Validated DAG of photonic nodes."""
@@ -159,27 +171,31 @@ class CircuitGraph:
 
     def __post_init__(self) -> None:
         by_id: dict[str, Node] = {}
-        for node in self.nodes:
+        for i, node in enumerate(self.nodes):
             if node.id in by_id:
-                raise ConfigError(f"duplicate node id {node.id!r}")
+                raise GraphError(f"duplicate node id {node.id!r}", f"nodes[{i}].id")
             by_id[node.id] = node
         # One edge per slot: a slot wired to two edges would copy its light
         # down both, creating power.
         taken_outputs: set[tuple[str, int]] = set()
         taken_inputs: set[tuple[str, int]] = set()
-        for edge in self.edges:
-            for end in (edge.src, edge.dst):
+        for i, edge in enumerate(self.edges):
+            for end, key in ((edge.src, "from"), (edge.dst, "to")):
                 if end not in by_id:
-                    raise ConfigError(f"edge references unknown node {end!r}")
-            if not 0 <= edge.src_port < by_id[edge.src].slots[1]:
-                raise ConfigError(f"{edge.src!r} has no output slot {edge.src_port}")
-            if not 0 <= edge.dst_port < by_id[edge.dst].slots[0]:
-                raise ConfigError(f"{edge.dst!r} has no input slot {edge.dst_port}")
+                    raise GraphError(f"edge references unknown node {end!r}", f"edges[{i}].{key}")
             out_slot, in_slot = (edge.src, edge.src_port), (edge.dst, edge.dst_port)
+            if not 0 <= edge.src_port < by_id[edge.src].slots[1]:
+                message = f"{edge.src!r} has no output slot {edge.src_port}"
+                raise GraphError(message, f"edges[{i}].from_port")
+            if not 0 <= edge.dst_port < by_id[edge.dst].slots[0]:
+                message = f"{edge.dst!r} has no input slot {edge.dst_port}"
+                raise GraphError(message, f"edges[{i}].to_port")
             if out_slot in taken_outputs:
-                raise ConfigError(f"output slot {out_slot} feeds more than one edge")
+                message = f"output slot {out_slot} feeds more than one edge"
+                raise GraphError(message, f"edges[{i}].from_port")
             if in_slot in taken_inputs:
-                raise ConfigError(f"input slot {in_slot} is fed by more than one edge")
+                message = f"input slot {in_slot} is fed by more than one edge"
+                raise GraphError(message, f"edges[{i}].to_port")
             taken_outputs.add(out_slot)
             taken_inputs.add(in_slot)
         object.__setattr__(self, "_by_id", by_id)

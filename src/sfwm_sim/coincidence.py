@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import read_table, row_error, write_table
+from .csvio import TextColumn, read_table, row_error, write_table
 from .errors import DataError, DomainError
 
 CAR_PEAK_BINS = 5
@@ -34,6 +34,7 @@ MAX_HISTOGRAM_BINS = 1 << 22
 # shipped 600 s config draws about 9 M idler events.
 MAX_EVENTS_PER_DRAW = 1 << 24
 TIMESTAMP_HEADER = ("channel", "timestamp_s")
+CHANNELS = ("signal", "idler")
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,22 +290,24 @@ def write_timestamps_csv(path: str | Path, signal_ts, idler_ts) -> None:
     """Write the two channels in the `channel,timestamp_s` interchange format."""
     signal = np.asarray(signal_ts, dtype=float)
     idler = np.asarray(idler_ts, dtype=float)
+    codes = np.repeat(np.arange(2, dtype=np.uint8), (signal.size, idler.size))
     write_table(
         path,
         TIMESTAMP_HEADER,
-        (["signal"] * signal.size + ["idler"] * idler.size, np.concatenate([signal, idler])),
+        (TextColumn(CHANNELS, codes), np.concatenate([signal, idler])),
     )
 
 
 def read_timestamps_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read `channel,timestamp_s` data; each channel must be monotone."""
-    channel, stamps = read_table(path, TIMESTAMP_HEADER, text=("channel",))
-    if not channel:
+    (names, codes), stamps = read_table(path, TIMESTAMP_HEADER, text=("channel",))
+    if not stamps.size:
         raise DataError(f"{path}: no timestamps found")
-    if channel.count("signal") + channel.count("idler") != len(channel):
-        row = next(k for k, name in enumerate(channel) if name not in ("signal", "idler"))
-        raise row_error(path, row, f"unknown channel {channel[row]!r} (signal|idler)")
-    is_signal = np.fromiter(map("signal".__eq__, channel), bool, len(channel))
+    known = np.array([name in CHANNELS for name in names])
+    if not known.all():
+        row = int(np.argmin(known[codes]))
+        raise row_error(path, row, f"unknown channel {names[codes[row]]!r} (signal|idler)")
+    is_signal = np.array([name == "signal" for name in names])[codes]
     signal, idler = stamps[is_signal], stamps[~is_signal]
     # Per channel, the row of the first timestamp below the one before it
     # (compared, not subtracted: a difference of two finite stamps may overflow).
@@ -318,7 +321,7 @@ def read_timestamps_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         raise row_error(
             path,
             row,
-            f"{channel[row]} timestamp {float(stamps[row])!r} is earlier than the one before it "
-            "on that channel (timestamps must be sorted ascending per channel)",
+            f"{names[codes[row]]} timestamp {float(stamps[row])!r} is earlier than the one "
+            "before it on that channel (timestamps must be sorted ascending per channel)",
         )
     return signal, idler

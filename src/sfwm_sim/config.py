@@ -25,6 +25,7 @@ from .circuit import (
     CircuitSetup,
     CouplerNode,
     Edge,
+    GraphError,
     PhaseShifterNode,
     PortNode,
     SegmentNode,
@@ -413,7 +414,10 @@ def parse_circuit_config(doc: dict) -> CircuitSetup:
             )
         )
         sec.finish()
-    graph = CircuitGraph(tuple(nodes), tuple(edges))
+    try:
+        graph = CircuitGraph(tuple(nodes), tuple(edges))
+    except GraphError as exc:
+        raise ConfigError(f"config.{exc.field}: {exc}") from exc
 
     inputs = top.take("input_ports")
     if isinstance(inputs, str):

@@ -3,15 +3,20 @@
 ``write_table`` and ``read_table`` are the only code that formats or parses
 CSV: ``# ...`` comment lines ending in LF, then a header and rows ending in
 CRLF, unquoted comma-separated cells, floats in shortest round-trip form.
+
+A text column (such as the timestamps' ``channel``) is held as a
+``TextColumn``: its distinct values once, and one small unsigned integer code
+per row.  ``read_table`` returns it that way and ``write_table`` takes it that
+way; in the file it is one plain cell per row.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import partial
 from itertools import islice, repeat
 from math import isfinite
 from pathlib import Path
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -27,31 +32,96 @@ HISTOGRAM_HEADER = ("bin_center_s", "counts")
 # more than one block of cell strings in memory.
 _WRITE_BLOCK_ROWS = 1 << 12
 _READ_BLOCK_CHARS = 1 << 16
+_BREAKS = frozenset(",\r\n")  # the characters no cell may hold
 
 # Per grid: [omega cells, detuning cells, key and cells of the last value
 # column written on it] (see _table_cells); an entry dies with its grid.
 _GRID_CELLS: WeakKeyDictionary = WeakKeyDictionary()
 
 
+class TextColumn(NamedTuple):
+    """A text column: each distinct value once, and per row the index of its value.
+
+    ``codes`` is an array of the smallest unsigned integer type that holds
+    ``len(values) - 1`` (one byte per row up to 256 values); row ``k`` holds
+    ``values[codes[k]]``.
+    """
+
+    values: tuple[str, ...]
+    codes: np.ndarray
+
+
+def _length(column) -> int:
+    return len(column.codes) if isinstance(column, TextColumn) else len(column)
+
+
 def write_table(path: str | Path, header, columns, comments=()) -> None:
     """Write equal-length ``columns``, one per header name, after ``# comment`` lines.
 
-    Cells are written with ``str``; numpy columns go through ``tolist()``
-    first, so float64 cells come out in Python's shortest round-trip form.
+    A column is a TextColumn, a numpy array or a list.  Cells are written with
+    ``str``; numpy columns go through ``tolist()`` first, so float64 cells come
+    out in Python's shortest round-trip form.  A cell holding a comma or a line
+    break raises ValueError, as does such a TextColumn value, used or not.
     """
-    if len(columns) != len(header) or len({len(col) for col in columns}) > 1:
+    if len(columns) != len(header) or len({_length(col) for col in columns}) > 1:
         raise ValueError(f"{path}: need one column per header name, all of one length")
+    texts = [col for col in columns if isinstance(col, TextColumn)]
+    if any(_BREAKS.intersection(value) for col in texts for value in col.values):
+        raise ValueError(f"{path}: a cell contains a comma or a line break")
+    others = [j for j, col in enumerate(columns) if not isinstance(col, TextColumn)]
+    # A number's str holds no comma or line break, so rows that differ only in
+    # one numeric column need no check past the text values.
+    by_runs = (
+        len(others) == 1
+        and isinstance(columns[others[0]], np.ndarray)
+        and columns[others[0]].dtype.kind in "biuf"
+    )
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write("".join(f"# {line}\n" for line in comments) + ",".join(header) + "\r\n")
-        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-            block = [col[start : start + _WRITE_BLOCK_ROWS] for col in columns]
-            cells = (map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in block)
-            rows = list(map(",".join, zip(*cells)))
-            text = "\r\n".join(rows) + "\r\n"
-            breaks = text.count("\r") + text.count("\n")
-            if text.count(",") != (len(header) - 1) * len(rows) or breaks != 2 * len(rows):
-                raise ValueError(f"{path}: a cell contains a comma or a line break")
-            fh.write(text)
+        fh.writelines(_run_blocks(columns, others[0]) if by_runs else _row_blocks(path, columns))
+
+
+def _run_blocks(columns, j: int):
+    """The rows of a table whose one non-text column is numeric column ``j``.
+
+    Within a run of rows with the same text cells a row is one prefix and one
+    suffix around its ``j`` cell, so each block of a run is one join.
+    """
+    numbers = columns[j]
+    starts = np.zeros(len(numbers) + 1, bool)  # a run starts at each True, the last ends all
+    starts[[0, -1]] = True
+    for col in columns:
+        if isinstance(col, TextColumn):
+            starts[1:-1] |= col.codes[1:] != col.codes[:-1]
+    edges = np.flatnonzero(starts).tolist()
+    for start, end in zip(edges, edges[1:]):
+        prefix = "".join(f"{col.values[col.codes[start]]}," for col in columns[:j])
+        suffix = "".join(f",{col.values[col.codes[start]]}" for col in columns[j + 1 :])
+        between = f"{suffix}\r\n{prefix}"
+        for first in range(start, end, _WRITE_BLOCK_ROWS):
+            cells = map(str, numbers[first : min(first + _WRITE_BLOCK_ROWS, end)].tolist())
+            yield f"{prefix}{between.join(cells)}{suffix}\r\n"
+
+
+def _strings(column, start: int, stop: int):
+    """The cells of rows ``start:stop`` of ``column``, as ``str``."""
+    if isinstance(column, TextColumn):
+        return map(column.values.__getitem__, column.codes[start:stop].tolist())
+    block = column[start:stop]
+    return map(str, block.tolist() if isinstance(block, np.ndarray) else block)
+
+
+def _row_blocks(path, columns):
+    """The rows of any table, one block at a time, each row joined from its cells."""
+    n = len(columns)
+    for start in range(0, _length(columns[0]), _WRITE_BLOCK_ROWS):
+        stop = start + _WRITE_BLOCK_ROWS
+        rows = list(map(",".join, zip(*(_strings(col, start, stop) for col in columns))))
+        text = "\r\n".join(rows) + "\r\n"
+        breaks = text.count("\r") + text.count("\n")
+        if text.count(",") != (n - 1) * len(rows) or breaks != 2 * len(rows):
+            raise ValueError(f"{path}: a cell contains a comma or a line break")
+        yield text
 
 
 def _is_row(line: str) -> bool:
@@ -83,44 +153,85 @@ def _floats(path: Path, first_row: int, name: str, cells: list[str]) -> np.ndarr
     raise AssertionError
 
 
+def _codes(cells: list[str], index: dict[str, int]) -> np.ndarray:
+    """The code of each cell's stripped value in ``index``, which gains each new value.
+
+    Each distinct cell is stripped once (in sorted order, so that no code
+    depends on string hashing), and a block of one value is one fill.
+    """
+    local = {cell: index.setdefault(cell.strip(), len(index)) for cell in sorted(set(cells))}
+    dtype = np.min_scalar_type(max(len(index) - 1, 0))
+    if len(local) == 1:
+        return np.full(len(cells), *local.values(), dtype)
+    return np.fromiter(map(local.__getitem__, cells), dtype, len(cells))
+
+
+def _row_cells(block: list[str], n: int) -> list[str] | None:
+    """The cells of ``block`` when each of its lines is a row of ``n`` cells, else None.
+
+    The block must hold no ``#``, split into ``n`` cells per line once its
+    lines are joined with commas, and have each line break in a last-column
+    cell.  The join adds a cell boundary at each line end, so then every line
+    holds a whole number of rows' cells, and with ``n`` per line on average,
+    exactly ``n``.  With ``n == 1`` a blank line would pass, so it is checked.
+    """
+    joined = ",".join(block)
+    if "#" in joined:
+        return None
+    cells = joined.split(",")
+    breaks = len(block) - (not block[-1].endswith("\n"))  # only a file's last line lacks one
+    if len(cells) != n * len(block) or "".join(cells[n - 1 :: n]).count("\n") != breaks:
+        return None
+    if n == 1 and not all(map(str.strip, cells)):
+        return None
+    return cells
+
+
 def read_table(path: str | Path, header, text=()) -> list:
     """The columns of a table whose header is exactly ``header``.
 
     Blank and ``#`` lines are skipped and LF line ends are accepted.  Columns
-    named in ``text`` come back as lists of stripped strings, all others as
-    float64 arrays.  An unreadable file, a wrong header, a row with the wrong
-    number of cells or a numeric cell that is not a finite number raises
+    named in ``text`` come back as TextColumns of stripped strings, all others
+    as float64 arrays.  An unreadable file, a wrong header, a row with the
+    wrong number of cells or a numeric cell that is not a finite number raises
     DataError naming ``path:line``.
     """
     path, n = Path(path), len(header)
     parts: list[list] = [[] for _ in header]
+    index: list[dict[str, int]] = [{} for _ in header]  # per text column: value -> code
     done = -1  # data rows read so far; -1 until the header is read
     try:
         with path.open(encoding="utf-8") as fh:
             for block in iter(partial(fh.readlines, _READ_BLOCK_CHARS), []):
-                rows = list(filter(_is_row if "#" in "".join(block) else str.strip, block))
-                if done < 0 and rows:
-                    got = tuple(cell.strip() for cell in rows.pop(0).split(","))
-                    if got != tuple(header):
-                        message = f"expected header {','.join(header)!r}, got {','.join(got)!r}"
-                        raise row_error(path, -1, message)
-                    done = 0
-                counts = list(map(str.count, rows, repeat(",")))
-                if counts.count(n - 1) != len(rows):
-                    k = next(k for k, c in enumerate(counts) if c != n - 1)
-                    raise row_error(path, done + k, f"expected {n} cells, got {counts[k] + 1}")
-                cells = ",".join(rows).split(",") if rows else []
+                cells = _row_cells(block, n) if done >= 0 else None
+                if cells is None:  # a header, comment, blank or malformed line: row by row
+                    rows = list(filter(_is_row if "#" in "".join(block) else str.strip, block))
+                    if done < 0 and rows:
+                        got = tuple(cell.strip() for cell in rows.pop(0).split(","))
+                        if got != tuple(header):
+                            expected, got = ",".join(header), ",".join(got)
+                            raise row_error(path, -1, f"expected header {expected!r}, got {got!r}")
+                        done = 0
+                    counts = list(map(str.count, rows, repeat(",")))
+                    if counts.count(n - 1) != len(rows):
+                        k = next(k for k, c in enumerate(counts) if c != n - 1)
+                        raise row_error(path, done + k, f"expected {n} cells, got {counts[k] + 1}")
+                    cells = ",".join(rows).split(",") if rows else []
                 for j, name in enumerate(header):
-                    if name in text:  # text cells repeat (channel names): one object per value
-                        parts[j].extend(map(sys.intern, map(str.strip, cells[j::n])))
-                    else:
-                        parts[j].append(_floats(path, done, name, cells[j::n]))
-                done += len(rows)
+                    parts[j].append(
+                        _codes(cells[j::n], index[j]) if name in text
+                        else _floats(path, done, name, cells[j::n])
+                    )
+                done += len(cells) // n
+                del block, cells  # hold one block of cell strings at a time
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read table ({exc})") from exc
     if done < 0:
         raise DataError(f"{path}: no header line, expected {','.join(header)!r}")
-    return [col if name in text else np.concatenate(col) for name, col in zip(header, parts)]
+    return [
+        TextColumn(tuple(values), np.concatenate(col)) if name in text else np.concatenate(col)
+        for name, col, values in zip(header, parts, index)
+    ]
 
 
 def _sha_comment(config_sha: str) -> tuple[str]:

@@ -28,24 +28,23 @@ def load_yaml(text: str):
     return yaml.load(text, Loader=YAML_LOADER)
 
 
+@lru_cache(maxsize=None)
 def packaged_yaml(name: str):
-    """The document of the packaged data file ``data/<name>.yaml``."""
+    """The document of the packaged data file ``data/<name>.yaml``, read once.
+
+    Every caller shares the one document, so none may change it.
+    """
     return load_yaml(resources.files("sfwm_sim").joinpath(f"data/{name}.yaml").read_text())
-
-
-@lru_cache(maxsize=1)
-def _defaults() -> dict:
-    return packaged_yaml("defaults")
 
 
 def waveguide_kinds() -> tuple[str, ...]:
     """Every accepted waveguide kind: ``custom`` and the keys of the preset table."""
-    return ("custom", *_defaults()["waveguides"])
+    return ("custom", *packaged_yaml("defaults")["waveguides"])
 
 
 def preset_waveguide(kind: str, length_m: float) -> WaveguideSpec:
     """WaveguideSpec for a preset kind, dispersion taken at the pump average."""
-    presets = _defaults()["waveguides"]
+    presets = packaged_yaml("defaults")["waveguides"]
     if kind not in presets:
         raise ConfigError(f"no preset for kind {kind!r}; the kinds are {waveguide_kinds()}")
     params = presets[kind]

@@ -337,6 +337,21 @@ class TestConfigParsing:
         assert setup.pump.power_w == 1.0
         assert setup.band_detuning_hz == (2.5e12, 5.0e12)
 
+    @pytest.mark.parametrize("template", TEMPLATE_NAMES)
+    def test_parsing_leaves_the_document_unchanged(self, template):
+        doc = load_config(PACKAGE_DATA / f"{template}.yaml")
+        before = copy.deepcopy(doc)
+        parse_circuit_config(doc)
+        assert doc == before
+
+    @pytest.mark.parametrize("all_strip", [False, True])
+    @pytest.mark.parametrize("template", TEMPLATE_NAMES)
+    def test_a_template_built_twice_is_the_same_setup(self, template, all_strip):
+        # The packaged document is read once and shared, so no build may change it.
+        first, second = (build_template(template, all_strip) for _ in range(2))
+        assert first == second
+        assert build_template(template, not all_strip) != first
+
     def test_unknown_template_rejected(self):
         with pytest.raises(ConfigError, match="unknown template 'app3'"):
             build_template("app3")
@@ -518,6 +533,24 @@ class TestCircuitCommand:
         assert main(["circuit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert where in capsys.readouterr().err
         assert not list((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize(
+        "path, value, where",
+        [
+            (("edges", 4, "to_port"), 5,
+             "config.edges[4].to_port: 'umzi_merge' has no input slot 5"),
+            (("nodes", 3, "id"), "umzi_long",
+             "config.nodes[3].id: duplicate node id 'umzi_long'"),
+        ],
+        ids=["missing-slot", "duplicate-id"],
+    )
+    def test_graph_errors_name_their_field(self, tmp_path, capsys, path, value, where):
+        doc = load_config(PACKAGE_DATA / "app1_timebin.yaml")
+        doc[path[0]][path[1]][path[2]] = value
+        cfg = write_yaml(tmp_path / "run.yaml", doc)
+        assert main(["circuit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {where}\n" in capsys.readouterr().err
+
 
 
 class TestGammaCommand:

@@ -17,6 +17,7 @@ from sfwm_sim.csvio import (
     HISTOGRAM_HEADER,
     MISMATCH_HEADER,
     SPECTRUM_HEADER,
+    TextColumn,
     read_table,
     write_mismatch_csv,
     write_spectrum_csv,
@@ -90,7 +91,8 @@ def test_reader_skips_blank_and_comment_lines_and_accepts_lf(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("# top\n\n name , x \nsignal,1.5\n   \n  # mid\nidler , 2\n")
     name, x = read_table(path, ("name", "x"), text=("name",))
-    assert name == ["signal", "idler"]
+    assert name.codes.dtype == np.uint8 and sorted(name.values) == ["idler", "signal"]
+    assert [name.values[code] for code in name.codes] == ["signal", "idler"]
     np.testing.assert_array_equal(x, [1.5, 2.0])
 
 
@@ -150,7 +152,8 @@ def test_every_emitted_table_reads_back_with_its_header(tmp_path):
         (suffix,) = [s for s in declared if path.name.endswith(s)]
         header, text = declared[suffix]
         columns = read_table(path, header, text=text)
-        assert len({len(col) for col in columns}) == 1 and len(columns[0]) > 0, path.name
+        lengths = {len(col.codes) if isinstance(col, TextColumn) else len(col) for col in columns}
+        assert len(lengths) == 1 and lengths != {0}, path.name
         seen.add(suffix)
     assert seen == set(declared)
 

@@ -1,0 +1,334 @@
+"""read_table and write_table against the row-by-row reader and writer they replaced.
+
+The reader checks each block's structure once and takes a block that passes
+without looking at its rows one by one; the writer writes each run of equal
+text cells with one join per block.  The two functions below are the earlier
+row-by-row versions, kept as the reference: every table must read to the same
+columns (text columns decoded) or fail with the same DataError text, and
+every table must be written to the same bytes.
+"""
+
+import sys
+from functools import partial
+from itertools import islice, repeat
+from math import isfinite
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sfwm_sim import csvio
+from sfwm_sim.csvio import TextColumn, read_table, write_table
+from sfwm_sim.errors import DataError
+
+# ---------------------------------------------------------------- reference
+
+
+def _ref_is_row(line: str) -> bool:
+    stripped = line.strip()
+    return bool(stripped) and not stripped.startswith("#")
+
+
+def _ref_row_error(path, row: int, message: str) -> DataError:
+    with Path(path).open(encoding="utf-8") as fh:
+        lines = (n for n, line in enumerate(fh, start=1) if _ref_is_row(line))
+        return DataError(f"{path}:{next(islice(lines, row + 1, None))}: {message}")
+
+
+def _ref_floats(path, first_row: int, name: str, cells: list[str]) -> np.ndarray:
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    for k, cell in enumerate(cells):
+        try:
+            problem = None if isfinite(float(cell)) else "is not finite"
+        except ValueError:
+            problem = "is not a number"
+        if problem:
+            raise _ref_row_error(path, first_row + k, f"{name} cell {cell.strip()!r} {problem}")
+    raise AssertionError
+
+
+def reference_read_table(path, header, text=(), block_chars=1 << 16) -> list:
+    path, n = Path(path), len(header)
+    parts: list[list] = [[] for _ in header]
+    done = -1
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for block in iter(partial(fh.readlines, block_chars), []):
+                rows = list(filter(_ref_is_row if "#" in "".join(block) else str.strip, block))
+                if done < 0 and rows:
+                    got = tuple(cell.strip() for cell in rows.pop(0).split(","))
+                    if got != tuple(header):
+                        message = f"expected header {','.join(header)!r}, got {','.join(got)!r}"
+                        raise _ref_row_error(path, -1, message)
+                    done = 0
+                counts = list(map(str.count, rows, repeat(",")))
+                if counts.count(n - 1) != len(rows):
+                    k = next(k for k, c in enumerate(counts) if c != n - 1)
+                    raise _ref_row_error(path, done + k, f"expected {n} cells, got {counts[k] + 1}")
+                cells = ",".join(rows).split(",") if rows else []
+                for j, name in enumerate(header):
+                    if name in text:
+                        parts[j].extend(map(sys.intern, map(str.strip, cells[j::n])))
+                    else:
+                        parts[j].append(_ref_floats(path, done, name, cells[j::n]))
+                done += len(rows)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read table ({exc})") from exc
+    if done < 0:
+        raise DataError(f"{path}: no header line, expected {','.join(header)!r}")
+    return [col if name in text else np.concatenate(col) for name, col in zip(header, parts)]
+
+
+def reference_write_table(path, header, columns, comments=()) -> None:
+    if len(columns) != len(header) or len({len(col) for col in columns}) > 1:
+        raise ValueError(f"{path}: need one column per header name, all of one length")
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(f"# {line}\n" for line in comments) + ",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), 1 << 12):
+            block = [col[start : start + (1 << 12)] for col in columns]
+            cells = (map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in block)
+            rows = list(map(",".join, zip(*cells)))
+            text = "\r\n".join(rows) + "\r\n"
+            breaks = text.count("\r") + text.count("\n")
+            if text.count(",") != (len(header) - 1) * len(rows) or breaks != 2 * len(rows):
+                raise ValueError(f"{path}: a cell contains a comma or a line break")
+            fh.write(text)
+
+
+# ------------------------------------------------------------------ reading
+
+
+def _outcome(read, *args):
+    """The columns ``read`` returns, text columns decoded, or the DataError text it raises."""
+    try:
+        columns = read(*args)
+    except DataError as exc:
+        return "DataError", str(exc)
+    return "columns", [
+        [col.values[code] for code in col.codes.tolist()] if isinstance(col, TextColumn)
+        else col.view(np.int64).tolist() if isinstance(col, np.ndarray) else col
+        for col in columns
+    ]
+
+
+def assert_reads_like_the_reference(path, header, text, block_chars):
+    with mock.patch.object(csvio, "_READ_BLOCK_CHARS", block_chars):
+        got = _outcome(read_table, path, header, text)
+    assert got == _outcome(reference_read_table, path, header, text, block_chars)
+    return got
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "four", "", " 1.5 ", "\t2", "0x1p3", "1_0"]),
+)
+TEXT_CELLS = st.sampled_from(["signal", "idler", " signal ", "idler\t", "x", ""])
+
+
+@st.composite
+def tables(draw):
+    """A table's header, text columns and file text, with the faults the reader must name."""
+    n = draw(st.integers(1, 3))
+    header = tuple(f"c{j}" for j in range(n))
+    text = tuple(name for name in header if draw(st.booleans()))
+
+    def row(width: int) -> str:
+        cells = [
+            draw(TEXT_CELLS if j < n and header[j] in text else NUMBER_CELLS)
+            for j in range(width)
+        ]
+        return ",".join(cells)
+
+    kinds = st.sampled_from(
+        ["row"] * 6 + ["comment", "comment_n_cells", "hash_cell", "blank", "space", "wide", "narrow"]
+    )
+    lines = []
+    for kind in draw(st.lists(kinds, max_size=30)):
+        if kind == "row":
+            lines.append(row(n))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["#", "# note", "  # indented"])))
+        elif kind == "comment_n_cells":  # a comment with the comma count of a row
+            lines.append("#" + "," * (n - 1) + draw(st.sampled_from(["", "1"])))
+        elif kind == "hash_cell":  # a '#' that does not start the line
+            lines.append(row(n - 1) + ("," if n > 1 else "") + "#1")
+        elif kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "   "])))
+        elif kind == "wide":
+            lines.append(row(n + 1))
+        else:
+            lines.append(row(n - 1))
+    head = draw(st.sampled_from(["exact", "padded", "wrong", "none"]))
+    if head != "none":
+        names = {"exact": header, "padded": [f" {h} " for h in header], "wrong": ["x"] * n}[head]
+        lines.insert(draw(st.integers(0, min(2, len(lines)))), ",".join(names))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""  # no newline after the last line
+    return header, text, "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=tables(), block_chars=st.integers(1, 160))
+@example(table=(("a", "b"), (), "a,b\n1,2,3\n4\n5,6\n"), block_chars=1000)  # counts balance
+@example(table=(("a", "b"), (), "a,b\n1,2\n#,\n3,4\n"), block_chars=1000)  # comment, n-1 commas
+@example(table=(("a",), (), "a\n1\n\n2\n   \n"), block_chars=1000)  # blank rows, one column
+@example(table=(("a", "b"), ("a",), "a,b\r\nx,1\r\ny,2"), block_chars=1000)  # no final newline
+def test_read_table_matches_the_row_by_row_reader(tmp_path_factory, table, block_chars):
+    header, text, content = table
+    path = tmp_path_factory.mktemp("read") / "t.csv"
+    path.write_bytes(content.encode())
+    assert_reads_like_the_reference(path, header, text, block_chars)
+
+
+def _stream_lines(n_rows: int, seed: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    stamps = np.sort(rng.random(n_rows) * 10.0).tolist()
+    return ["channel,timestamp_s"] + [
+        f"{'signal' if k < n_rows // 2 else 'idler'},{t!r}" for k, t in enumerate(stamps)
+    ]
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["none", "comment_n_cells", "blank", "wide", "narrow_then_wide", "nan", "unknown_channel"],
+)
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_faults_at_a_real_block_boundary_read_like_the_reference(tmp_path, fault, newline):
+    lines = _stream_lines(9000, seed=5)
+    # The first data line that the second block of the reader starts with.
+    size, boundary = 0, 0
+    while size <= csvio._READ_BLOCK_CHARS:
+        size += len(lines[boundary]) + 1
+        boundary += 1
+    k = boundary - 1  # the last line of the first block: edits here straddle the boundary
+    if fault == "comment_n_cells":
+        lines.insert(boundary + 3, "# n-1 commas: ,")
+    elif fault == "blank":
+        lines.insert(boundary + 3, "  ")
+    elif fault == "wide":
+        lines[k] += ",1.0"
+    elif fault == "narrow_then_wide":  # two rows whose cell counts balance within one block
+        lines[boundary + 2] = "signal"
+        lines[boundary + 3] += ",1.0"
+    elif fault == "nan":
+        lines[boundary] = "signal,nan"
+    elif fault == "unknown_channel":
+        lines[boundary + 1] = "idle," + lines[boundary + 1].split(",")[1]
+    path = tmp_path / "t.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    kind, _ = assert_reads_like_the_reference(
+        path, ("channel", "timestamp_s"), ("channel",), csvio._READ_BLOCK_CHARS
+    )
+    assert kind == ("columns" if fault in ("none", "comment_n_cells", "blank", "unknown_channel")
+                    else "DataError")
+
+
+def test_each_block_after_the_header_is_taken_whole(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(_stream_lines(9000, seed=6)) + "\n")
+    checked = []
+
+    def row_cells(block, n):
+        cells = csvio_row_cells(block, n)
+        checked.append(cells is not None)
+        return cells
+
+    csvio_row_cells = csvio._row_cells
+    monkeypatch.setattr(csvio, "_row_cells", row_cells)
+    channel, stamps = read_table(path, ("channel", "timestamp_s"), text=("channel",))
+    assert len(checked) >= 2 and all(checked)
+    assert channel.codes.dtype == np.uint8 and len(channel.codes) == len(stamps) == 9000
+
+
+def test_codes_widen_past_256_values(tmp_path):
+    names = [f"v{k}" for k in range(300)]
+    path = tmp_path / "t.csv"
+    path.write_text("name,x\n" + "".join(f"{name},{k}\n" for k, name in enumerate(names)))
+    name, x = read_table(path, ("name", "x"), text=("name",))
+    assert name.codes.dtype == np.uint16
+    assert [name.values[code] for code in name.codes] == names
+
+
+# ------------------------------------------------------------------ writing
+
+RUN_LENGTHS = st.one_of(
+    st.sampled_from([0, 1, 4095, 4096, 4097, 8192]), st.integers(0, 40), st.integers(0, 9000)
+)
+
+
+@st.composite
+def runs(draw):
+    """Channel values, and runs of (value index, length), some of them empty."""
+    values = tuple(draw(st.lists(
+        st.sampled_from(["signal", "idler", "a b", "", "x.y"]), min_size=1, max_size=3, unique=True
+    )))
+    chosen = draw(st.lists(
+        st.tuples(st.integers(0, len(values) - 1), RUN_LENGTHS), max_size=5
+    ))
+    return values, chosen
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=runs(), layout=st.sampled_from(["text_first", "text_last", "two_texts"]),
+       n_comments=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+@example(drawn=(("signal", "idler"), [(0, 100), (1, 200)]), layout="text_first", n_comments=0,
+         seed=1)  # a channel switch inside the first block
+@example(drawn=(("signal", "idler"), [(0, 4096), (1, 4096)]), layout="text_first",
+         n_comments=0, seed=2)  # runs of exactly one block
+@example(drawn=(("signal", "idler"), [(0, 1), (1, 0)]), layout="text_first", n_comments=0,
+         seed=3)  # a one-row channel and an empty one
+@example(drawn=(("signal", "idler"), []), layout="text_first", n_comments=1, seed=4)
+def test_write_table_bytes_match_the_row_by_row_writer(
+    tmp_path_factory, drawn, layout, n_comments, seed
+):
+    values, chosen = drawn
+    codes = np.repeat(
+        np.array([k for k, _ in chosen], np.uint8), [length for _, length in chosen]
+    ).astype(np.uint8)
+    rng = np.random.default_rng(seed)
+    numbers = rng.standard_normal(codes.size) * 10.0 ** rng.integers(-300, 300, codes.size)
+    channel = TextColumn(values, codes)
+    decoded = [values[code] for code in codes.tolist()]
+    if layout == "text_first":
+        header, new, old = ("channel", "t"), (channel, numbers), (decoded, numbers)
+    elif layout == "text_last":
+        header, new, old = ("t", "channel"), (numbers, channel), (numbers, decoded)
+    else:  # a second text column whose runs end at other rows
+        other_codes = (np.cumsum(rng.random(codes.size) < 0.01) % 2).astype(np.uint8)
+        other = TextColumn(("u", "v"), other_codes)
+        header = ("a", "t", "b")
+        new = (channel, numbers, other)
+        old = (decoded, numbers, [other.values[code] for code in other_codes.tolist()])
+    comments = [f"note {k}" for k in range(n_comments)]
+    tmp = tmp_path_factory.mktemp("write")
+    write_table(tmp / "new.csv", header, new, comments)
+    reference_write_table(tmp / "old.csv", header, old, comments)
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+def test_text_columns_mixed_with_list_columns_write_the_reference_bytes(tmp_path):
+    channel = TextColumn(("p", "q"), np.array([0, 1, 1, 0], np.uint8))
+    columns = (channel, ["1", "2", "3", "4"], np.array([0.5, -0.0, 1e300, 7.0]))
+    write_table(tmp_path / "new.csv", ("c", "s", "x"), columns)
+    old = (["p", "q", "q", "p"], columns[1], columns[2])
+    reference_write_table(tmp_path / "old.csv", ("c", "s", "x"), old)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["src,strip", "two\nlines", "carriage\rreturn"])
+@pytest.mark.parametrize("used", [True, False])
+def test_a_text_value_that_would_break_the_format_is_rejected(tmp_path, value, used):
+    codes = np.array([0, 1 if used else 0], np.uint8)
+    with pytest.raises(ValueError, match="comma or a line break"):
+        write_table(tmp_path / "t.csv", ("id", "x"), (TextColumn(("ok", value), codes), [1.0, 2.0]))
