@@ -12,6 +12,7 @@ way; in the file it is one plain cell per row.
 
 from __future__ import annotations
 
+import os
 from functools import partial
 from itertools import islice, repeat
 from math import isfinite
@@ -51,6 +52,10 @@ class TextColumn(NamedTuple):
     codes: np.ndarray
 
 
+class _NumberCells(list):
+    """Cells that csvio formatted from numbers: ``write_table`` writes them unscanned."""
+
+
 def _length(column) -> int:
     return len(column.codes) if isinstance(column, TextColumn) else len(column)
 
@@ -60,8 +65,10 @@ def write_table(path: str | Path, header, columns, comments=()) -> None:
 
     A column is a TextColumn, a numpy array or a list.  Cells are written with
     ``str``; numpy columns go through ``tolist()`` first, so float64 cells come
-    out in Python's shortest round-trip form.  A cell holding a comma or a line
-    break raises ValueError, as does such a TextColumn value, used or not.
+    out in Python's shortest round-trip form.  A cell given as text (a
+    TextColumn value, used or not, or a list cell) that holds a comma or a
+    line break raises ValueError; a number's ``str`` holds neither, so cells
+    formatted from numbers are not scanned.
     """
     if len(columns) != len(header) or len({_length(col) for col in columns}) > 1:
         raise ValueError(f"{path}: need one column per header name, all of one length")
@@ -69,16 +76,15 @@ def write_table(path: str | Path, header, columns, comments=()) -> None:
     if any(_BREAKS.intersection(value) for col in texts for value in col.values):
         raise ValueError(f"{path}: a cell contains a comma or a line break")
     others = [j for j, col in enumerate(columns) if not isinstance(col, TextColumn)]
-    # A number's str holds no comma or line break, so rows that differ only in
-    # one numeric column need no check past the text values.
-    by_runs = (
-        len(others) == 1
-        and isinstance(columns[others[0]], np.ndarray)
-        and columns[others[0]].dtype.kind in "biuf"
-    )
+    # Rows that differ only in one numeric column are written run by run.
+    by_runs = len(others) == 1 and _is_numeric(columns[others[0]])
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write("".join(f"# {line}\n" for line in comments) + ",".join(header) + "\r\n")
-        fh.writelines(_run_blocks(columns, others[0]) if by_runs else _row_blocks(path, columns))
+        fh.writelines(_run_blocks(columns, others[0]) if by_runs else _column_blocks(path, columns))
+
+
+def _is_numeric(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind in "biuf"
 
 
 def _run_blocks(columns, j: int):
@@ -103,25 +109,35 @@ def _run_blocks(columns, j: int):
             yield f"{prefix}{between.join(cells)}{suffix}\r\n"
 
 
-def _strings(column, start: int, stop: int):
-    """The cells of rows ``start:stop`` of ``column``, as ``str``."""
-    if isinstance(column, TextColumn):
-        return map(column.values.__getitem__, column.codes[start:stop].tolist())
+def _block_cells(path, column, start: int, stop: int) -> list[str]:
+    """The cells of rows ``start:stop`` of ``column`` as ``str``, those given as text checked."""
+    if isinstance(column, _NumberCells):
+        return column[start:stop]
+    if isinstance(column, TextColumn):  # its values are checked once, in write_table
+        return list(map(column.values.__getitem__, column.codes[start:stop].tolist()))
     block = column[start:stop]
-    return map(str, block.tolist() if isinstance(block, np.ndarray) else block)
+    cells = list(map(str, block.tolist() if isinstance(block, np.ndarray) else block))
+    if not _is_numeric(block) and not _BREAKS.isdisjoint("".join(cells)):
+        raise ValueError(f"{path}: a cell contains a comma or a line break")
+    return cells
 
 
-def _row_blocks(path, columns):
-    """The rows of any table, one block at a time, each row joined from its cells."""
+def _column_blocks(path, columns):
+    """The rows of any table, one block at a time, each block built column by column.
+
+    A block is one list of cells and separators (a comma, or CRLF after the
+    last column), filled one column slice at a time and joined once.
+    """
     n = len(columns)
+    row = [","] * (2 * n)
+    row[-1] = "\r\n"
     for start in range(0, _length(columns[0]), _WRITE_BLOCK_ROWS):
         stop = start + _WRITE_BLOCK_ROWS
-        rows = list(map(",".join, zip(*(_strings(col, start, stop) for col in columns))))
-        text = "\r\n".join(rows) + "\r\n"
-        breaks = text.count("\r") + text.count("\n")
-        if text.count(",") != (n - 1) * len(rows) or breaks != 2 * len(rows):
-            raise ValueError(f"{path}: a cell contains a comma or a line break")
-        yield text
+        cells = [_block_cells(path, col, start, stop) for col in columns]
+        parts = row * len(cells[0])
+        for j, column_cells in enumerate(cells):
+            parts[2 * j :: 2 * n] = column_cells
+        yield "".join(parts)
 
 
 def _is_row(line: str) -> bool:
@@ -197,12 +213,17 @@ def read_table(path: str | Path, header, text=()) -> list:
     DataError naming ``path:line``.
     """
     path, n = Path(path), len(header)
-    parts: list[list] = [[] for _ in header]
+    # Per column: its code blocks, or one float array grown in place (see _put).
+    parts: list = [[] if name in text else np.empty(0) for name in header]
     index: list[dict[str, int]] = [{} for _ in header]  # per text column: value -> code
     done = -1  # data rows read so far; -1 until the header is read
     try:
         with path.open(encoding="utf-8") as fh:
+            # Bytes in the file, and characters read to within a line a block
+            # (readlines stops at the line that reaches its size hint).
+            size, seen = os.fstat(fh.fileno()).st_size, 0
             for block in iter(partial(fh.readlines, _READ_BLOCK_CHARS), []):
+                seen += _READ_BLOCK_CHARS
                 cells = _row_cells(block, n) if done >= 0 else None
                 if cells is None:  # a header, comment, blank or malformed line: row by row
                     rows = list(filter(_is_row if "#" in "".join(block) else str.strip, block))
@@ -217,28 +238,46 @@ def read_table(path: str | Path, header, text=()) -> list:
                         k = next(k for k, c in enumerate(counts) if c != n - 1)
                         raise row_error(path, done + k, f"expected {n} cells, got {counts[k] + 1}")
                     cells = ",".join(rows).split(",") if rows else []
+                stop = done + len(cells) // n
                 for j, name in enumerate(header):
-                    parts[j].append(
-                        _codes(cells[j::n], index[j]) if name in text
-                        else _floats(path, done, name, cells[j::n])
-                    )
-                done += len(cells) // n
+                    if name in text:
+                        parts[j].append(_codes(cells[j::n], index[j]))
+                    else:
+                        floats = _floats(path, done, name, cells[j::n])
+                        _put(parts[j], done, floats, stop * size // seen)
+                done = stop
                 del block, cells  # hold one block of cell strings at a time
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read table ({exc})") from exc
     if done < 0:
         raise DataError(f"{path}: no header line, expected {','.join(header)!r}")
+    for name, col in zip(header, parts):
+        if name not in text:
+            col.resize(done, refcheck=False)
     return [
-        TextColumn(tuple(values), np.concatenate(col)) if name in text else np.concatenate(col)
+        TextColumn(tuple(values), np.concatenate(col)) if name in text else col
         for name, col, values in zip(header, parts, index)
     ]
+
+
+def _put(column: np.ndarray, start: int, values: np.ndarray, rows_hint: int) -> None:
+    """Write ``values`` into ``column`` from row ``start``, growing it in place when full.
+
+    It grows to a sixteenth past ``rows_hint``, the rows the whole file holds
+    at the density read so far, so a long column is allocated about once and
+    never held twice.
+    """
+    stop = start + len(values)
+    if len(column) < stop:
+        column.resize(max(stop, rows_hint) * 17 // 16, refcheck=False)
+    column[start:stop] = values
 
 
 def _sha_comment(config_sha: str) -> tuple[str]:
     return (f"config_sha256={config_sha}",)
 
 
-def _cells(values: np.ndarray) -> list[str]:
+def _cells(values: np.ndarray) -> _NumberCells:
     """The ``str`` of each value, as ``write_table`` would format them.
 
     A float64 column that mirrors bit for bit (compared as int64, so 0.0 and
@@ -251,11 +290,11 @@ def _cells(values: np.ndarray) -> list[str]:
         if np.array_equal(bits, bits[::-1]):
             half = len(values) // 2
             upper = list(map(str, values[half:].tolist()))
-            return upper[::-1][:half] + upper
-    return list(map(str, values.tolist()))
+            return _NumberCells(upper[::-1][:half] + upper)
+    return _NumberCells(map(str, values.tolist()))
 
 
-def _table_cells(grid: SpectralGrid, values: np.ndarray) -> tuple[list[str], ...]:
+def _table_cells(grid: SpectralGrid, values: np.ndarray) -> tuple[_NumberCells, ...]:
     """The omega, detuning (THz) and ``values`` cells of a table on ``grid``.
 
     The grid cells are formatted once while the grid lives.  Only the last

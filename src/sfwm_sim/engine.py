@@ -157,7 +157,8 @@ class BiphotonSpectrum:
             raise ConfigError(
                 f"flux_density shape {flux.shape} does not match grid ({self.grid.n_points},)"
             )
-        if np.any(flux < 0.0) or not np.all(np.isfinite(flux)):
+        # One pass each and no boolean temporary; NaN fails the first test.
+        if not (flux.min() >= 0.0 and flux.max() < np.inf):
             raise DomainError("flux_density must be finite and >= 0 everywhere")
         object.__setattr__(self, "flux_density", flux)
 
@@ -358,9 +359,10 @@ def bandwidth_3db_hz(spectrum: BiphotonSpectrum) -> float:
     peak = float(flux.max())
     if peak <= 0.0:
         raise DomainError("cannot measure bandwidth of an all-zero spectrum")
-    above = np.nonzero(flux >= 0.5 * peak)[0]
+    above = flux >= 0.5 * peak
+    first, last = int(np.argmax(above)), len(above) - 1 - int(np.argmax(above[::-1]))
     omegas = spectrum.grid.omegas
-    return float(omegas[above[-1]] - omegas[above[0]]) / (2.0 * np.pi)
+    return float(omegas[last] - omegas[first]) / (2.0 * np.pi)
 
 
 def detuning_band_to_omega(

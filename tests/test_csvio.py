@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,3 +254,24 @@ def test_grid_cells_live_only_as_long_as_their_grid(tmp_path):
     del grid
     gc.collect()
     assert len(csvio._GRID_CELLS) == before
+
+
+def test_reading_a_long_table_holds_its_float_column_about_once(tmp_path):
+    rows = 1_000_000  # a timestamp stream: half the rows on each channel, each ascending
+    stamps = np.concatenate([np.sort(np.random.default_rng(k).random(rows // 2)) * 10.0
+                             for k in range(2)])
+    codes = np.repeat(np.arange(2, dtype=np.uint8), rows // 2)
+    path = tmp_path / "t.csv"
+    write_table(path, TIMESTAMP_HEADER, (TextColumn(("signal", "idler"), codes), stamps))
+    tracemalloc.start()
+    try:
+        channel, read = read_table(path, TIMESTAMP_HEADER, text=("channel",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(read.view(np.int64), stamps.view(np.int64))
+    np.testing.assert_array_equal(channel.codes, codes)
+    result = read.nbytes + channel.codes.nbytes
+    # The columns and about one read block (1.2 times the columns here), not
+    # the blocks and their concatenation (2.1 times).
+    assert peak < 1.3 * result, (peak, result)

@@ -2,10 +2,11 @@
 
 The reader checks each block's structure once and takes a block that passes
 without looking at its rows one by one; the writer writes each run of equal
-text cells with one join per block.  The two functions below are the earlier
-row-by-row versions, kept as the reference: every table must read to the same
-columns (text columns decoded) or fail with the same DataError text, and
-every table must be written to the same bytes.
+text cells, and any other table column by column, with one join per block.
+The two functions below are the earlier row-by-row versions, kept as the
+reference: every table must read to the same columns (text columns decoded)
+or fail with the same DataError text, and every table must be written to the
+same bytes or fail with the same ValueError text.
 """
 
 import sys
@@ -21,7 +22,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfwm_sim import csvio
-from sfwm_sim.csvio import TextColumn, read_table, write_table
+from sfwm_sim.csvio import (
+    MISMATCH_HEADER,
+    SPECTRUM_HEADER,
+    TextColumn,
+    read_table,
+    write_mismatch_csv,
+    write_spectrum_csv,
+    write_table,
+)
+from sfwm_sim.engine import BiphotonSpectrum, SpectralGrid
 from sfwm_sim.errors import DataError
 
 # ---------------------------------------------------------------- reference
@@ -332,3 +342,56 @@ def test_a_text_value_that_would_break_the_format_is_rejected(tmp_path, value, u
     codes = np.array([0, 1 if used else 0], np.uint8)
     with pytest.raises(ValueError, match="comma or a line break"):
         write_table(tmp_path / "t.csv", ("id", "x"), (TextColumn(("ok", value), codes), [1.0, 2.0]))
+
+
+BOUNDARY_ROWS = [4095, 4096, 4097, 8193]  # one block is 4,096 rows
+
+
+@pytest.mark.parametrize("rows", BOUNDARY_ROWS)
+@pytest.mark.parametrize("mirrored", [True, False])
+def test_spectrum_and_mismatch_files_at_block_boundaries_are_the_reference_bytes(
+    tmp_path, rows, mirrored
+):
+    grid = SpectralGrid(1.2e15, 3.0e13, rows)
+    x = grid.omegas - grid.center
+    values = x**2 if mirrored else np.exp(x / grid.half_span) * 1e-3
+    write_spectrum_csv(tmp_path / "spectrum.csv", BiphotonSpectrum(grid, values), "abc")
+    write_mismatch_csv(tmp_path / "mismatch.csv", grid, -values, "abc")
+    for name, header, column in (("spectrum", SPECTRUM_HEADER, values),
+                                 ("mismatch", MISMATCH_HEADER, -values)):
+        old = (grid.omegas, grid.detunings_hz() / 1e12, column)
+        reference_write_table(tmp_path / "old.csv", header, old, ("config_sha256=abc",))
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", BOUNDARY_ROWS)
+def test_mixed_columns_at_block_boundaries_are_the_reference_bytes(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    codes = (rng.random(rows) < 0.3).astype(np.uint8)
+    channel = TextColumn(("signal", "idler"), codes)
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    names = [f"n{k % 7}" for k in range(rows)]
+    ints = rng.integers(-5, 5, rows)
+    header = ("c", "x", "name", "k", "y")
+    new = (channel, floats, names, ints, list(floats[::-1]))
+    old = ([channel.values[c] for c in codes.tolist()], floats, names, ints, new[4])
+    write_table(tmp_path / "new.csv", header, new, ["note"])
+    reference_write_table(tmp_path / "old.csv", header, old, ["note"])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [",", "\r", "\n"])
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("row", [5, 4096 + 5])  # in the first or the second block
+def test_a_caller_text_cell_that_would_break_the_format_is_rejected(tmp_path, bad, column, row):
+    rows = 4096 + 10
+    columns = [np.arange(rows, dtype=float), np.arange(rows) * 0.5, np.arange(rows)]
+    cells = [f"id{k}" for k in range(rows)]
+    cells[row] = f"a{bad}b"
+    columns[column] = cells
+    errors = []
+    for write, name in ((write_table, "new.csv"), (reference_write_table, "old.csv")):
+        with pytest.raises(ValueError, match="comma or a line break") as info:
+            write(tmp_path / name, ("a", "b", "c"), columns)
+        errors.append(str(info.value).replace(name, "t.csv"))
+    assert errors[0] == errors[1]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sfwm_sim import (
     BiphotonSpectrum,
@@ -238,6 +239,46 @@ def test_bandwidth_requires_signal():
     grid = SpectralGrid.symmetric(OMEGA_P, 1e13, 8)
     with pytest.raises(DomainError):
         bandwidth_3db_hz(BiphotonSpectrum(grid, np.zeros(8)))
+
+
+def _mask_accepts(flux: np.ndarray) -> bool:
+    """The earlier flux check, two full boolean passes."""
+    return not (np.any(flux < 0.0) or not np.all(np.isfinite(flux)))
+
+
+def _nonzero_bandwidth_hz(spectrum: BiphotonSpectrum) -> float:
+    """The earlier bandwidth, from the indices of every sample above half the peak."""
+    flux = spectrum.flux_density
+    above = np.nonzero(flux >= 0.5 * float(flux.max()))[0]
+    omegas = spectrum.grid.omegas
+    return float(omegas[above[-1]] - omegas[above[0]]) / (2.0 * np.pi)
+
+
+FLUX_CELLS = st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, 2.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    flux=st.integers(2, 40).flatmap(lambda n: arrays(np.float64, n, elements=FLUX_CELLS)),
+    poison=st.one_of(st.none(), st.tuples(st.integers(0, 39), st.floats())),
+)
+@example(flux=np.array([1.0, 1.0]), poison=(0, -0.0))
+@example(flux=np.array([1.0, 1.0]), poison=(0, math.nan))
+@example(flux=np.array([1.0, 1.0]), poison=(1, math.inf))
+@example(flux=np.array([1.0, 1.0]), poison=(0, -math.inf))
+@example(flux=np.array([1.0, 1.0]), poison=(1, -5e-324))
+def test_flux_check_and_bandwidth_match_the_mask_versions(flux, poison):
+    if poison is not None:  # one cell that may be NaN, infinite or negative
+        flux[poison[0] % len(flux)] = poison[1]
+    grid = SpectralGrid.symmetric(OMEGA_P, 1e13, len(flux))
+    try:
+        spectrum = BiphotonSpectrum(grid, flux)
+    except DomainError:
+        assert not _mask_accepts(flux)
+        return
+    assert _mask_accepts(flux)
+    if flux.max() > 0.0:
+        assert bandwidth_3db_hz(spectrum).hex() == _nonzero_bandwidth_hz(spectrum).hex()
 
 
 def test_waveguide_validation():
