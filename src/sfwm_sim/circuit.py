@@ -176,8 +176,9 @@ class CircuitGraph:
                 raise GraphError(f"duplicate node id {node.id!r}", f"nodes[{i}].id")
             by_id[node.id] = node
         # One edge per slot: a slot wired to two edges would copy its light
-        # down both, creating power.
-        taken_outputs: set[tuple[str, int]] = set()
+        # down both, creating power.  The edge leaving each output slot is
+        # kept for outgoing().
+        out_edges: dict[tuple[str, int], Edge] = {}
         taken_inputs: set[tuple[str, int]] = set()
         for i, edge in enumerate(self.edges):
             for end, key in ((edge.src, "from"), (edge.dst, "to")):
@@ -190,15 +191,16 @@ class CircuitGraph:
             if not 0 <= edge.dst_port < by_id[edge.dst].slots[0]:
                 message = f"{edge.dst!r} has no input slot {edge.dst_port}"
                 raise GraphError(message, f"edges[{i}].to_port")
-            if out_slot in taken_outputs:
+            if out_slot in out_edges:
                 message = f"output slot {out_slot} feeds more than one edge"
                 raise GraphError(message, f"edges[{i}].from_port")
             if in_slot in taken_inputs:
                 message = f"input slot {in_slot} is fed by more than one edge"
                 raise GraphError(message, f"edges[{i}].to_port")
-            taken_outputs.add(out_slot)
+            out_edges[out_slot] = edge
             taken_inputs.add(in_slot)
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_out_edges", out_edges)
         object.__setattr__(self, "_topo_order", self._topological_order())
 
     def node(self, node_id: str) -> Node:
@@ -222,25 +224,25 @@ class CircuitGraph:
     def segments(self) -> tuple[SegmentNode, ...]:
         return tuple(n for n in self.nodes if isinstance(n, SegmentNode))
 
-    def outgoing(self, node_id: str, src_port: int) -> tuple[Edge, ...]:
-        return tuple(
-            e for e in self.edges if e.src == node_id and e.src_port == src_port
-        )
+    def outgoing(self, node_id: str, src_port: int) -> Edge | None:
+        """The edge leaving output slot ``src_port`` of ``node_id``, if one is wired."""
+        return self._out_edges.get((node_id, src_port))
 
     def _topological_order(self) -> tuple[str, ...]:
         indeg = {n.id: 0 for n in self.nodes}
-        for e in self.edges:
-            indeg[e.dst] += 1
+        for edge in self._out_edges.values():
+            indeg[edge.dst] += 1
         ready = [nid for nid, d in indeg.items() if d == 0]
         order: list[str] = []
         while ready:
             nid = ready.pop()
             order.append(nid)
-            for e in self.edges:
-                if e.src == nid:
-                    indeg[e.dst] -= 1
-                    if indeg[e.dst] == 0:
-                        ready.append(e.dst)
+            for out_slot in range(self._by_id[nid].slots[1]):
+                edge = self.outgoing(nid, out_slot)
+                if edge is not None:
+                    indeg[edge.dst] -= 1
+                    if indeg[edge.dst] == 0:
+                        ready.append(edge.dst)
         if len(order) != len(self.nodes):
             cyclic = sorted(nid for nid, d in indeg.items() if d > 0)
             raise TopologyError(f"circuit graph is cyclic around {cyclic}")
@@ -302,11 +304,8 @@ class PumpPropagation:
 
     def inter_pulse_delay_s(self, node_id: str) -> float:
         """Spread between earliest and latest pulse at a node (0 if single)."""
-        pulses = self.pulses(node_id)
-        if not pulses:
-            return 0.0
-        delays = [p.delay_s for p in pulses]
-        return max(delays) - min(delays)
+        pulses = self.pulses(node_id)  # sorted by delay (see _merge_pulses)
+        return pulses[-1].delay_s - pulses[0].delay_s if pulses else 0.0
 
 
 def propagate_pump(
@@ -361,7 +360,8 @@ def propagate_pump(
                     for p in pulses
                 ]
             out = _merge_pulses(out)
-            for edge in circuit.outgoing(node_id, out_slot):
+            edge = circuit.outgoing(node_id, out_slot)
+            if edge is not None:
                 pending.setdefault(edge.dst, {}).setdefault(edge.dst_port, []).extend(out)
 
     for segment in circuit.segments():
@@ -384,10 +384,8 @@ def photon_transmission(
     cache: dict[tuple[str, int], float] = {}
 
     def from_output(node_id: str, out_slot: int) -> float:
-        total = 0.0
-        for edge in circuit.outgoing(node_id, out_slot):
-            total += entering(edge.dst, edge.dst_port)
-        return total
+        edge = circuit.outgoing(node_id, out_slot)
+        return 0.0 if edge is None else entering(edge.dst, edge.dst_port)
 
     def entering(node_id: str, in_slot: int) -> float:
         if node_id == detection_node:
@@ -412,6 +410,7 @@ class SegmentContribution:
     pump_powers_w: tuple[float, ...]
     transmission: float
     spectrum: BiphotonSpectrum  # already scaled by transmission**pair_loss_exponent
+    inter_pulse_delay_s: float  # its pump pulses' spread: 0 for one, > PULSE_MERGE_TOL_S for more
 
 
 def segment_contributions(
@@ -420,18 +419,13 @@ def segment_contributions(
     grid: SpectralGrid,
     input_ports: str | tuple[str, str],
     detection_node: str | None = None,
-    *,
-    propagation: PumpPropagation | None = None,
 ) -> tuple[SegmentContribution, ...]:
     """Per-segment SFWM spectra at local pump powers, scaled toward detection.
 
-    With ``detection_node=None`` raw generation spectra are compared
-    (transmission 1 for every segment).  ``propagation`` is the result of
-    ``propagate_pump`` for the same circuit, pump and ports, when the caller
-    already has it.
+    The pump is propagated once, here.  With ``detection_node=None`` raw
+    generation spectra are compared (transmission 1 for every segment).
     """
-    if propagation is None:
-        propagation = propagate_pump(circuit, pump, input_ports)
+    propagation = propagate_pump(circuit, pump, input_ports)
     contributions = []
     for segment in circuit.segments():
         powers = propagation.peak_powers_w(segment.id)
@@ -444,8 +438,9 @@ def segment_contributions(
                 circuit, segment.id, detection_node, grid.center
             )
         scaled = spectrum.scaled(transmission**segment.pair_loss_exponent)
+        spread = propagation.inter_pulse_delay_s(segment.id)
         contributions.append(
-            SegmentContribution(segment.id, powers, transmission, scaled)
+            SegmentContribution(segment.id, powers, transmission, scaled, spread)
         )
     return tuple(contributions)
 

@@ -39,7 +39,7 @@ from .dispersion import (
     wavelength_from_angular_frequency,
 )
 from .engine import SpectralGrid, WaveguideSpec, detuning_band_to_omega
-from .errors import ConfigError, DomainError, SfwmError
+from .errors import ConfigError, DomainError, SfwmError, TopologyError
 from .modefield import MaterialConstants
 from .presets import load_yaml, preset_waveguide
 
@@ -415,7 +415,8 @@ def parse_circuit_config(doc: dict) -> CircuitSetup:
         )
         sec.finish()
     try:
-        graph = CircuitGraph(tuple(nodes), tuple(edges))
+        with _naming("config.edges", TopologyError):  # a cycle
+            graph = CircuitGraph(tuple(nodes), tuple(edges))
     except GraphError as exc:
         raise ConfigError(f"config.{exc.field}: {exc}") from exc
 
@@ -436,6 +437,11 @@ def parse_circuit_config(doc: dict) -> CircuitSetup:
     with _naming("config.input_ports"):
         for port in inputs:
             graph.input_port(port)
+    reached = _reached(graph, inputs)
+    for i, node in enumerate(graph.nodes):
+        if isinstance(node, SegmentNode) and node.id not in reached:
+            message = f"segment {node.id!r} receives no pump from input ports {inputs}"
+            raise TopologyError(f"config.nodes[{i}]: {message}")
     detection = top.take("detection_node", None)
     if detection is not None:
         detection = str(detection)
@@ -459,6 +465,19 @@ def parse_circuit_config(doc: dict) -> CircuitSetup:
         band_detuning_hz=band_hz,
         grid=grid,
     )
+
+
+def _reached(graph: CircuitGraph, start) -> set[str]:
+    """The ids of the nodes that light entering the ``start`` nodes reaches."""
+    reached, todo = set(start), list(start)
+    while todo:
+        node = graph.node(todo.pop())
+        for out_slot in range(node.slots[1]):
+            edge = graph.outgoing(node.id, out_slot)
+            if edge is not None and edge.dst not in reached:
+                reached.add(edge.dst)
+                todo.append(edge.dst)
+    return reached
 
 
 @dataclass(frozen=True)

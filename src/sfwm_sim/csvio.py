@@ -65,48 +65,25 @@ def write_table(path: str | Path, header, columns, comments=()) -> None:
 
     A column is a TextColumn, a numpy array or a list.  Cells are written with
     ``str``; numpy columns go through ``tolist()`` first, so float64 cells come
-    out in Python's shortest round-trip form.  A cell given as text (a
-    TextColumn value, used or not, or a list cell) that holds a comma or a
-    line break raises ValueError; a number's ``str`` holds neither, so cells
-    formatted from numbers are not scanned.
+    out in Python's shortest round-trip form.  Every table is written one
+    block of rows at a time, each block built column by column and joined
+    once (see _column_blocks).  A cell given as text (a TextColumn value, used
+    or not, or a list cell) that holds a comma or a line break raises
+    ValueError; a number's ``str`` holds neither, so cells formatted from
+    numbers are not scanned.
     """
     if len(columns) != len(header) or len({_length(col) for col in columns}) > 1:
         raise ValueError(f"{path}: need one column per header name, all of one length")
     texts = [col for col in columns if isinstance(col, TextColumn)]
     if any(_BREAKS.intersection(value) for col in texts for value in col.values):
         raise ValueError(f"{path}: a cell contains a comma or a line break")
-    others = [j for j, col in enumerate(columns) if not isinstance(col, TextColumn)]
-    # Rows that differ only in one numeric column are written run by run.
-    by_runs = len(others) == 1 and _is_numeric(columns[others[0]])
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write("".join(f"# {line}\n" for line in comments) + ",".join(header) + "\r\n")
-        fh.writelines(_run_blocks(columns, others[0]) if by_runs else _column_blocks(path, columns))
+        fh.writelines(_column_blocks(path, columns))
 
 
 def _is_numeric(column) -> bool:
     return isinstance(column, np.ndarray) and column.dtype.kind in "biuf"
-
-
-def _run_blocks(columns, j: int):
-    """The rows of a table whose one non-text column is numeric column ``j``.
-
-    Within a run of rows with the same text cells a row is one prefix and one
-    suffix around its ``j`` cell, so each block of a run is one join.
-    """
-    numbers = columns[j]
-    starts = np.zeros(len(numbers) + 1, bool)  # a run starts at each True, the last ends all
-    starts[[0, -1]] = True
-    for col in columns:
-        if isinstance(col, TextColumn):
-            starts[1:-1] |= col.codes[1:] != col.codes[:-1]
-    edges = np.flatnonzero(starts).tolist()
-    for start, end in zip(edges, edges[1:]):
-        prefix = "".join(f"{col.values[col.codes[start]]}," for col in columns[:j])
-        suffix = "".join(f",{col.values[col.codes[start]]}" for col in columns[j + 1 :])
-        between = f"{suffix}\r\n{prefix}"
-        for first in range(start, end, _WRITE_BLOCK_ROWS):
-            cells = map(str, numbers[first : min(first + _WRITE_BLOCK_ROWS, end)].tolist())
-            yield f"{prefix}{between.join(cells)}{suffix}\r\n"
 
 
 def _block_cells(path, column, start: int, stop: int) -> list[str]:
@@ -114,7 +91,10 @@ def _block_cells(path, column, start: int, stop: int) -> list[str]:
     if isinstance(column, _NumberCells):
         return column[start:stop]
     if isinstance(column, TextColumn):  # its values are checked once, in write_table
-        return list(map(column.values.__getitem__, column.codes[start:stop].tolist()))
+        codes = column.codes[start:stop]
+        if codes.min() == codes.max():  # one run of one value: one repeat
+            return [column.values[codes[0]]] * len(codes)
+        return list(map(column.values.__getitem__, codes.tolist()))
     block = column[start:stop]
     cells = list(map(str, block.tolist() if isinstance(block, np.ndarray) else block))
     if not _is_numeric(block) and not _BREAKS.isdisjoint("".join(cells)):

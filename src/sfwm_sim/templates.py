@@ -20,7 +20,6 @@ from .circuit import (
     CircuitSetup,
     SegmentContribution,
     SegmentNode,
-    propagate_pump,
     segment_contributions,
     selection_ratio,
 )
@@ -63,22 +62,17 @@ def build_template(name: str, all_strip: bool = False) -> CircuitSetup:
 
 
 def evaluate_circuit(setup: CircuitSetup) -> CircuitReport:
-    """Run pump propagation, per-segment spectra, their band fluxes and the selection ratio."""
-    propagation = propagate_pump(setup.graph, setup.pump, setup.input_ports)
+    """Run per-segment spectra (one pump propagation), their band fluxes and the selection ratio."""
     contributions = segment_contributions(
-        setup.graph,
-        setup.pump,
-        setup.grid,
-        setup.input_ports,
-        setup.detection_node,
-        propagation=propagation,
+        setup.graph, setup.pump, setup.grid, setup.input_ports, setup.detection_node
     )
     band = detuning_band_to_omega(setup.pump.omega_c, setup.band_detuning_hz)
     fluxes = {c.segment_id: band_flux(c.spectrum, band) for c in contributions}
     ratio = selection_ratio(fluxes, setup.designated_segments)
+    spreads = {c.segment_id: c.inter_pulse_delay_s for c in contributions}
     delays = {
-        segment_id: propagation.inter_pulse_delay_s(segment_id)
+        segment_id: spreads[segment_id]
         for segment_id in setup.designated_segments
-        if len(propagation.pulses(segment_id)) > 1
+        if spreads[segment_id] > 0.0
     }
     return CircuitReport(setup, contributions, band, fluxes, ratio, delays)

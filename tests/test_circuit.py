@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sfwm_sim import circuit
 from sfwm_sim import (
     CircuitGraph,
     ConfigError,
@@ -267,6 +269,13 @@ class TestPropagation:
         # two pulses separated by n_eff * dL / c = 99.7 ps
         delay = prop.inter_pulse_delay_s("source_strip")
         assert delay * 1e12 == pytest.approx(99.7, abs=0.5)
+        # Each contribution carries the spread of the one walk it was built from.
+        contributions = segment_contributions(
+            setup.graph, setup.pump, setup.grid, setup.input_ports, setup.detection_node
+        )
+        assert [c.segment_id for c in contributions] == ["umzi_long", "umzi_short", "source_strip"]
+        for contrib in contributions:
+            assert contrib.inter_pulse_delay_s == prop.inter_pulse_delay_s(contrib.segment_id)
 
     def test_equal_delay_paths_merge_into_one_pulse(self):
         # Balanced split/merge: the two equal-delay contributions fuse into a
@@ -411,6 +420,13 @@ class TestTemplates:
     def test_app1_ratio_exceeds_ten(self):
         report = evaluate_circuit(build_template("app1_timebin"))
         assert report.ratio >= 10.0
+
+    @pytest.mark.parametrize("name", ["app1_timebin", "app2_path"])
+    def test_one_pump_walk_per_evaluation(self, name):
+        setup = build_template(name)
+        with mock.patch.object(circuit, "propagate_pump", wraps=circuit.propagate_pump) as walk:
+            evaluate_circuit(setup)
+        assert walk.call_count == 1
 
     def test_app1_all_strip_fails_selection(self):
         report = evaluate_circuit(build_template("app1_timebin", all_strip=True))

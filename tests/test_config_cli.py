@@ -551,6 +551,31 @@ class TestCircuitCommand:
         assert main(["circuit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {where}\n" in capsys.readouterr().err
 
+    def test_a_cycle_names_the_edges(self, tmp_path, capsys):
+        doc = load_config(PACKAGE_DATA / "app1_timebin.yaml")
+        # The merge's free output back into the split's free input.
+        doc["edges"].append({"from": "umzi_merge", "from_port": 1, "to": "umzi_split", "to_port": 1})
+        cfg = write_yaml(tmp_path / "run.yaml", doc)
+        assert main(["circuit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: config.edges: circuit graph is cyclic around [" in capsys.readouterr().err
+        assert not list((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize(
+        "dropped",
+        [[("merge", "source_strip")], [("merge", "source_strip"), ("source_strip", "to_filters")]],
+        ids=["unfed", "unwired"],
+    )
+    def test_a_segment_the_pump_cannot_reach_names_its_node(self, tmp_path, capsys, dropped):
+        doc = load_config(REPO_CONFIGS / "custom_circuit.yaml")
+        doc["edges"] = [e for e in doc["edges"] if (e["from"], e["to"]) not in dropped]
+        cfg = write_yaml(tmp_path / "run.yaml", doc)
+        assert main(["circuit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config.nodes[7]: segment 'source_strip' receives no pump "
+            "from input ports ['pump_in']\n"
+        )
+        assert not list((tmp_path / "out").iterdir())
+
 
 
 class TestGammaCommand:

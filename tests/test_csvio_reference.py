@@ -1,8 +1,9 @@
 """read_table and write_table against the row-by-row reader and writer they replaced.
 
 The reader checks each block's structure once and takes a block that passes
-without looking at its rows one by one; the writer writes each run of equal
-text cells, and any other table column by column, with one join per block.
+without looking at its rows one by one; the writer builds every table, a
+timestamp table included, one block at a time, column by column, with one
+join per block (a text column's block of one value is one repeat).
 The two functions below are the earlier row-by-row versions, kept as the
 reference: every table must read to the same columns (text columns decoded)
 or fail with the same DataError text, and every table must be written to the
@@ -299,6 +300,12 @@ def runs(draw):
 @example(drawn=(("signal", "idler"), [(0, 1), (1, 0)]), layout="text_first", n_comments=0,
          seed=3)  # a one-row channel and an empty one
 @example(drawn=(("signal", "idler"), []), layout="text_first", n_comments=1, seed=4)
+@example(drawn=(("signal", "idler"), [(0, 4095), (1, 10)]), layout="text_first", n_comments=0,
+         seed=5)  # a switch one row before the block edge, then a one-run block
+@example(drawn=(("signal", "idler"), [(0, 4097), (1, 10)]), layout="text_last", n_comments=0,
+         seed=6)  # a one-run block, then a switch one row after the block edge
+@example(drawn=(("signal", "idler"), [(0, 1), (1, 1)] * 60), layout="text_first", n_comments=0,
+         seed=7)  # both channels alternating within one block
 def test_write_table_bytes_match_the_row_by_row_writer(
     tmp_path_factory, drawn, layout, n_comments, seed
 ):
