@@ -244,8 +244,13 @@ class CircuitGraph:
                     if indeg[edge.dst] == 0:
                         ready.append(edge.dst)
         if len(order) != len(self.nodes):
-            cyclic = sorted(nid for nid, d in indeg.items() if d > 0)
-            raise TopologyError(f"circuit graph is cyclic around {cyclic}")
+            # What the walk left is each cycle and everything downstream of
+            # one; peeling the nodes that feed nothing left leaves the cycles.
+            left = {nid for nid, d in indeg.items() if d > 0}
+            edges = [e for e in self._out_edges.values() if e.src in left and e.dst in left]
+            while (feeding := {e.src for e in edges if e.dst in left}) != left:
+                left = feeding
+            raise TopologyError(f"circuit graph is cyclic around {sorted(left)}")
         return tuple(order)
 
 
@@ -332,23 +337,26 @@ def propagate_pump(
             f"{len(ports)} input port(s) were given"
         )
 
-    # Pulses pending at each node, by input slot; an input port's slot 0 is
-    # where the pump enters from outside.
-    pending: dict[str, dict[int, list[Pulse]]] = {}
+    # The merged pulses pending at each node, by input slot; an input port's
+    # slot 0 is where the pump enters from outside, both lines at once when
+    # they share a port.  Each other slot is fed by one edge, so it holds one
+    # output slot's list, merged once where it left.
+    entering: dict[str, list[Pulse]] = {}
     for line, port_id in enumerate(ports):
         circuit.input_port(port_id)
         powers = tuple(line_powers[i] if i == line else 0.0 for i in range(len(line_omegas)))
-        pending.setdefault(port_id, {}).setdefault(0, []).append(Pulse(powers))
+        entering.setdefault(port_id, []).append(Pulse(powers))
+    pending = {port_id: {0: _merge_pulses(pulses)} for port_id, pulses in entering.items()}
 
     arrived: dict[str, tuple[Pulse, ...]] = {}
     for node_id in circuit._topo_order:
         node = circuit.node(node_id)
-        inputs = [
-            (in_slot, _merge_pulses(pulses))
-            for in_slot, pulses in sorted(pending.get(node_id, {}).items())
-        ]
+        inputs = sorted(pending.get(node_id, {}).items())
         arrived[node_id] = _merge_pulses([p for _, pulses in inputs for p in pulses])
         for out_slot in range(node.slots[1]):
+            edge = circuit.outgoing(node_id, out_slot)
+            if edge is None:
+                continue
             out = []
             for in_slot, pulses in inputs:
                 factors = [node.transfer(in_slot, out_slot, w) for w in line_omegas]
@@ -359,10 +367,7 @@ def propagate_pump(
                     )
                     for p in pulses
                 ]
-            out = _merge_pulses(out)
-            edge = circuit.outgoing(node_id, out_slot)
-            if edge is not None:
-                pending.setdefault(edge.dst, {}).setdefault(edge.dst_port, []).extend(out)
+            pending.setdefault(edge.dst, {})[edge.dst_port] = _merge_pulses(out)
 
     for segment in circuit.segments():
         if not arrived.get(segment.id):
@@ -422,15 +427,23 @@ def segment_contributions(
 ) -> tuple[SegmentContribution, ...]:
     """Per-segment SFWM spectra at local pump powers, scaled toward detection.
 
-    The pump is propagated once, here.  With ``detection_node=None`` raw
-    generation spectra are compared (transmission 1 for every segment).
+    The pump is propagated once, here, and each distinct (waveguide, local
+    pump) pair's spectrum is evaluated once.  With ``detection_node=None``
+    raw generation spectra are compared (transmission 1 for every segment).
     """
     propagation = propagate_pump(circuit, pump, input_ports)
+    # Keyed on repr, which writes each float in round-trip form: two keys are
+    # equal only when every float in them is equal bit for bit (0.0 and -0.0
+    # differ; both dataclasses reject NaN).
+    spectra: dict[str, BiphotonSpectrum] = {}
     contributions = []
     for segment in circuit.segments():
         powers = propagation.peak_powers_w(segment.id)
         local_pump = pump.with_powers(*powers)
-        spectrum = biphoton_spectrum(segment.waveguide, local_pump, grid)
+        key = repr((segment.waveguide, local_pump))
+        spectrum = spectra.get(key)
+        if spectrum is None:
+            spectrum = spectra[key] = biphoton_spectrum(segment.waveguide, local_pump, grid)
         if detection_node is None:
             transmission = 1.0
         else:

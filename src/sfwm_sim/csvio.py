@@ -8,6 +8,12 @@ A text column (such as the timestamps' ``channel``) is held as a
 ``TextColumn``: its distinct values once, and one small unsigned integer code
 per row.  ``read_table`` returns it that way and ``write_table`` takes it that
 way; in the file it is one plain cell per row.
+
+Spectrum and mismatch tables do each distinct piece of formatting once: the
+omega and detuning cells once per grid, a mirrored or anti-mirrored float
+column's cells once per mirror pair (see _cells), and the row text of a
+table once per run of bit-identical value columns on one grid (see
+_grid_rows).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import os
 from functools import partial
 from itertools import islice, repeat
-from math import isfinite
+from math import inf, isfinite
 from pathlib import Path
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
@@ -35,8 +41,8 @@ _WRITE_BLOCK_ROWS = 1 << 12
 _READ_BLOCK_CHARS = 1 << 16
 _BREAKS = frozenset(",\r\n")  # the characters no cell may hold
 
-# Per grid: [omega cells, detuning cells, key and cells of the last value
-# column written on it] (see _table_cells); an entry dies with its grid.
+# Per grid: [omega cells, detuning cells, key and row text of the last value
+# column written on it] (see _grid_rows); an entry dies with its grid.
 _GRID_CELLS: WeakKeyDictionary = WeakKeyDictionary()
 
 
@@ -77,9 +83,14 @@ def write_table(path: str | Path, header, columns, comments=()) -> None:
     texts = [col for col in columns if isinstance(col, TextColumn)]
     if any(_BREAKS.intersection(value) for col in texts for value in col.values):
         raise ValueError(f"{path}: a cell contains a comma or a line break")
+    _write(path, header, comments, _column_blocks(path, columns))
+
+
+def _write(path, header, comments, blocks) -> None:
+    """Write the ``# comment`` lines, the header and the row text ``blocks``."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write("".join(f"# {line}\n" for line in comments) + ",".join(header) + "\r\n")
-        fh.writelines(_column_blocks(path, columns))
+        fh.writelines(blocks)
 
 
 def _is_numeric(column) -> bool:
@@ -260,27 +271,42 @@ def _sha_comment(config_sha: str) -> tuple[str]:
 def _cells(values: np.ndarray) -> _NumberCells:
     """The ``str`` of each value, as ``write_table`` would format them.
 
-    A float64 column that mirrors bit for bit (compared as int64, so 0.0 and
-    -0.0 differ) formats only its upper half; the lower half reuses those
-    strings in reverse.
+    A float64 column whose lower half mirrors its upper half bit for bit
+    (compared as int64, so 0.0 and -0.0 differ) formats only the upper half,
+    centre value included: a mirrored lower half reuses those strings in
+    reverse, and an anti-mirrored one (each value its mirror negated, as in a
+    detuning column) prefixes them with "-".  That prefix is the negation's
+    ``str`` only for a positive finite value, so only such upper halves take
+    the second path.
     """
     values = np.asarray(values)
     if values.dtype == np.float64:
-        bits = values.view(np.int64)
-        if np.array_equal(bits, bits[::-1]):
-            half = len(values) // 2
+        n = len(values)
+        half = n // 2
+        lower, mirror = values[:half].view(np.int64), values[n - half :][::-1]
+        if np.array_equal(lower, mirror.view(np.int64)):
             upper = list(map(str, values[half:].tolist()))
             return _NumberCells(upper[::-1][:half] + upper)
+        if (
+            mirror.min() > 0.0
+            and mirror.max() < inf
+            and np.array_equal(lower, np.negative(mirror).view(np.int64))
+        ):
+            upper = list(map(str, values[half:].tolist()))
+            return _NumberCells(list(map("-".__add__, upper[::-1][:half])) + upper)
     return _NumberCells(map(str, values.tolist()))
 
 
-def _table_cells(grid: SpectralGrid, values: np.ndarray) -> tuple[_NumberCells, ...]:
-    """The omega, detuning (THz) and ``values`` cells of a table on ``grid``.
+def _grid_rows(path, grid: SpectralGrid, values: np.ndarray) -> str:
+    """The row text of the omega, detuning (THz) and ``values`` table on ``grid``.
 
-    The grid cells are formatted once while the grid lives.  Only the last
-    value column is kept, keyed on its bytes (so 0.0 and -0.0 differ); a
-    bit-identical next column on the grid reuses its cells.
+    The grid cells are formatted once while the grid lives.  Only the row
+    text of the last value column is kept, keyed on the column's bytes (so
+    0.0 and -0.0 differ); a bit-identical next column on the grid writes
+    that text again.
     """
+    if _length(values) != grid.n_points:
+        raise ValueError(f"{path}: need one column per header name, all of one length")
     entry = _GRID_CELLS.get(grid)
     if entry is None:
         entry = [_cells(grid.omegas), _cells(grid.detunings_hz() / 1e12), None, None]
@@ -288,20 +314,21 @@ def _table_cells(grid: SpectralGrid, values: np.ndarray) -> tuple[_NumberCells, 
     values = np.asarray(values)
     key = (values.dtype.str, values.shape, values.tobytes())
     if entry[2] != key:
-        entry[2:] = key, _cells(values)
-    return entry[0], entry[1], entry[3]
+        columns = entry[0], entry[1], _cells(values)
+        entry[2:] = key, "".join(_column_blocks(path, columns))
+    return entry[3]
 
 
 def write_spectrum_csv(path: str | Path, spectrum: BiphotonSpectrum, config_sha: str) -> None:
-    columns = _table_cells(spectrum.grid, spectrum.flux_density)
-    write_table(path, SPECTRUM_HEADER, columns, _sha_comment(config_sha))
+    rows = _grid_rows(path, spectrum.grid, spectrum.flux_density)
+    _write(path, SPECTRUM_HEADER, _sha_comment(config_sha), (rows,))
 
 
 def write_mismatch_csv(
     path: str | Path, grid: SpectralGrid, delta_k: np.ndarray, config_sha: str
 ) -> None:
-    columns = _table_cells(grid, delta_k)
-    write_table(path, MISMATCH_HEADER, columns, _sha_comment(config_sha))
+    rows = _grid_rows(path, grid, delta_k)
+    _write(path, MISMATCH_HEADER, _sha_comment(config_sha), (rows,))
 
 
 def write_histogram_csv(path: str | Path, hist, config_sha: str) -> None:

@@ -52,12 +52,12 @@ def identity_circuit():
 
 
 @st.composite
-def random_dags(draw, lossless=False):
+def random_dags(draw, lossless=False, lengths=st.floats(1e-4, 2e-2)):
     """One input port, 1-6 random inner nodes, and an output port on every open slot.
 
     Each inner node takes 1 or 2 of the open output slots so far as inputs,
     so every node is reachable from the input and every output slot feeds
-    exactly one edge.
+    exactly one edge.  Segment lengths are drawn from ``lengths``.
     """
     kinds = ["splitter", "segment", "phase"] + ([] if lossless else ["coupler"])
     nodes, edges, open_slots = [PortNode("in", "input")], [], [("in", 0)]
@@ -69,7 +69,7 @@ def random_dags(draw, lossless=False):
             node = SplitterNode(node_id, ratio)
         elif kind == "segment":
             loss = 0.0 if lossless else draw(st.floats(0.0, 10.0))
-            node = seg(node_id, length=draw(st.floats(1e-4, 2e-2)), attenuation=loss)
+            node = seg(node_id, length=draw(lengths), attenuation=loss)
         elif kind == "coupler":
             node = CouplerNode(
                 node_id,
@@ -115,6 +115,55 @@ def unbalanced_interferometer():
             Edge("s2", "out1", src_port=1),
         ),
     )
+
+
+# Segment lengths whose path delays (n_eff L / c, 8.7 ps per mm) coincide,
+# fall within PULSE_MERGE_TOL_S of each other, or sit just outside it.
+DELAY_LENGTHS = st.sampled_from([1e-3, 2e-3, 3e-3, 1e-3 + 6e-6, 1e-3 + 11e-6, 1e-3 + 12e-6])
+
+
+def twice_merged_walk(graph, pump, input_ports):
+    """The pump walk that merged each output slot's pulses again at the receiving slot."""
+    if pump.mode == "degenerate":
+        line_omegas, line_powers = (pump.omega_p1,), (pump.power_w,)
+    else:
+        line_omegas = (pump.omega_p1, pump.omega_p2)
+        line_powers = (pump.power1_w, pump.power2_w)
+    ports = (input_ports,) * len(line_omegas) if isinstance(input_ports, str) else input_ports
+    pending = {}
+    for line, port_id in enumerate(ports):
+        powers = tuple(line_powers[i] if i == line else 0.0 for i in range(len(line_omegas)))
+        pending.setdefault(port_id, {}).setdefault(0, []).append(circuit.Pulse(powers))
+    arrived = {}
+    for node_id in graph._topo_order:
+        node = graph.node(node_id)
+        inputs = [
+            (in_slot, circuit._merge_pulses(pulses))
+            for in_slot, pulses in sorted(pending.get(node_id, {}).items())
+        ]
+        arrived[node_id] = circuit._merge_pulses([p for _, pulses in inputs for p in pulses])
+        for out_slot in range(node.slots[1]):
+            out = []
+            for in_slot, pulses in inputs:
+                factors = [node.transfer(in_slot, out_slot, w) for w in line_omegas]
+                out += [
+                    circuit.Pulse(
+                        tuple(pw * f for pw, f in zip(p.powers_w, factors)),
+                        p.delay_s + node.delay_s,
+                    )
+                    for p in pulses
+                ]
+            out = circuit._merge_pulses(out)
+            edge = graph.outgoing(node_id, out_slot)
+            if edge is not None:
+                pending.setdefault(edge.dst, {}).setdefault(edge.dst_port, []).extend(out)
+    return arrived
+
+
+def assert_walk_matches_twice_merged_walk(graph, pump, input_ports):
+    # repr writes every float in round-trip form, so equal reprs are equal bits.
+    got = propagate_pump(graph, pump, input_ports).pulses_at
+    assert repr(got) == repr(twice_merged_walk(graph, pump, input_ports))
 
 
 def hop_factor(node, in_slot, out_slot, omega):
@@ -169,8 +218,8 @@ class TestGraphValidation:
             CircuitGraph((PortNode("a"),), (Edge("a", "ghost"),))
 
     def test_cyclic_graph_rejected(self):
-        # feedback loop through the splitter: s -> a -> b -> s
-        with pytest.raises(TopologyError):
+        # feedback loop through the splitter: s -> a -> b -> s; "out" is only downstream
+        with pytest.raises(TopologyError, match=r"cyclic around \['a', 'b', 's'\]$"):
             CircuitGraph(
                 (
                     PortNode("in", "input"),
@@ -328,6 +377,28 @@ class TestPropagation:
         prop = propagate_pump(graph, PumpConfig.degenerate(OMEGA_P, 1.0), "in")
         assert prop.peak_powers_w("wg")[0] == pytest.approx(10 ** (-0.45), rel=1e-9)
 
+    @pytest.mark.parametrize("name", ["app1_timebin", "app2_path"])
+    @pytest.mark.parametrize("all_strip", [False, True])
+    def test_shipped_circuits_walk_as_with_a_second_merge(self, name, all_strip):
+        setup = build_template(name, all_strip)
+        assert_walk_matches_twice_merged_walk(setup.graph, setup.pump, setup.input_ports)
+        shared = setup.input_ports if isinstance(setup.input_ports, str) else setup.input_ports[0]
+        assert_walk_matches_twice_merged_walk(setup.graph, setup.pump, shared)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graph=random_dags(lossless=True, lengths=DELAY_LENGTHS) | random_dags(),
+        powers=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+        degenerate=st.booleans(),
+    )
+    @example(graph=unbalanced_interferometer(), powers=(1.0, 2.0), degenerate=False)
+    def test_random_graphs_walk_as_with_a_second_merge(self, graph, powers, degenerate):
+        if degenerate:
+            pump = PumpConfig.degenerate(OMEGA_P, powers[0])
+        else:
+            pump = PumpConfig.non_degenerate(OMEGA_P * 1.01, OMEGA_P * 0.99, *powers)
+        assert_walk_matches_twice_merged_walk(graph, pump, "in")
+
     def test_two_line_pump_uses_separate_ports(self):
         graph = CircuitGraph(
             (
@@ -427,6 +498,49 @@ class TestTemplates:
         with mock.patch.object(circuit, "propagate_pump", wraps=circuit.propagate_pump) as walk:
             evaluate_circuit(setup)
         assert walk.call_count == 1
+
+    @pytest.mark.parametrize("all_strip", [False, True])
+    def test_app2_evaluates_one_spectrum_per_distinct_segment(self, all_strip):
+        setup = build_template("app2_path", all_strip)
+        spectrum = circuit.biphoton_spectrum
+        with mock.patch.object(circuit, "biphoton_spectrum", wraps=spectrum) as evaluate:
+            report = evaluate_circuit(setup)
+        assert evaluate.call_count == 2
+        prop = propagate_pump(setup.graph, setup.pump, setup.input_ports)
+        segments = setup.graph.segments()
+        assert [c.segment_id for c in report.contributions] == [s.id for s in segments]
+        for contrib, segment in zip(report.contributions, segments):
+            local = setup.pump.with_powers(*prop.peak_powers_w(segment.id))
+            alone = spectrum(segment.waveguide, local, setup.grid).scaled(
+                contrib.transmission**segment.pair_loss_exponent
+            )
+            np.testing.assert_array_equal(
+                contrib.spectrum.flux_density.view(np.int64), alone.flux_density.view(np.int64)
+            )
+
+    def test_spectra_differing_only_in_a_zero_sign_are_evaluated_apart(self):
+        twin, signed = seg("twin"), seg("signed")
+        signed_spec = WaveguideSpec(
+            "custom", 5e-3, 223.3, DispersionModel(OMEGA_P, (-3e-26, -0.0)), 0.0, 2.6
+        )
+        assert signed_spec == twin.waveguide  # equal under ==, not bit for bit
+        graph = CircuitGraph(
+            (
+                PortNode("in", "input"),
+                seg("first"),
+                twin,
+                SegmentNode("signed", signed_spec),
+                PortNode("out", "output"),
+            ),
+            (Edge("in", "first"), Edge("first", "twin"), Edge("twin", "signed"),
+             Edge("signed", "out")),
+        )
+        grid = SpectralGrid.symmetric(OMEGA_P, 2 * math.pi * 6e12, 64)
+        pump = PumpConfig.degenerate(OMEGA_P, 1.0)
+        spectrum = circuit.biphoton_spectrum
+        with mock.patch.object(circuit, "biphoton_spectrum", wraps=spectrum) as evaluate:
+            segment_contributions(graph, pump, grid, "in")
+        assert evaluate.call_count == 2
 
     def test_app1_all_strip_fails_selection(self):
         report = evaluate_circuit(build_template("app1_timebin", all_strip=True))

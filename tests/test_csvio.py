@@ -194,6 +194,41 @@ def test_spectrum_and_mismatch_files_are_the_old_write_table_bytes(tmp_path_fact
         assert (tmp / f"{name}.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
 
+ANY_FLOAT = st.floats() | st.sampled_from(EXTREMES + [math.inf, -math.inf, math.nan, -math.nan])
+
+
+@st.composite
+def _cell_columns(draw) -> np.ndarray:
+    """Columns that are mirrored, anti-mirrored or neither, possibly one ulp off either."""
+    n = draw(st.integers(0, 13))
+    kind = draw(st.sampled_from(["mirrored", "anti_mirrored", "positive_anti_mirrored", "any"]))
+    if kind == "any":
+        return draw(arrays(np.float64, n, elements=ANY_FLOAT))
+    upper = draw(arrays(np.float64, n - n // 2, elements=ANY_FLOAT))  # centre included
+    if kind == "positive_anti_mirrored":
+        upper = np.abs(upper)
+    lower = upper[n % 2 :][::-1]
+    values = np.concatenate([lower if kind == "mirrored" else -lower, upper])
+    if n and draw(st.booleans()):
+        k, toward = draw(st.integers(0, n - 1)), draw(st.sampled_from([-math.inf, math.inf]))
+        with np.errstate(over="ignore"):  # the largest float steps to inf
+            values[k] = np.nextafter(values[k], toward)
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_cell_columns())
+@example(values=SpectralGrid(1.2e15, 3.0e13, 4096).detunings_hz() / 1e12)
+@example(values=SpectralGrid(1.2e15, 3.0e13, 7).detunings_hz() / 1e12)
+@example(values=np.array([-5e-324, 0.0, 5e-324]))
+@example(values=np.array([-0.0, 0.0]))
+@example(values=np.array([0.0, -0.0]))
+@example(values=np.array([-math.inf, math.inf]))
+@example(values=np.array([-math.nan, math.nan]))
+def test_cells_are_the_str_of_each_value(values):
+    assert csvio._cells(values) == list(map(str, values.tolist()))
+
+
 def _column_pool(draw, n: int) -> list[np.ndarray]:
     """Value columns for one grid, several of them equal under == but not bit for bit."""
     base = np.abs(draw(arrays(np.float64, n, elements=FINITE)))
@@ -225,22 +260,33 @@ def test_runs_of_identical_and_different_columns_are_the_write_table_bytes(
         old = (grid.omegas, grid.detunings_hz() / 1e12, column)
         write_table(tmp / "old.csv", header, old, ("config_sha256=abc",))
         assert (tmp / f"{k}.csv").read_bytes() == (tmp / "old.csv").read_bytes()
-        # The memo holds the grid cells and the last value column, nothing more.
+        # The memo holds the grid cells and the row text of the last value
+        # column, nothing more.
         entry = csvio._GRID_CELLS[grid]
-        assert [part for part in entry if isinstance(part, list)] == [
-            entry[0], entry[1], list(map(str, column.tolist()))
-        ]
+        assert [part for part in entry if isinstance(part, list)] == [entry[0], entry[1]]
+        assert entry[3] == (tmp / "old.csv").read_bytes().decode().split("\r\n", 1)[1]
 
 
-def test_a_repeated_column_reuses_the_cells_and_a_new_one_replaces_them(tmp_path):
+def test_a_repeated_column_reuses_the_row_text_and_a_new_one_replaces_it(tmp_path):
     grid = SpectralGrid(1.2e15, 3.0e13, 5)
     flux = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
     write_spectrum_csv(tmp_path / "a.csv", BiphotonSpectrum(grid, flux), "abc")
-    cells = csvio._GRID_CELLS[grid][3]
+    rows = csvio._GRID_CELLS[grid][3]
     write_spectrum_csv(tmp_path / "b.csv", BiphotonSpectrum(grid, flux.copy()), "abc")
-    assert csvio._GRID_CELLS[grid][3] is cells
+    assert csvio._GRID_CELLS[grid][3] is rows
     write_mismatch_csv(tmp_path / "c.csv", grid, -flux, "abc")
-    assert csvio._GRID_CELLS[grid][3] == ["-1.0", "-2.0", "-3.0", "-2.0", "-1.0"]
+    rows = csvio._GRID_CELLS[grid][3]
+    assert [row.rsplit(",", 1)[1] for row in rows.split("\r\n")[:-1]] == [
+        "-1.0", "-2.0", "-3.0", "-2.0", "-1.0"
+    ]
+    assert (tmp_path / "c.csv").read_bytes().endswith(rows.encode())
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_a_value_column_off_the_grid_length_is_refused(tmp_path, n):
+    grid = SpectralGrid(1.2e15, 3.0e13, 5)
+    with pytest.raises(ValueError, match="all of one length"):
+        write_mismatch_csv(tmp_path / "m.csv", grid, np.ones(n), "abc")
 
 
 def test_grid_cells_live_only_as_long_as_their_grid(tmp_path):
