@@ -40,7 +40,7 @@ from .config import (
 )
 from .csvio import write_histogram_csv, write_mismatch_csv, write_spectrum_csv, write_table
 from .dispersion import wavelength_from_angular_frequency
-from .engine import bandwidth_3db_hz, biphoton_spectrum, total_mismatch
+from .engine import bandwidth_3db_hz, mismatch_and_spectrum
 from .errors import ConfigError, DataError, DomainError
 from .modefield import gamma_report, read_mode_field_csv
 from .svgplot import write_line_plot
@@ -67,8 +67,7 @@ def cmd_spectrum(args, doc: dict, doc_hash: str, out: Path):
     lines, notes = [], []
     svg_series: dict[str, np.ndarray] = {}
     for spec, label in run.waveguides:
-        spectrum = biphoton_spectrum(spec, run.pump, grid)
-        delta_k = np.asarray(total_mismatch(spec, run.pump, grid.omegas))
+        delta_k, spectrum = mismatch_and_spectrum(spec, run.pump, grid)
         write_spectrum_csv(out / f"{label}_spectrum.csv", spectrum, doc_hash)
         write_mismatch_csv(out / f"{label}_mismatch.csv", grid, delta_k, doc_hash)
         width = bandwidth_3db_hz(spectrum) if spectrum.flux_density.max() > 0 else 0.0

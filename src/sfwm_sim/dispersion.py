@@ -178,22 +178,22 @@ def linear_mismatch(model: DispersionModel, omega, pump: PumpConfig):
     # A zero beta adds a +-0 term, which leaves a sum started at +0 unchanged,
     # so it is skipped.
     terms = [(m, beta) for m, beta in enumerate(model.beta_even, start=1) if beta != 0.0]
-    out = None
-    power, order = dw2, 1
-    for m, beta in terms:
+    # Every power is built first, one buffer per term, so that each term is
+    # formed in its power's buffer and the sum in the first (dw2 if beta_2 != 0).
+    powers, power, order = [], dw2, 1
+    for m, _ in terms:
         for _ in range(order, m):
             power = power * dw2
+        powers.append(power)
         order = m
-        # No later term needs this power, so the last term is built in its place.
-        term = np.subtract(power, wd ** (2 * m), out=power if m == terms[-1][0] else None)
+    for (m, beta), term in zip(terms, powers):
+        if wd != 0.0:  # x - 0.0 == x for every float
+            term -= wd ** (2 * m)
         term *= 2.0 * beta / factorial(2 * m)
-        if out is None:
-            out = term
-            out += 0.0  # the sum starts at +0, so a -0 first term reads +0
-        else:
-            out += term
-    if out is None:
-        out = np.zeros_like(dw2)
+    out = powers[0] if powers else np.zeros_like(dw2)
+    out += 0.0  # the sum starts at +0, so a -0 first term reads +0
+    for term in powers[1:]:
+        out += term
     out = out.reshape(om.shape)
     if np.isscalar(omega):
         return float(out)

@@ -18,6 +18,12 @@ lobes of strongly mismatched spectra and keeps G >= 0 and continuous for all
 dk.  Semi-classically the signal/idler photon flux per unit frequency equals
 G, so a sampled G(omega) doubles as the biphoton spectrum.
 
+The kernel allocates little beyond what it returns.  G is formed in the
+buffer of the dk it comes from, in one pass: sinh and sin each write only
+their own samples of a second buffer.  On a grid mirrored about the pump
+average each mirror pair is evaluated once, and ``band_flux`` reads only the
+samples of its band.
+
 The pump is treated as undepleted.  Attenuation is off by default (spectra
 are pure dispersion/gamma/length predictions); when enabled, pump powers are
 replaced by their path averages via the effective length
@@ -28,7 +34,7 @@ propagation loss, photons being generated uniformly along the waveguide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from math import isfinite, log, sinh, sqrt
 from typing import Iterable
 
@@ -194,58 +200,56 @@ def total_mismatch(spec: WaveguideSpec, pump: PumpConfig, omega):
 def gain_from_mismatch(power_term: float, delta_k, length_m: float):
     """Gain G for a given power term PT and total mismatch dk (rad/m).
 
-    PT is 4 gamma^2 P1 P2 (non-degenerate) or gamma^2 P^2 (degenerate); the
-    three q^2 branches of the module docstring are selected per sample.
+    PT is 4 gamma^2 P1 P2 (non-degenerate) or gamma^2 P^2 (degenerate).  The
+    three q^2 branches of the module docstring are one pass over a copy of dk:
+    sinh and sin each write only their own samples of one buffer.
     """
     if not power_term >= 0.0:
         raise DomainError(f"power term must be >= 0, got {power_term!r}")
-    dk = np.asarray(delta_k, dtype=float)
-    q2 = 0.5 * dk.reshape(-1)
+    dk = np.array(delta_k, dtype=float)  # a copy: G is formed in it
+    gain = _gain(power_term, dk.reshape(-1), length_m).reshape(dk.shape)
+    if np.isscalar(delta_k):
+        return float(gain)
+    return gain
+
+
+def _gain(power_term: float, dk: np.ndarray, length_m: float, check=None) -> np.ndarray:
+    """G from a flat dk in one pass, formed in ``dk``'s buffer and returned.
+
+    ``check``, if given, sees the largest q^2 = PT - (dk/2)^2 first.  One buffer
+    holds s = sqrt(|q^2|) L; ``sinh`` writes the samples with q^2 > 0 and ``sin``
+    the rest, then G = PT/|q^2| s^2.  Where q^2 == 0 exactly, the divide gets a
+    placeholder and G is PT L^2.
+    """
+    q2 = dk
+    q2 *= 0.5
     q2 *= q2
     np.subtract(power_term, q2, out=q2)  # q^2 = PT - (dk/2)^2
-    pos = q2 > 0.0
-    if pos.any():
-        out = np.empty_like(q2)
-        q2_pos = q2[pos]
-        out[pos] = power_term / q2_pos * np.sinh(np.sqrt(q2_pos) * length_m) ** 2
-        rest = ~pos
-        out[rest] = _oscillating_gain(power_term, q2[rest], length_m)
-    else:
-        out = _oscillating_gain(power_term, q2, length_m)
-    out = out.reshape(dk.shape)
-    if np.isscalar(delta_k):
-        return float(out)
-    return out
-
-
-def _oscillating_gain(power_term: float, q2: np.ndarray, length_m: float) -> np.ndarray:
-    """G where q^2 <= 0: PT/|q^2| sin^2(sqrt(|q^2|) L), and PT L^2 where q^2 == 0.
-
-    Computed in place: ``q2`` is overwritten with G and returned.
-    """
-    r = np.negative(q2, out=q2)
-    zero = r == 0.0
-    has_zero = zero.any()
-    if has_zero:
+    if check is not None:
+        check(float(q2.max(initial=-np.inf)))
+    grows = q2 > 0.0
+    zero = None if q2.all() else q2 == 0.0
+    r = np.abs(q2, out=q2)
+    if zero is not None:
         r[zero] = 1.0  # keeps q^2 == 0 out of the divide; overwritten below
     s = np.sqrt(r)
     s *= length_m
-    np.sin(s, out=s)
+    np.sinh(s, out=s, where=grows)
+    np.sin(s, out=s, where=np.logical_not(grows, out=grows))
     s *= s
     gain = np.divide(power_term, r, out=r)
     gain *= s
-    if has_zero:
+    if zero is not None:
         gain[zero] = power_term * length_m**2
     return gain
 
 
-def _check_peak_gain(spec: WaveguideSpec, pump: PumpConfig, power_term: float, dk) -> None:
-    """Raise DomainError if the gain on ``dk`` overflows float64, before any sinh runs.
+def _check_peak_gain(spec: WaveguideSpec, pump: PumpConfig, power_term: float, q2: float) -> None:
+    """Raise DomainError if the gain at the largest q^2 overflows float64, before any sinh runs.
 
     G = PT L^2 (sinh(qL)/qL)^2 grows with q, so the sample of smallest |dk|
     (largest q^2) carries the peak gain; it is evaluated here as a scalar.
     """
-    q2 = power_term - (0.5 * float(np.min(np.abs(dk), initial=np.inf))) ** 2
     if not q2 > 0.0:
         return
     arg = sqrt(q2) * spec.length_m
@@ -271,20 +275,29 @@ def parametric_gain(spec: WaveguideSpec, pump: PumpConfig, omega):
     om = np.asarray(omega, dtype=float)
     if not np.all(om > 0.0):
         raise DomainError("omega must be > 0")
+    gain = _gain_at(spec, pump, om)[0]
+    if np.isscalar(omega):
+        return float(gain)
+    return gain
+
+
+def _gain_at(spec: WaveguideSpec, pump: PumpConfig, omegas: np.ndarray, mismatch_pump=None):
+    """G at ``omegas`` and, for ``mismatch_pump`` (if given), the total mismatch
+    there, from one dk_L evaluation.  G is formed in dk's own buffer."""
     try:  # float ** raises OverflowError; numpy raises FloatingPointError here
         with np.errstate(over="raise", invalid="raise"):
-            dk = np.asarray(total_mismatch(spec, pump, om), dtype=float)
-            power_term = _power_term(spec.gamma_per_w_m, pump)
-            _check_peak_gain(spec, pump, power_term, dk)
-            gain = gain_from_mismatch(power_term, dk, spec.length_m)
+            gamma = spec.gamma_per_w_m
+            dk = linear_mismatch(spec.dispersion, omegas, pump)
+            total = None if mismatch_pump is None else dk + nonlinear_mismatch(gamma, mismatch_pump)
+            dk += nonlinear_mismatch(gamma, pump)
+            power_term = _power_term(gamma, pump)
+            check = partial(_check_peak_gain, spec, pump, power_term)
+            return _gain(power_term, dk.reshape(-1), spec.length_m, check).reshape(dk.shape), total
     except (OverflowError, FloatingPointError) as exc:
         raise DomainError(
             f"{spec.kind} waveguide of length {spec.length_m:g} m: "
             f"the phase mismatch or gain overflows float64 ({exc})"
         ) from None
-    if np.isscalar(omega):
-        return float(gain)
-    return np.asarray(gain)
 
 
 def _attenuated_pump(spec: WaveguideSpec, pump: PumpConfig) -> PumpConfig:
@@ -306,17 +319,31 @@ def biphoton_spectrum(
     is evaluated sample by sample.  With attenuation enabled the pump is
     path-averaged and the emitted flux pays half the propagation loss in dB.
     """
-    omegas = grid.omegas
-    n = omegas.size
-    lossy_pump = _attenuated_pump(spec, pump)
-    if grid.center == pump.omega_c:
-        upper = parametric_gain(spec, lossy_pump, omegas[n // 2 :])
-        gain = np.concatenate([upper[n % 2 :][::-1], upper])
-    else:
-        gain = parametric_gain(spec, lossy_pump, omegas)
+    return _spectrum(spec, pump, grid)[1]
+
+
+def mismatch_and_spectrum(
+    spec: WaveguideSpec, pump: PumpConfig, grid: SpectralGrid
+) -> tuple[np.ndarray, BiphotonSpectrum]:
+    """``total_mismatch`` on the grid and ``biphoton_spectrum``, from one dk_L
+    evaluation: dk is as even as G, so it too is evaluated once per mirror pair."""
+    return _spectrum(spec, pump, grid, pump)
+
+
+def _spectrum(spec: WaveguideSpec, pump: PumpConfig, grid: SpectralGrid, mismatch_pump=None):
+    n = grid.n_points
+    mirrored = grid.center == pump.omega_c
+
+    def on_grid(values):  # values on the upper half, reflected onto the lower one
+        return np.concatenate([values[n % 2 :][::-1], values]) if mirrored else values
+
+    omegas = grid.omegas[n // 2 :] if mirrored else grid.omegas
+    # The path-averaged pump has the same frequencies, so the same dk_L.
+    gain, delta_k = _gain_at(spec, _attenuated_pump(spec, pump), omegas, mismatch_pump)
+    gain = on_grid(gain)
     if spec.attenuation_db_per_cm > 0.0:
         gain *= 10.0 ** (-spec.loss_db / 20.0)
-    return BiphotonSpectrum(grid, gain)
+    return None if delta_k is None else on_grid(delta_k), BiphotonSpectrum(grid, gain)
 
 
 def band_flux(spectrum: BiphotonSpectrum, passband: tuple[float, float]) -> float:
@@ -336,14 +363,19 @@ def band_flux(spectrum: BiphotonSpectrum, passband: tuple[float, float]) -> floa
             f"passband [{lo:.6e}, {hi:.6e}] rad/s outside grid "
             f"[{grid.omega_min:.6e}, {grid.omega_max:.6e}]"
         )
-    omegas = grid.omegas
-    inside = (omegas > lo) & (omegas < hi)
-    xs = np.concatenate(([lo], omegas[inside], [hi]))
+    omegas, flux = grid.omegas, spectrum.flux_density
+    # The samples inside the band are one slice of the ascending grid.  Each
+    # edge is interpolated on the two samples around it, as on the whole grid,
+    # so np.interp copies two samples, not the read-only grid.
+    first = int(np.searchsorted(omegas, lo, side="right"))
+    stop = int(np.searchsorted(omegas, hi, side="left"))
+    lo_pair, hi_pair = slice(max(first - 1, 0), first + 1), slice(max(stop - 1, 0), stop + 1)
+    xs = np.concatenate(([lo], omegas[first:stop], [hi]))
     ys = np.concatenate(
         (
-            [np.interp(lo, omegas, spectrum.flux_density)],
-            spectrum.flux_density[inside],
-            [np.interp(hi, omegas, spectrum.flux_density)],
+            [np.interp(lo, omegas[lo_pair], flux[lo_pair])],
+            flux[first:stop],
+            [np.interp(hi, omegas[hi_pair], flux[hi_pair])],
         )
     )
     return float(np.trapezoid(ys, xs)) / (2.0 * np.pi)

@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 import sfwm_sim
+import sfwm_sim.engine
 from sfwm_sim import (
     BiphotonSpectrum,
     ConfigError,
@@ -420,6 +421,22 @@ class TestSpectrumCommand:
         message = f"{source}: a grid may have at most {MAX_GRID_POINTS} points, got {points}"
         assert f"config error: {message}" in capsys.readouterr().err
 
+    def test_one_mismatch_evaluation_per_waveguide(self, tmp_path, monkeypatch):
+        # The mismatch CSV and the spectrum share one dk_L evaluation, on one
+        # sample of each mirror pair; the shipped config has four waveguides.
+        evaluated = []
+        linear_mismatch = sfwm_sim.engine.linear_mismatch
+
+        def counted(model, omega, pump):
+            evaluated.append(np.size(omega))
+            return linear_mismatch(model, omega, pump)
+
+        monkeypatch.setattr(sfwm_sim.engine, "linear_mismatch", counted)
+        config = REPO_CONFIGS / "degenerate_bandwidth_contrast.yaml"
+        assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 0
+        n_points = parse_spectrum_config(load_config(config)).grid.n_points
+        assert evaluated == [n_points // 2] * 4
+
     def test_svg_emitted(self, tmp_path):
         cfg = write_yaml(tmp_path / "run.yaml", SPECTRUM_DOC)
         out = tmp_path / "out"
@@ -822,8 +839,8 @@ def test_value_error_names_config_path(
         raise AssertionError("computed a spectrum before the config was checked")
 
     # Every case is caught while parsing, so nothing is computed or written.
-    for module in (sfwm_sim.cli, sfwm_sim.circuit):
-        monkeypatch.setattr(module, "biphoton_spectrum", no_spectrum)
+    monkeypatch.setattr(sfwm_sim.cli, "mismatch_and_spectrum", no_spectrum)
+    monkeypatch.setattr(sfwm_sim.circuit, "biphoton_spectrum", no_spectrum)
     field_csv = tmp_path / "mode.csv"
     write_mode_field_csv(field_csv, gaussian_mode(5))
     doc = copy.deepcopy(

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,10 @@ from sfwm_sim import (
     band_flux,
     bandwidth_3db_hz,
     biphoton_spectrum,
+    detuning_band_to_omega,
     gain_from_mismatch,
     linear_mismatch,
+    mismatch_and_spectrum,
     nonlinear_mismatch,
     parametric_gain,
     total_mismatch,
@@ -233,6 +236,23 @@ class TestBandFlux:
         assert band_flux(coarse, (lo, hi)) == pytest.approx(
             band_flux(fine, (lo, hi)), rel=1e-6
         )
+
+
+    def test_reads_only_the_band(self):
+        # np.interp copies a read-only array it is given (the grid, 512 KiB
+        # here); an 82-sample band must cost about what its samples do.
+        grid = SpectralGrid.symmetric(OMEGA_P, math.pi * 80e12, 65_536)
+        spectrum = BiphotonSpectrum(grid, np.ones(65_536))
+        band = detuning_band_to_omega(OMEGA_P, (2.5e12, 2.6e12))
+        assert grid.omegas.size == 65_536  # built before tracing starts
+        tracemalloc.start()
+        try:
+            flux = band_flux(spectrum, band)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert flux == pytest.approx(0.1e12, rel=1e-9)
+        assert peak < 64 * 1024
 
 
 def test_bandwidth_requires_signal():
@@ -454,6 +474,38 @@ class TestMirrorPath:
         assert (grid.center == pump.omega_c) == (centre_offset == 0.0)
         flux = biphoton_spectrum(spec, pump, grid).flux_density
         assert flux.tobytes() == self._sample_by_sample(spec, pump, grid).tobytes()
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_points=N_POINTS,
+        omega_d=st.sampled_from([0.0, 1e13]),
+        attenuation=st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+        power=st.floats(0.0, 2.0),
+        centre_offset=st.sampled_from([0.0, 0.0, 2.5e-5]),
+    )
+    @example(65_536, 0.0, 0.0, 0.5, 0.0)
+    @example(65_535, 1e13, 1.0, 0.02, 0.0)
+    def test_mismatch_and_spectrum_is_the_two_calls(
+        self, n_points, omega_d, attenuation, power, centre_offset
+    ):
+        if omega_d == 0.0:
+            pump = PumpConfig.degenerate(OMEGA_P, power)
+        else:
+            pump = PumpConfig.non_degenerate(OMEGA_P + omega_d, OMEGA_P - omega_d, power, power)
+        spec = WaveguideSpec(
+            "custom", 5e-3, 93.5, DispersionModel(pump.omega_c, (5e-25, 2e-48)), attenuation
+        )
+        grid = SpectralGrid.symmetric(
+            pump.omega_c * (1.0 + centre_offset), 2 * math.pi * 40e12, n_points
+        )
+        delta_k, spectrum = mismatch_and_spectrum(spec, pump, grid)
+        assert delta_k.tobytes() == total_mismatch(spec, pump, grid.omegas).tobytes()
+        assert spectrum.grid is grid
+        assert (
+            spectrum.flux_density.tobytes()
+            == biphoton_spectrum(spec, pump, grid).flux_density.tobytes()
+        )
 
 
 @pytest.mark.filterwarnings("error")
