@@ -34,7 +34,6 @@ from .config import (
     load_config,
     locate_config,
     parse_car_config,
-    parse_circuit_config,
     parse_gamma_config,
     parse_spectrum_config,
 )
@@ -44,7 +43,7 @@ from .engine import bandwidth_3db_hz, mismatch_and_spectrum
 from .errors import ConfigError, DataError, DomainError
 from .modefield import gamma_report, read_mode_field_csv
 from .svgplot import write_line_plot
-from .templates import TEMPLATE_NAMES, build_template, evaluate_circuit
+from .templates import TEMPLATE_NAMES, evaluate_circuit, parse_run, template_doc
 
 
 def _out_dir(out: str) -> Path:
@@ -108,10 +107,7 @@ def _circuit_report_lines(report) -> list[str]:
 
 
 def cmd_circuit(args, doc: dict, doc_hash: str, out: Path):
-    if args.template is not None:
-        setup = build_template(args.template, args.all_strip)
-    else:
-        setup = parse_circuit_config(doc)
+    setup = parse_run(doc, args.template, args.all_strip)
     report = evaluate_circuit(setup)
     name = setup.name
     designated = set(setup.designated_segments)
@@ -237,13 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_doc(args) -> dict:
-    """The run's config document; rebinds ``args.config`` to the located file."""
+    """The document the run parses and hashes: the config file's, or ``template_doc``'s
+    for ``--template NAME [--all-strip]``.  Rebinds ``args.config`` to the located file."""
     template = getattr(args, "template", None)
     if template is not None:
         if args.config is not None:
             raise ConfigError("circuit: give --config FILE or --template NAME, not both")
-        # Not parsed, only hashed: each template run's config_sha256 comes from this dict.
-        return {"template": template, "all_strip": args.all_strip}
+        return template_doc(template, args.all_strip)
     if args.config is None:
         raise ConfigError("circuit: give --config FILE or --template NAME")
     if getattr(args, "all_strip", False):

@@ -1,32 +1,22 @@
 """Built-in application circuits: time-bin and path entanglement generation.
 
-Each template is a circuit config shipped in the package as
-``data/<name>.yaml``, which describes its circuit, and is parsed by
-``config.parse_circuit_config`` with every check a user's config gets:
+Each template is a circuit config shipped as ``data/<name>.yaml``:
 ``app1_timebin`` (degenerate SFWM behind an unbalanced interferometer) and
-``app2_path`` (non-degenerate SFWM in two source interferometers).
-
-``build_template(name, all_strip=True)`` swaps every segment's waveguide for
-the strip preset of the same length, keeping the topology and node order: the
-comparison case in which post-selection cannot isolate the intended source.
+``app2_path`` (non-degenerate SFWM in two source interferometers).  A template
+run parses and hashes ``template_doc(name, all_strip)``.  The all-strip
+rewrite, a valid config too, gives each segment the waveguide ``{kind: strip,
+<its length key>: <its value>}``: post-selection cannot then isolate the source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .circuit import (
-    CircuitGraph,
-    CircuitSetup,
-    SegmentContribution,
-    SegmentNode,
-    segment_contributions,
-    selection_ratio,
-)
+from .circuit import CircuitSetup, SegmentContribution, segment_contributions, selection_ratio
 from .config import parse_circuit_config
 from .engine import band_flux, detuning_band_to_omega
 from .errors import ConfigError
-from .presets import packaged_yaml, preset_waveguide
+from .presets import packaged_yaml
 
 TEMPLATE_NAMES = ("app1_timebin", "app2_path")
 
@@ -45,20 +35,32 @@ class CircuitReport:
     inter_pulse_delays_s: dict[str, float]
 
 
-def build_template(name: str, all_strip: bool = False) -> CircuitSetup:
-    """A template circuit; ``all_strip`` swaps each segment's waveguide for the strip preset."""
+def template_doc(name: str, all_strip: bool = False) -> dict:
+    """Template ``name``'s packaged document or, with ``all_strip``, a rewritten copy."""
     if name not in TEMPLATE_NAMES:
         raise ConfigError(f"unknown template {name!r}; expected one of {TEMPLATE_NAMES}")
-    setup = parse_circuit_config(packaged_yaml(name))
-    if not all_strip:
-        return replace(setup, name=name)
-    nodes = tuple(
-        replace(node, waveguide=preset_waveguide("strip", node.waveguide.length_m))
-        if isinstance(node, SegmentNode) else node
-        for node in setup.graph.nodes
-    )
-    graph = CircuitGraph(nodes, setup.graph.edges)
-    return replace(setup, name=f"{name}_all_strip", graph=graph)
+    doc = packaged_yaml(name)
+    if all_strip:
+        doc = {**doc, "nodes": [_strip(n) if n["kind"] == "segment" else n for n in doc["nodes"]]}
+    return doc
+
+
+def _strip(segment: dict) -> dict:
+    length = {k: v for k, v in segment["waveguide"].items() if k.startswith("length_")}
+    return {**segment, "waveguide": {"kind": "strip", **length}}
+
+
+def parse_run(doc: dict, template: str | None, all_strip: bool) -> CircuitSetup:
+    """``doc`` parsed, named NAME or NAME_all_strip for a template run, else ``circuit``."""
+    setup = parse_circuit_config(doc)
+    if template is None:
+        return setup
+    return replace(setup, name=f"{template}_all_strip" if all_strip else template)
+
+
+def build_template(name: str, all_strip: bool = False) -> CircuitSetup:
+    """A template circuit: ``template_doc(name, all_strip)`` parsed and named."""
+    return parse_run(template_doc(name, all_strip), name, all_strip)
 
 
 def evaluate_circuit(setup: CircuitSetup) -> CircuitReport:

@@ -42,7 +42,8 @@ from sfwm_sim.csvio import (
     read_table,
     write_spectrum_csv,
 )
-from sfwm_sim.templates import TEMPLATE_NAMES, build_template
+from sfwm_sim.presets import packaged_yaml
+from sfwm_sim.templates import TEMPLATE_NAMES, build_template, template_doc
 
 from conftest import gaussian_mode, write_mode_field_csv
 
@@ -295,36 +296,105 @@ class TestConfigParsing:
         doc = load_config("run.yaml")
         assert doc["pump"]["wavelength_nm"] == 1552.5
 
-    def test_explicit_graph_matches_template(self, tmp_path):
-        # The packaged template file, run as a user's config, gives the
-        # template run's spectra, band fluxes and ratio; only the file names
-        # and the config hash differ.
-        config = PACKAGE_DATA / "app1_timebin.yaml"
+    @pytest.mark.parametrize("all_strip", [False, True], ids=["plain", "all-strip"])
+    @pytest.mark.parametrize("template", TEMPLATE_NAMES)
+    def test_explicit_graph_matches_template(self, tmp_path, template, all_strip):
+        # A template's document, run as a user's config, writes the template
+        # run's files line for line, config hash included; only the file
+        # names and the report's name line differ.  Plain, that document is
+        # the packaged file; with --all-strip it is the strip rewrite.
+        doc = template_doc(template, all_strip)
+        argv = ["circuit", "--template", template, *(["--all-strip"] if all_strip else [])]
+        config = PACKAGE_DATA / f"{template}.yaml"
+        if all_strip:
+            config = write_yaml(tmp_path / "all_strip.yaml", doc)
         outs = {"config": tmp_path / "config", "template": tmp_path / "template"}
         assert main(["circuit", "--config", str(config), "--out", str(outs["config"])]) == 0
-        assert main(["circuit", "--template", "app1_timebin", "--out", str(outs["template"])]) == 0
+        assert main([*argv, "--out", str(outs["template"])]) == 0
+        name = f"{template}_all_strip" if all_strip else template
 
-        def tables(out: Path, prefix: str) -> dict[str, list[str]]:
-            # Each CSV's rows after its comments, by file name without the prefix.
+        def files(out: Path, prefix: str) -> dict[str, list[str]]:
+            # Each file's lines, by file name without the prefix.
             return {
-                path.name.removeprefix(prefix): [
-                    line for line in path.read_text().splitlines() if not line.startswith("#")
-                ]
-                for path in out.glob("*.csv")
+                path.name.removeprefix(prefix): path.read_text().splitlines()
+                for path in out.iterdir()
             }
 
-        explicit = tables(outs["config"], "circuit_")
-        template = tables(outs["template"], "app1_timebin_")
-        assert sorted(template) == [
-            "source_strip_spectrum.csv", "summary.csv", "umzi_long_spectrum.csv",
-            "umzi_short_spectrum.csv",
-        ]
-        assert explicit == template
-        ratios = [
-            (out / f"{name}_summary.csv").read_text().splitlines()[1]
-            for out, name in ((outs["config"], "circuit"), (outs["template"], "app1_timebin"))
-        ]
-        assert ratios[0] == ratios[1] and ratios[0].startswith("# selection_ratio=")
+        explicit = files(outs["config"], "circuit_")
+        run = files(outs["template"], f"{name}_")
+        segments = [node.id for node in build_template(template).graph.segments()]
+        assert sorted(run) == sorted(
+            ["report.txt", "summary.csv", *(f"{segment}_spectrum.csv" for segment in segments)]
+        )
+        assert explicit["report.txt"][1] == "circuit: circuit"
+        assert run["report.txt"][1] == f"circuit: {name}"
+        explicit["report.txt"][1] = run["report.txt"][1]
+        assert explicit == run
+        assert run["summary.csv"][0] == f"# config_sha256={config_hash(doc)}"
+        assert run["summary.csv"][1].startswith("# selection_ratio=")
+
+    def test_a_template_run_hashes_the_document_it_parses(self, tmp_path, monkeypatch):
+        parsed, parse = [], sfwm_sim.templates.parse_circuit_config
+
+        def recording(doc):
+            parsed.append(doc)
+            return parse(doc)
+
+        monkeypatch.setattr(sfwm_sim.templates, "parse_circuit_config", recording)
+        lines = set()
+        for template in TEMPLATE_NAMES:
+            for flags in ([], ["--all-strip"]):
+                out = tmp_path / f"{template}{len(flags)}"
+                assert main(["circuit", "--template", template, *flags, "--out", str(out)]) == 0
+                line = next(out.glob("*_summary.csv")).read_text().splitlines()[0]
+                assert line == f"# config_sha256={config_hash(parsed[-1])}"
+                assert (parsed[-1] is packaged_yaml(template)) == (not flags)
+                lines.add(line)
+        assert len(parsed) == len(lines) == 4
+
+    @pytest.mark.parametrize("all_strip", [False, True], ids=["plain", "all-strip"])
+    @pytest.mark.parametrize("template", TEMPLATE_NAMES)
+    def test_every_template_leaf_is_in_the_hash(self, tmp_path, template, all_strip):
+        # Each float of the packaged document, and grid.points, changed one at
+        # a time in a copy served as the packaged document, changes the
+        # config_sha256 line the template run writes.
+        packaged = packaged_yaml(template)
+        changes = [(("grid", "points"), packaged["grid"]["points"] + 1)]
+
+        def add_floats(node, path):
+            for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+                if isinstance(value, (dict, list)):
+                    add_floats(value, (*path, key))
+                elif isinstance(value, float):
+                    changes.append(((*path, key), value * 1.001))
+
+        add_floats(packaged, ())
+        paths = [path for path, _ in changes]
+        assert ("band_thz", 0) in paths
+        assert any(path[0] == "pump" and path[-1].startswith("power") for path in paths)
+        assert any(path[-1] == "length_mm" for path in paths)
+        argv = ["circuit", "--template", template, *(["--all-strip"] if all_strip else [])]
+
+        def hash_line(doc, out: Path) -> str:
+            def serve(name):
+                return doc if name == template else packaged_yaml(name)
+
+            with pytest.MonkeyPatch.context() as mp:
+                for name, module in list(sys.modules.items()):
+                    if name.startswith("sfwm_sim") and vars(module).get("packaged_yaml") is packaged_yaml:
+                        mp.setattr(module, "packaged_yaml", serve)
+                assert main([*argv, "--out", str(out)]) == 0
+            return next(out.glob("*_summary.csv")).read_text().splitlines()[0]
+
+        lines = [hash_line(packaged, tmp_path / "packaged")]
+        for i, (path, value) in enumerate(changes):
+            doc = copy.deepcopy(packaged)
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            lines.append(hash_line(doc, tmp_path / str(i)))
+        assert len(set(lines)) == len(lines)
 
     def test_packaged_app1_holds_the_design_values(self):
         setup = build_template("app1_timebin")
@@ -1058,7 +1128,7 @@ class TestOneCommandShape:
     def _case(self, tmp_path, command):
         """(doc, argv without --out, report name, expected notes given out)."""
         if command == "circuit_template":
-            doc = {"template": "app2_path", "all_strip": False}
+            doc = packaged_yaml("app2_path")
             return doc, ["circuit", "--template", "app2_path", "--svg"], "app2_path_report.txt", [
                 "summary -> {out}/app2_path_summary.csv"
             ]
