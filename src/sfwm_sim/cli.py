@@ -148,8 +148,10 @@ def cmd_gamma(args, doc: dict, doc_hash: str, out: Path):
     try:  # the reader names path:line; the quadrature's errors get the path too
         report = gamma_report(grid, run.omega, run.constants)
         if args.verify_scale:
-            tripled = replace(grid, e_field=grid.e_field * 3.0, h_field=grid.h_field * 3.0)
-            scaled = gamma_report(tripled, run.omega, run.constants)
+            # One field at a time: only one field is ever held at both scales.
+            grid = replace(grid, e_field=grid.e_field * 3.0)
+            grid = replace(grid, h_field=grid.h_field * 3.0)
+            scaled = gamma_report(grid, run.omega, run.constants)
     except DataError as exc:
         raise DataError(f"{run.mode_field_csv}: {exc}") from exc
     lines = [

@@ -33,6 +33,10 @@ MAX_HISTOGRAM_BINS = 1 << 22
 # A draw of n events takes 8 n bytes per array, so 128 MB at this limit; the
 # shipped 600 s config draws about 9 M idler events.
 MAX_EVENTS_PER_DRAW = 1 << 24
+# Signal events per histogram block (and timestamps per block of the order
+# check): with about one match per event a block's arrays take about 32
+# bytes per event, so about 4 MB however long the stream.
+HISTOGRAM_BLOCK = 1 << 17
 TIMESTAMP_HEADER = ("channel", "timestamp_s")
 CHANNELS = ("signal", "idler")
 
@@ -78,8 +82,10 @@ def _check_sorted(name: str, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
         raise DataError(f"{name} timestamps must be 1-D")
-    if np.any(ts[1:] < ts[:-1]):  # compared, not subtracted: np.diff may overflow
-        raise DataError(f"{name} timestamps are not sorted ascending")
+    for start in range(0, ts.size - 1, HISTOGRAM_BLOCK):
+        block = ts[start : start + HISTOGRAM_BLOCK + 1]
+        if np.any(block[1:] < block[:-1]):  # compared, not subtracted: np.diff may overflow
+            raise DataError(f"{name} timestamps are not sorted ascending")
     return ts
 
 
@@ -115,7 +121,10 @@ def build_histogram(
 
     Timestamps must be sorted ascending; the window must be an integer
     multiple of the bin width.  Runs in O(N + M + matches) via a sorted
-    two-pointer sweep.
+    sweep over ``HISTOGRAM_BLOCK`` signal events at a time: each block
+    searches only the idler events its window can reach, and its counts are
+    added to the histogram's.  Besides the histogram, it holds one block's
+    arrays and its matches.
     """
     signal = _check_sorted("signal", signal_ts)
     idler = _check_sorted("idler", idler_ts)
@@ -124,19 +133,38 @@ def build_histogram(
     edges = -half + bin_width_s * np.arange(n_bins + 1)
 
     counts = np.zeros(n_bins, dtype=np.int64)
-    if signal.size and idler.size:
-        lo = np.searchsorted(idler, signal - half, side="left")
-        hi = np.searchsorted(idler, signal + half, side="left")
-        matches = hi - lo
-        total = int(matches.sum())
-        if total:
-            sig_idx = np.repeat(np.arange(signal.size), matches)
-            offsets = np.arange(total) - np.repeat(np.cumsum(matches) - matches, matches)
-            diffs = idler[np.repeat(lo, matches) + offsets] - signal[sig_idx]
-            bin_idx = np.floor((diffs + half) / bin_width_s).astype(np.int64)
-            keep = (bin_idx >= 0) & (bin_idx < n_bins)
-            counts = np.bincount(bin_idx[keep], minlength=n_bins).astype(np.int64)
+    for start in range(0, signal.size if idler.size else 0, HISTOGRAM_BLOCK):
+        block = signal[start : start + HISTOGRAM_BLOCK]
+        # The idler events that the block's first and last events can reach.
+        first, last = np.searchsorted(idler, (block[0] - half, block[-1] + half), side="left")
+        found = _block_counts(block, idler[first:last], half, bin_width_s, n_bins)
+        counts[: found.size] += found
     return CoincidenceHistogram(bin_width_s, edges, counts)
+
+
+def _block_counts(
+    signal: np.ndarray, idler: np.ndarray, half: float, bin_width_s: float, n_bins: int
+) -> np.ndarray:
+    """The counts of the first bins of ``build_histogram`` over these events, up to the
+    last bin a difference falls in; ``idler`` must hold every event ``signal`` can reach."""
+    lo = np.searchsorted(idler, signal - half, side="left")
+    matches = np.searchsorted(idler, signal + half, side="left") - lo
+    total = int(matches.sum())
+    if not total:
+        return matches[:0]
+    # Per match, in the order of its signal event: its idler event's index,
+    # then the idler-minus-signal difference, then its bin.
+    lo -= np.cumsum(matches) - matches  # less the matches before each event's
+    index = np.repeat(lo, matches)
+    index += np.arange(total)
+    diffs = idler[index]
+    del index
+    diffs -= np.repeat(signal, matches)
+    diffs += half
+    diffs /= bin_width_s
+    bin_idx = np.floor(diffs, out=diffs).astype(np.int64)
+    del diffs
+    return np.bincount(bin_idx[(bin_idx >= 0) & (bin_idx < n_bins)])
 
 
 def car_from_histogram(hist: CoincidenceHistogram, guard_bins: int = 0) -> float:
@@ -287,7 +315,11 @@ def synthesize_timestamps(
 
 
 def write_timestamps_csv(path: str | Path, signal_ts, idler_ts) -> None:
-    """Write the two channels in the `channel,timestamp_s` interchange format."""
+    """Write the two channels in the `channel,timestamp_s` interchange format.
+
+    All signal rows come first, then all idler rows, so that
+    ``read_timestamps_csv`` returns each channel as a slice of one column.
+    """
     signal = np.asarray(signal_ts, dtype=float)
     idler = np.asarray(idler_ts, dtype=float)
     codes = np.repeat(np.arange(2, dtype=np.uint8), (signal.size, idler.size))
@@ -298,8 +330,22 @@ def write_timestamps_csv(path: str | Path, signal_ts, idler_ts) -> None:
     )
 
 
+def _channel_rows(is_signal: np.ndarray) -> tuple[slice, slice] | tuple[np.ndarray, np.ndarray]:
+    """The signal and the idler rows: slices when each channel's rows are one run, else masks."""
+    start = int(np.argmax(is_signal))
+    stop = start + int(np.count_nonzero(is_signal))
+    if is_signal[start:stop].all() and (start == 0 or stop == is_signal.size):
+        return slice(start, stop), (slice(stop, None) if start == 0 else slice(0, start))
+    return is_signal, ~is_signal
+
+
 def read_timestamps_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read `channel,timestamp_s` data; each channel must be monotone."""
+    """Read `channel,timestamp_s` data; each channel must be monotone.
+
+    When each channel's rows are one run, as ``write_timestamps_csv`` writes
+    them, both channels are slices of the one column read; only a file that
+    interleaves them has each channel copied out.
+    """
     (names, codes), stamps = read_table(path, TIMESTAMP_HEADER, text=("channel",))
     if not stamps.size:
         raise DataError(f"{path}: no timestamps found")
@@ -308,12 +354,13 @@ def read_timestamps_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         row = int(np.argmin(known[codes]))
         raise row_error(path, row, f"unknown channel {names[codes[row]]!r} (signal|idler)")
     is_signal = np.array([name == "signal" for name in names])[codes]
-    signal, idler = stamps[is_signal], stamps[~is_signal]
+    rows = _channel_rows(is_signal)
+    signal, idler = stamps[rows[0]], stamps[rows[1]]
     # Per channel, the row of the first timestamp below the one before it
     # (compared, not subtracted: a difference of two finite stamps may overflow).
     late = [
-        int(np.flatnonzero(mask)[np.argmax(ts[1:] < ts[:-1]) + 1])
-        for mask, ts in ((is_signal, signal), (~is_signal, idler))
+        int(np.arange(stamps.size)[where][np.argmax(ts[1:] < ts[:-1]) + 1])
+        for where, ts in zip(rows, (signal, idler))
         if np.any(ts[1:] < ts[:-1])
     ]
     if late:

@@ -210,11 +210,12 @@ def read_table(path: str | Path, header, text=()) -> list:
     done = -1  # data rows read so far; -1 until the header is read
     try:
         with path.open(encoding="utf-8") as fh:
-            # Bytes in the file, and characters read to within a line a block
-            # (readlines stops at the line that reaches its size hint).
-            size, seen = os.fstat(fh.fileno()).st_size, 0
+            # Bytes in the file, and bytes read so far: the text layer reads
+            # ahead at most one chunk, so ``fh.buffer.tell()`` runs ahead of the
+            # rows by at most that much.
+            size = os.fstat(fh.fileno()).st_size
             for block in iter(partial(fh.readlines, _READ_BLOCK_CHARS), []):
-                seen += _READ_BLOCK_CHARS
+                seen = fh.buffer.tell()
                 cells = _row_cells(block, n) if done >= 0 else None
                 if cells is None:  # a header, comment, blank or malformed line: row by row
                     rows = list(filter(_is_row if "#" in "".join(block) else str.strip, block))
@@ -255,12 +256,15 @@ def _put(column: np.ndarray, start: int, values: np.ndarray, rows_hint: int) -> 
     """Write ``values`` into ``column`` from row ``start``, growing it in place when full.
 
     It grows to a sixteenth past ``rows_hint``, the rows the whole file holds
-    at the density read so far, so a long column is allocated about once and
-    never held twice.
+    at the density in bytes read so far, but at most to twice the rows read:
+    a file whose early rows are shorter than the rest (a counter gaining
+    digits) gives too high an early hint.  A long column is never held
+    twice, and its last growth follows a hint taken over at least half its
+    rows.
     """
     stop = start + len(values)
     if len(column) < stop:
-        column.resize(max(stop, rows_hint) * 17 // 16, refcheck=False)
+        column.resize(min(max(stop, rows_hint) * 17 // 16, 2 * stop), refcheck=False)
     column[start:stop] = values
 
 

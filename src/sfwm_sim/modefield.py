@@ -159,32 +159,59 @@ MODE_FIELD_COLUMNS = (
 )
 
 
+def _grid_axes(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The x and y axes of rows that run over a full grid in row-major order, else None.
+
+    Row-major: x is constant over each run of ``ny`` rows and increases from
+    run to run, and y increases within each run, the same in all of them.
+    """
+    ny = int(np.argmax(xs != xs[0])) or xs.size  # the first row with another x
+    x, y = xs[::ny], ys[:ny]
+    if x.size * ny != xs.size or np.any(x[1:] <= x[:-1]) or np.any(y[1:] <= y[:-1]):
+        return None
+    shape = (x.size, ny)
+    if not ((xs.reshape(shape) == x[:, None]).all() and (ys.reshape(shape) == y).all()):
+        return None
+    return x.copy(), y.copy()
+
+
 def read_mode_field_csv(path: str | Path) -> ModeFieldGrid:
     """Read a mode-field export (one row per grid point, row-major, SI units).
 
     The file must carry the header ``x_m,y_m,ex_re,...,in_core`` and the rows
-    must form a full rectilinear grid; anything else raises DataError.
+    must form a full rectilinear grid; anything else raises DataError.  Rows
+    in another order are gathered into row-major order first.  Each field's
+    columns are held only until its complex array is built.
     """
     path = Path(path)
-    data = np.column_stack(read_table(path, MODE_FIELD_COLUMNS))
-    if data.shape[0] < 4:
+    columns = read_table(path, MODE_FIELD_COLUMNS)
+    if columns[0].size < 4:
         raise DataError(f"{path}: expected >= 4 complete rows")
 
-    x = np.unique(data[:, 0])
-    y = np.unique(data[:, 1])
-    # Row-major check: sort by (x, y) and verify coordinates tile exactly.
-    order = np.lexsort((data[:, 1], data[:, 0]))
-    data = data[order]
-    expect_x = np.repeat(x, y.size)
-    expect_y = np.tile(y, x.size)
-    if not (np.array_equal(data[:, 0], expect_x) and np.array_equal(data[:, 1], expect_y)):
-        raise DataError(f"{path}: grid points are not a full rectilinear product")
+    axes = _grid_axes(columns[0], columns[1])
+    if axes is None:
+        # Sort the rows by (x, y), gathering one column at a time.
+        order = np.lexsort((columns[1], columns[0]))
+        for k, column in enumerate(columns):
+            columns[k] = column[order]
+        del column, order
+        axes = _grid_axes(columns[0], columns[1])
+        if axes is None:
+            raise DataError(f"{path}: grid points are not a full rectilinear product")
+    x, y = axes
+    columns[:2] = None, None
 
-    def cplx(re_col: int, im_col: int) -> np.ndarray:
-        return (data[:, re_col] + 1j * data[:, im_col]).reshape(x.size, y.size)
+    def field(first: int) -> np.ndarray:
+        """The (nx, ny, 3) field of the six columns from ``first``, which it drops."""
+        out = np.empty((x.size * y.size, 3), dtype=complex)
+        for k in range(3):
+            re, im = columns[first + 2 * k : first + 2 * k + 2]
+            columns[first + 2 * k : first + 2 * k + 2] = None, None
+            np.multiply(im, 1j, out=out[:, k])  # re + 1j * im, without a temporary
+            out[:, k] += re
+        return out.reshape(x.size, y.size, 3)
 
-    e = np.stack([cplx(2, 3), cplx(4, 5), cplx(6, 7)], axis=-1)
-    h = np.stack([cplx(8, 9), cplx(10, 11), cplx(12, 13)], axis=-1)
-    mask = data[:, 14].reshape(x.size, y.size) != 0.0
+    e = field(2)
+    h = field(8)
+    mask = columns[14].reshape(x.size, y.size) != 0.0
     return ModeFieldGrid(x, y, e, h, mask)
-

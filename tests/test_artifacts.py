@@ -1,12 +1,13 @@
 """Every file the shipped commands write, pinned in ``shipped_artifacts.json``.
 
-The table holds the sha256 of each file, with the numpy version and machine
-it was made on.  numpy's SIMD ``sin``/``sinh`` may differ in the last bit
-between CPUs and numpy releases, so the hashes must match only where both of
-those match the table.  Anywhere else each file's text must match with every
-number masked, and each number column (a CSV column, or all the numbers of
-any other file) must keep its count, and its sum and sum of magnitudes to
-within ``ULPS`` ulp of every number in it.
+The table holds the sha256 of each file, with the numpy version, the
+machine and the SIMD targets of float64 ``sin``/``sinh`` it was made on.
+numpy's SIMD ``sin``/``sinh`` may differ in the last bit between CPUs and
+numpy releases, so the hashes must match only where all of those match the
+table.  Anywhere else each file's text must match with every number masked,
+and each number column (a CSV column, or all the numbers of any other file)
+must keep its count, and its sum and sum of magnitudes to within ``ULPS``
+ulp of every number in it.
 
 A change that declares an artifact diff regenerates the table in the same
 commit, from the repository root:
@@ -30,6 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from numpy.lib.introspect import opt_func_info
 
 from sfwm_sim.cli import main
 
@@ -115,7 +117,18 @@ def fingerprint(path: Path) -> dict:
 
 
 def environment() -> dict[str, str]:
-    return {"numpy": np.__version__, "machine": platform.machine()}
+    """The numpy release, the machine, and the SIMD target of float64 sin and sinh.
+
+    numpy picks that target at import from the CPU's features (and
+    ``NPY_DISABLE_CPU_FEATURES``), so one machine name covers several.
+    """
+    kernels = opt_func_info(func_name="^(sin|sinh)$", signature="float64")
+    targets = {
+        name: loop["current"]
+        for name, loops in sorted(kernels.items())
+        for loop in loops.values()  # the one float64 loop
+    }
+    return {"numpy": np.__version__, "machine": platform.machine(), **targets}
 
 
 def near_misses(got: dict, want: dict) -> list[str]:

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sfwm_sim import (
     CoincidenceHistogram,
@@ -13,6 +16,7 @@ from sfwm_sim import (
     predict_rates,
     synthesize_timestamps,
 )
+from sfwm_sim import coincidence
 from sfwm_sim.coincidence import (
     CAR_PEAK_BINS,
     MAX_EVENTS_PER_DRAW,
@@ -93,6 +97,79 @@ class TestBuildHistogram:
         idler = np.array([10.5e-9])  # exactly +window/2
         hist = build_histogram(signal, idler, 1e-9, 21e-9)
         assert hist.counts.sum() == 0
+
+
+def single_pass_counts(signal, idler, bin_width_s, window_s):
+    """``build_histogram``'s counts as one pass over all signal events (the reference)."""
+    n_bins = histogram_bins(bin_width_s, window_s)
+    half = 0.5 * window_s
+    counts = np.zeros(n_bins, dtype=np.int64)
+    if signal.size and idler.size:
+        lo = np.searchsorted(idler, signal - half, side="left")
+        hi = np.searchsorted(idler, signal + half, side="left")
+        matches = hi - lo
+        total = int(matches.sum())
+        if total:
+            sig_idx = np.repeat(np.arange(signal.size), matches)
+            offsets = np.arange(total) - np.repeat(np.cumsum(matches) - matches, matches)
+            diffs = idler[np.repeat(lo, matches) + offsets] - signal[sig_idx]
+            bin_idx = np.floor((diffs + half) / bin_width_s).astype(np.int64)
+            keep = (bin_idx >= 0) & (bin_idx < n_bins)
+            counts = np.bincount(bin_idx[keep], minlength=n_bins).astype(np.int64)
+    return counts
+
+
+# Stamps on a 0.25 grid, so that differences fall exactly on bin edges too.
+stamps = st.lists(st.integers(0, 80), max_size=40).map(lambda ks: np.sort(ks) * 0.25)
+
+
+class TestBlockedHistogram:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        signal=stamps,
+        idler=stamps,
+        block=st.integers(1, 6),
+        n_bins=st.integers(1, 12),
+        bin_width_s=st.sampled_from([0.25, 0.5, 1.0]),
+    )
+    @example(signal=np.array([]), idler=np.array([1.0]), block=1, n_bins=4, bin_width_s=1.0)
+    @example(signal=np.array([1.0]), idler=np.array([]), block=1, n_bins=4, bin_width_s=1.0)
+    @example(signal=np.array([1.0]), idler=np.array([1.0]), block=1, n_bins=4, bin_width_s=1.0)
+    @example(  # block edges between events that share idler matches
+        signal=np.array([1.0, 1.0, 1.25, 2.0]), idler=np.array([0.5, 1.0, 1.5, 2.5]),
+        block=2, n_bins=4, bin_width_s=0.5,
+    )
+    def test_counts_match_the_single_pass(self, signal, idler, block, n_bins, bin_width_s):
+        window_s = n_bins * bin_width_s
+        want = single_pass_counts(signal, idler, bin_width_s, window_s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coincidence, "HISTOGRAM_BLOCK", block)
+            got = build_histogram(signal, idler, bin_width_s, window_s).counts
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("channel", ["signal", "idler"])
+    def test_a_step_back_across_a_block_edge_is_rejected(self, monkeypatch, channel):
+        monkeypatch.setattr(coincidence, "HISTOGRAM_BLOCK", 4)
+        streams = {"signal": np.arange(8.0), "idler": np.arange(8.0)}
+        streams[channel][4] = 2.5  # the first stamp of the second block steps back
+        with pytest.raises(DataError, match=f"{channel} timestamps are not sorted"):
+            build_histogram(streams["signal"], streams["idler"], 1.0, 8.0)
+
+    def test_holds_one_block_not_the_stream(self):
+        rng = np.random.default_rng(2)
+        signal = np.sort(rng.random(2_100_000) * 100.0)
+        idler = np.sort(signal + rng.normal(0.0, 1e-9, signal.size))  # about one match each
+        tracemalloc.start()
+        try:
+            hist = build_histogram(signal, idler, 1e-10, 12.1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.counts.sum() >= signal.size
+        # One block's arrays (4.3 MB here), not the whole stream's at once
+        # (137 MB).
+        assert peak < 10e6, peak
 
 
 class TestCar:
@@ -324,3 +401,62 @@ class TestTimestampCsv:
         path.write_text("channel,timestamp_s\n")
         with pytest.raises(DataError):
             read_timestamps_csv(path)
+
+    @staticmethod
+    def _write(path, rows):
+        path.write_text("channel,timestamp_s\n" + "".join(f"{c},{t!r}\n" for c, t in rows))
+
+    def test_grouped_and_interleaved_files_read_the_same(self, tmp_path):
+        signal, idler = synthesize_timestamps(
+            RateModel(pair_rate_hz=400.0, bin_width_s=1e-9, noise_rate_idler_hz=300.0), 1.0, seed=8
+        )
+        signal_rows = [("signal", t) for t in signal.tolist()]
+        idler_rows = [("idler", t) for t in idler.tolist()]
+        grouped, idler_first = tmp_path / "grouped.csv", tmp_path / "idler_first.csv"
+        interleaved = tmp_path / "interleaved.csv"
+        write_timestamps_csv(grouped, signal, idler)
+        self._write(idler_first, idler_rows + signal_rows)
+        self._write(interleaved, sorted(signal_rows + idler_rows, key=lambda row: row[1]))
+        for path in (grouped, idler_first, interleaved):
+            got_signal, got_idler = read_timestamps_csv(path)
+            np.testing.assert_array_equal(got_signal, signal)
+            np.testing.assert_array_equal(got_idler, idler)
+            # Each channel one run: both are views of the one column read.
+            assert (got_signal.base is got_idler.base is not None) == (path != interleaved)
+
+    @pytest.mark.parametrize("channel", ["signal", "idler"])
+    def test_grouped_and_interleaved_files_name_the_same_late_line(self, tmp_path, channel):
+        # Line 4 steps back on its channel in both files.
+        other = "idler" if channel == "signal" else "signal"
+        grouped = [(channel, 0.1), (channel, 0.5), (channel, 0.2), (channel, 0.7),
+                   (other, 0.3), (other, 0.4)]
+        interleaved = grouped[:3] + [grouped[4], grouped[3], grouped[5]]
+        messages = []
+        for name, rows in (("grouped", grouped), ("interleaved", interleaved)):
+            path = tmp_path / name / "ts.csv"
+            path.parent.mkdir()
+            self._write(path, rows)
+            with pytest.raises(DataError) as err:
+                read_timestamps_csv(path)
+            messages.append(str(err.value).replace(str(path.parent), ""))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"/ts.csv:4: {channel} timestamp 0.2 is earlier")
+
+    def test_reading_a_grouped_stream_holds_its_stamps_about_once(self, tmp_path):
+        rng = np.random.default_rng(6)
+        signal = np.sort(rng.random(270_000)) * 60.0
+        idler = np.sort(rng.random(330_000)) * 60.0
+        path = tmp_path / "ts.csv"
+        write_timestamps_csv(path, signal, idler)
+        tracemalloc.start()
+        try:
+            got_signal, got_idler = read_timestamps_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got_signal, signal)
+        np.testing.assert_array_equal(got_idler, idler)
+        stamps_and_codes = 9 * (signal.size + idler.size)
+        # The column read, its channel codes and one read block (1.23 times
+        # the stamps and codes here), not a copy of each channel (2.2).
+        assert peak <= 1.35 * stamps_and_codes, (peak, stamps_and_codes)

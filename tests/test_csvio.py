@@ -321,3 +321,21 @@ def test_reading_a_long_table_holds_its_float_column_about_once(tmp_path):
     # The columns and about one read block (1.2 times the columns here), not
     # the blocks and their concatenation (2.1 times).
     assert peak < 1.3 * result, (peak, result)
+
+
+def test_a_column_whose_early_rows_are_short_is_not_over_reserved(tmp_path):
+    # A counter: the first block's rows hold 3 to 8 characters, most later
+    # rows 10, so the first block alone suggests 1.3 times the rows there are.
+    values = np.arange(1_000_000) * 0.5
+    path = tmp_path / "k.csv"
+    write_table(path, ("v",), (values,))
+    tracemalloc.start()
+    try:
+        (read,) = read_table(path, ("v",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(read, values)
+    # The column, a few percent of reserve and one read block (1.28 times
+    # the column here), not a reserve sized from the first block (1.81).
+    assert peak <= 1.3 * read.nbytes, (peak, read.nbytes)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from sfwm_sim import (
     gamma_report,
 )
 from sfwm_sim.dispersion import C_VACUUM
-from sfwm_sim.modefield import Z0_OHM, read_mode_field_csv
+from sfwm_sim.csvio import read_table, write_table
+from sfwm_sim.modefield import MODE_FIELD_COLUMNS, Z0_OHM, read_mode_field_csv
 
 from conftest import gaussian_mode, write_mode_field_csv
 
@@ -234,3 +237,29 @@ class TestCsvRoundTrip:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(DataError, match=rf"mode\.csv:4: ex_re cell '{value}' is not finite"):
             read_mode_field_csv(path)
+
+    def test_rows_in_any_order_read_as_the_row_major_grid(self, tmp_path):
+        grid = gaussian_mode(7)
+        path = tmp_path / "mode.csv"
+        write_mode_field_csv(path, grid)
+        want = read_mode_field_csv(path)
+        columns = read_table(path, MODE_FIELD_COLUMNS)
+        order = np.random.default_rng(4).permutation(columns[0].size)
+        write_table(path, MODE_FIELD_COLUMNS, [column[order] for column in columns])
+        got = read_mode_field_csv(path)
+        for name in ("x_coords", "y_coords", "e_field", "h_field", "core_mask"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
+
+    def test_reading_holds_each_value_about_once(self, tmp_path):
+        path = tmp_path / "mode.csv"
+        write_mode_field_csv(path, gaussian_mode(201))
+        tracemalloc.start()
+        try:
+            grid = read_mode_field_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = len(MODE_FIELD_COLUMNS) * 8 * grid.core_mask.size
+        # The columns as read and one field built from them (1.3 times the
+        # columns here), not a stacked and a sorted copy of them (2.6).
+        assert peak <= 1.5 * columns, (peak, columns)
