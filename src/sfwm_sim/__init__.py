@@ -40,7 +40,6 @@ from .engine import (
     biphoton_spectrum,
     detuning_band_to_omega,
     gain_from_mismatch,
-    mismatch_and_spectrum,
     nonlinear_mismatch,
     parametric_gain,
     total_mismatch,

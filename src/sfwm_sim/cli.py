@@ -39,7 +39,7 @@ from .config import (
 )
 from .csvio import write_histogram_csv, write_mismatch_csv, write_spectrum_csv, write_table
 from .dispersion import wavelength_from_angular_frequency
-from .engine import bandwidth_3db_hz, mismatch_and_spectrum
+from .engine import bandwidth_3db_hz, biphoton_spectrum, total_mismatch
 from .errors import ConfigError, DataError, DomainError
 from .modefield import gamma_report, read_mode_field_csv
 from .svgplot import write_line_plot
@@ -66,7 +66,9 @@ def cmd_spectrum(args, doc: dict, doc_hash: str, out: Path):
     lines, notes = [], []
     svg_series: dict[str, np.ndarray] = {}
     for spec, label in run.waveguides:
-        delta_k, spectrum = mismatch_and_spectrum(spec, run.pump, grid)
+        # The spectrum first: it stops an overflowing run with a named DomainError.
+        spectrum = biphoton_spectrum(spec, run.pump, grid)
+        delta_k = total_mismatch(spec, run.pump, grid.omegas)
         write_spectrum_csv(out / f"{label}_spectrum.csv", spectrum, doc_hash)
         write_mismatch_csv(out / f"{label}_mismatch.csv", grid, delta_k, doc_hash)
         width = bandwidth_3db_hz(spectrum) if spectrum.flux_density.max() > 0 else 0.0
@@ -197,6 +199,14 @@ def cmd_car(args, doc: dict, doc_hash: str, out: Path):
     return "car_report.txt", lines, []
 
 
+def non_negative_int(text: str) -> int:
+    """An integer flag value >= 0, such as the seed numpy's generators take."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sfwm-sim",
@@ -230,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_car = command("car", cmd_car, "coincidence histogram and CAR")
-    p_car.add_argument("--seed", type=int, default=0, help="RNG seed for synthetic data")
+    p_car.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed for synthetic data")
     return parser
 
 

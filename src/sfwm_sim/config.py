@@ -303,14 +303,15 @@ def grid_points(value, where: str) -> int:
 def parse_grid(sec: _Section | None, omega_c: float) -> SpectralGrid:
     where = "config.grid.span_thz"
     span_thz = 20.0
-    n_points = 4096
+    size = {}  # the grid size is SpectralGrid's default unless given
     if sec is not None:
         where = f"{sec.where}.span_thz"
         span_thz = _number(sec.take("span_thz", span_thz), where)
-        n_points = grid_points(sec.take("points", n_points), f"{sec.where}.points")
+        if sec.has("points"):
+            size["n_points"] = grid_points(sec.take("points"), f"{sec.where}.points")
         sec.finish()
     with _naming(f"{where} = {span_thz:g}"):
-        return SpectralGrid.symmetric(omega_c, 2.0 * pi * (span_thz * 1e12) / 2.0, n_points)
+        return SpectralGrid(omega_c, 2.0 * pi * (span_thz * 1e12) / 2.0, **size)
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,7 @@ class SpectralGrid:
             raise ConfigError("grid needs at least 2 points")
 
     @classmethod
-    def symmetric(cls, omega_c: float, half_span: float, n_points: int = 4096) -> "SpectralGrid":
+    def symmetric(cls, omega_c: float, half_span: float, n_points: int) -> "SpectralGrid":
         """Grid of n_points samples covering omega_c +- half_span (rad/s)."""
         return cls(omega_c, half_span, n_points)
 
@@ -275,24 +275,22 @@ def parametric_gain(spec: WaveguideSpec, pump: PumpConfig, omega):
     om = np.asarray(omega, dtype=float)
     if not np.all(om > 0.0):
         raise DomainError("omega must be > 0")
-    gain = _gain_at(spec, pump, om)[0]
+    gain = _gain_at(spec, pump, om)
     if np.isscalar(omega):
         return float(gain)
     return gain
 
 
-def _gain_at(spec: WaveguideSpec, pump: PumpConfig, omegas: np.ndarray, mismatch_pump=None):
-    """G at ``omegas`` and, for ``mismatch_pump`` (if given), the total mismatch
-    there, from one dk_L evaluation.  G is formed in dk's own buffer."""
+def _gain_at(spec: WaveguideSpec, pump: PumpConfig, omegas: np.ndarray) -> np.ndarray:
+    """G at ``omegas``, formed in the buffer of the dk it comes from."""
     try:  # float ** raises OverflowError; numpy raises FloatingPointError here
         with np.errstate(over="raise", invalid="raise"):
             gamma = spec.gamma_per_w_m
             dk = linear_mismatch(spec.dispersion, omegas, pump)
-            total = None if mismatch_pump is None else dk + nonlinear_mismatch(gamma, mismatch_pump)
             dk += nonlinear_mismatch(gamma, pump)
             power_term = _power_term(gamma, pump)
             check = partial(_check_peak_gain, spec, pump, power_term)
-            return _gain(power_term, dk.reshape(-1), spec.length_m, check).reshape(dk.shape), total
+            return _gain(power_term, dk.reshape(-1), spec.length_m, check).reshape(dk.shape)
     except (OverflowError, FloatingPointError) as exc:
         raise DomainError(
             f"{spec.kind} waveguide of length {spec.length_m:g} m: "
@@ -319,31 +317,16 @@ def biphoton_spectrum(
     is evaluated sample by sample.  With attenuation enabled the pump is
     path-averaged and the emitted flux pays half the propagation loss in dB.
     """
-    return _spectrum(spec, pump, grid)[1]
-
-
-def mismatch_and_spectrum(
-    spec: WaveguideSpec, pump: PumpConfig, grid: SpectralGrid
-) -> tuple[np.ndarray, BiphotonSpectrum]:
-    """``total_mismatch`` on the grid and ``biphoton_spectrum``, from one dk_L
-    evaluation: dk is as even as G, so it too is evaluated once per mirror pair."""
-    return _spectrum(spec, pump, grid, pump)
-
-
-def _spectrum(spec: WaveguideSpec, pump: PumpConfig, grid: SpectralGrid, mismatch_pump=None):
     n = grid.n_points
     mirrored = grid.center == pump.omega_c
-
-    def on_grid(values):  # values on the upper half, reflected onto the lower one
-        return np.concatenate([values[n % 2 :][::-1], values]) if mirrored else values
-
     omegas = grid.omegas[n // 2 :] if mirrored else grid.omegas
     # The path-averaged pump has the same frequencies, so the same dk_L.
-    gain, delta_k = _gain_at(spec, _attenuated_pump(spec, pump), omegas, mismatch_pump)
-    gain = on_grid(gain)
+    gain = _gain_at(spec, _attenuated_pump(spec, pump), omegas)
+    if mirrored:  # the upper half, reflected onto the lower one
+        gain = np.concatenate([gain[n % 2 :][::-1], gain])
     if spec.attenuation_db_per_cm > 0.0:
         gain *= 10.0 ** (-spec.loss_db / 20.0)
-    return None if delta_k is None else on_grid(delta_k), BiphotonSpectrum(grid, gain)
+    return BiphotonSpectrum(grid, gain)
 
 
 def band_flux(spectrum: BiphotonSpectrum, passband: tuple[float, float]) -> float:

@@ -214,4 +214,7 @@ def read_mode_field_csv(path: str | Path) -> ModeFieldGrid:
     e = field(2)
     h = field(8)
     mask = columns[14].reshape(x.size, y.size) != 0.0
-    return ModeFieldGrid(x, y, e, h, mask)
+    try:  # rows that share one x or one y value make a grid too small for the class
+        return ModeFieldGrid(x, y, e, h, mask)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

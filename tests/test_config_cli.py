@@ -42,6 +42,7 @@ from sfwm_sim.csvio import (
     read_table,
     write_spectrum_csv,
 )
+from sfwm_sim.modefield import MODE_FIELD_COLUMNS
 from sfwm_sim.presets import packaged_yaml
 from sfwm_sim.templates import TEMPLATE_NAMES, build_template, template_doc
 
@@ -492,8 +493,9 @@ class TestSpectrumCommand:
         assert f"config error: {message}" in capsys.readouterr().err
 
     def test_one_mismatch_evaluation_per_waveguide(self, tmp_path, monkeypatch):
-        # The mismatch CSV and the spectrum share one dk_L evaluation, on one
-        # sample of each mirror pair; the shipped config has four waveguides.
+        # Per waveguide the spectrum evaluates dk_L on one sample of each
+        # mirror pair, then the mismatch CSV takes total_mismatch on the full
+        # grid; the shipped config has four waveguides.
         evaluated = []
         linear_mismatch = sfwm_sim.engine.linear_mismatch
 
@@ -505,7 +507,7 @@ class TestSpectrumCommand:
         config = REPO_CONFIGS / "degenerate_bandwidth_contrast.yaml"
         assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 0
         n_points = parse_spectrum_config(load_config(config)).grid.n_points
-        assert evaluated == [n_points // 2] * 4
+        assert evaluated == [n_points // 2, n_points] * 4
 
     def test_svg_emitted(self, tmp_path):
         cfg = write_yaml(tmp_path / "run.yaml", SPECTRUM_DOC)
@@ -771,6 +773,15 @@ class TestCarCommand:
         assert (out1 / "timestamps.csv").read_bytes() == (out2 / "timestamps.csv").read_bytes()
         assert (out1 / "timestamps.csv").read_bytes() != (out3 / "timestamps.csv").read_bytes()
 
+    def test_negative_seed_exits_2_naming_flag(self, tmp_path, capsys):
+        cfg = write_yaml(tmp_path / "car.yaml", self._synth_doc())
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["car", "--config", cfg, "--out", str(out), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: expected a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_timestamp_file_exits_3(self, tmp_path):
         ts = tmp_path / "ts.csv"
         ts.write_text("channel,timestamp_s\n")
@@ -909,8 +920,12 @@ def test_value_error_names_config_path(
         raise AssertionError("computed a spectrum before the config was checked")
 
     # Every case is caught while parsing, so nothing is computed or written.
-    monkeypatch.setattr(sfwm_sim.cli, "mismatch_and_spectrum", no_spectrum)
-    monkeypatch.setattr(sfwm_sim.circuit, "biphoton_spectrum", no_spectrum)
+    for module, name in (
+        (sfwm_sim.cli, "biphoton_spectrum"),
+        (sfwm_sim.cli, "total_mismatch"),
+        (sfwm_sim.circuit, "biphoton_spectrum"),
+    ):
+        monkeypatch.setattr(module, name, no_spectrum)
     field_csv = tmp_path / "mode.csv"
     write_mode_field_csv(field_csv, gaussian_mode(5))
     doc = copy.deepcopy(
@@ -1033,13 +1048,16 @@ def test_unreadable_config_exits_2_naming_path(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize("command", ["gamma", "car"])
-@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+@pytest.mark.parametrize("kind", ["directory", "non-utf8", "one-x"])
 def test_unreadable_data_file_exits_3_naming_path(tmp_path, capsys, command, kind):
     data = tmp_path / "data.csv"
     if kind == "directory":
         data.mkdir()
-    else:
+    elif kind == "non-utf8":
         data.write_bytes(b"x_m,y_m\n\xff\n")
+    else:  # a full grid of well-formed rows that all share x = 0: too few for a mode field
+        rows = [f"0,{y}" + ",1" * (len(MODE_FIELD_COLUMNS) - 2) for y in range(4)]
+        data.write_text("\n".join([",".join(MODE_FIELD_COLUMNS), *rows]) + "\n")
     if command == "gamma":
         doc = {"mode_field_csv": str(data), "wavelength_nm": 1552.5}
     else:
