@@ -295,23 +295,35 @@ def synthesize_timestamps(
 
     Pairs arrive jointly at pair_rate and are detected with the per-arm
     efficiencies; uncorrelated noise photons pass the same efficiencies and
-    dark counts add directly.  Deterministic for a fixed seed.
+    dark counts add directly.  Deterministic for a fixed seed.  Each channel
+    is held once: its detected pair times and its noise share one array,
+    sorted in place.
     """
     pair_rate, extra_signal_rate, extra_idler_rate = draw_rates(model, duration_s)
     rng = np.random.default_rng(seed)
 
-    def poisson_times(rate_hz: float) -> np.ndarray:
+    def poisson_times(rate_hz: float, head: int = 0) -> np.ndarray:
+        """``head`` slots left unset, then Poisson times at ``rate_hz`` over the run."""
         if rate_hz == 0.0:
-            return np.empty(0)
-        n = rng.poisson(rate_hz * duration_s)
-        return rng.random(n) * duration_s
+            return np.empty(head)
+        times = np.empty(head + rng.poisson(rate_hz * duration_s))
+        drawn = rng.random(out=times[head:])
+        drawn *= duration_s
+        return times
+
+    def channel(picked: np.ndarray, rate_hz: float) -> np.ndarray:
+        """The ``picked`` pair times, then noise at ``rate_hz``, sorted in one array."""
+        detected = int(np.count_nonzero(picked))
+        times = poisson_times(rate_hz, detected)
+        times[:detected] = pair_times[picked]
+        times.sort()
+        return times
 
     pair_times = poisson_times(pair_rate)
-    signal = pair_times[rng.random(pair_times.size) < model.efficiency_signal]
-    idler = pair_times[rng.random(pair_times.size) < model.efficiency_idler]
-    signal = np.sort(np.concatenate([signal, poisson_times(extra_signal_rate)]))
-    idler = np.sort(np.concatenate([idler, poisson_times(extra_idler_rate)]))
-    return signal, idler
+    signal_picks = rng.random(pair_times.size) < model.efficiency_signal
+    idler_picks = rng.random(pair_times.size) < model.efficiency_idler
+    signal = channel(signal_picks, extra_signal_rate)
+    return signal, channel(idler_picks, extra_idler_rate)
 
 
 def write_timestamps_csv(path: str | Path, signal_ts, idler_ts) -> None:

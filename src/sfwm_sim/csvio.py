@@ -9,6 +9,13 @@ A text column (such as the timestamps' ``channel``) is held as a
 per row.  ``read_table`` returns it that way and ``write_table`` takes it that
 way; in the file it is one plain cell per row.
 
+``read_table`` parses each distinct cell text of a float column once per
+read block while the column repeats: a gridded export repeats its coordinate
+columns, zero imaginary parts and 0/1 masks within every block, so those
+cells cost a dict lookup, not a parse.  A column whose block is more than
+half distinct texts (a timestamp column) is parsed cell by cell from then on
+(see _floats).
+
 Spectrum and mismatch tables do each distinct piece of formatting once: the
 omega and detuning cells once per grid, a mirrored or anti-mirrored float
 column's cells once per mirror pair (see _cells), and the row text of a
@@ -143,11 +150,41 @@ def row_error(path: str | Path, row: int, message: str) -> DataError:
         return DataError(f"{path}:{next(islice(lines, row + 1, None))}: {message}")
 
 
-def _floats(path: Path, first_row: int, name: str, cells: list[str]) -> np.ndarray:
+def _repeated_floats(cells: list[str]) -> np.ndarray | None:
+    """The value of each cell, each distinct cell text parsed once, or None if too many differ.
+
+    A block of one text is one parse and one fill; one whose cells are at
+    most half distinct texts maps each cell through a dict of the parsed
+    texts.  The key is the raw cell text, spaces included, so ``0``, ``-0``
+    and ``0.0`` are parsed apart, and each value is the ``float`` of its own
+    text.
+    """
+    if cells and cells.count(cells[0]) == len(cells):
+        return np.full(len(cells), float(cells[0]))
+    parsed = dict.fromkeys(cells)
+    if 2 * len(parsed) > len(cells):
+        return None
+    for cell in parsed:
+        parsed[cell] = float(cell)
+    return np.fromiter(map(parsed.__getitem__, cells), float, len(cells))
+
+
+def _floats(
+    path: Path, first_row: int, name: str, cells: list[str], repeating: bool
+) -> tuple[np.ndarray, bool]:
+    """The finite float64 value of each cell, and whether the column still counts as repeating.
+
+    A repeating column is parsed through _repeated_floats until a block has
+    more than half its cells distinct; from then on it is parsed cell by cell.
+    A cell that is not a finite number raises DataError naming its line.
+    """
     try:
-        values = np.fromiter(map(float, cells), float, len(cells))
+        values = _repeated_floats(cells) if repeating else None
+        if values is None:
+            repeating = False
+            values = np.fromiter(map(float, cells), float, len(cells))
         if np.isfinite(values).all():
-            return values
+            return values, repeating
     except ValueError:
         pass
     for k, cell in enumerate(cells):
@@ -202,11 +239,18 @@ def read_table(path: str | Path, header, text=()) -> list:
     as float64 arrays.  An unreadable file, a wrong header, a row with the
     wrong number of cells or a numeric cell that is not a finite number raises
     DataError naming ``path:line``.
+
+    A float column is parsed once per distinct cell text in each read block
+    for as long as no block of it is more than half distinct texts, which
+    holds for the coordinates, zeros and masks of a gridded export; each
+    value is the ``float`` of its own cell text either way.  Every column is
+    one array grown in place, so it is held about once.
     """
     path, n = Path(path), len(header)
-    # Per column: its code blocks, or one float array grown in place (see _put).
-    parts: list = [[] if name in text else np.empty(0) for name in header]
+    # Per column: one array of codes or floats, grown in place (see _put).
+    parts = [np.empty(0, np.uint8 if name in text else float) for name in header]
     index: list[dict[str, int]] = [{} for _ in header]  # per text column: value -> code
+    repeating = [name not in text for name in header]  # per float column (see _floats)
     done = -1  # data rows read so far; -1 until the header is read
     try:
         with path.open(encoding="utf-8") as fh:
@@ -233,22 +277,23 @@ def read_table(path: str | Path, header, text=()) -> list:
                 stop = done + len(cells) // n
                 for j, name in enumerate(header):
                     if name in text:
-                        parts[j].append(_codes(cells[j::n], index[j]))
+                        values = _codes(cells[j::n], index[j])
+                        if values.dtype != parts[j].dtype:  # the 257th value, say: widen once
+                            parts[j] = parts[j].astype(values.dtype)
                     else:
-                        floats = _floats(path, done, name, cells[j::n])
-                        _put(parts[j], done, floats, stop * size // seen)
+                        values, repeating[j] = _floats(path, done, name, cells[j::n], repeating[j])
+                    _put(parts[j], done, values, stop * size // seen)
                 done = stop
                 del block, cells  # hold one block of cell strings at a time
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read table ({exc})") from exc
     if done < 0:
         raise DataError(f"{path}: no header line, expected {','.join(header)!r}")
-    for name, col in zip(header, parts):
-        if name not in text:
-            col.resize(done, refcheck=False)
+    for col in parts:
+        col.resize(done, refcheck=False)
     return [
-        TextColumn(tuple(values), np.concatenate(col)) if name in text else col
-        for name, col, values in zip(header, parts, index)
+        TextColumn(tuple(value_codes), col) if name in text else col
+        for name, col, value_codes in zip(header, parts, index)
     ]
 
 

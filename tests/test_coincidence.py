@@ -327,6 +327,60 @@ class TestSynthesize:
         sigma = expected * math.sqrt(1.0 / peak_total + 1.0 / acc_total)
         assert abs(car - expected) < 3.0 * sigma
 
+    @staticmethod
+    def _reference_synthesis(model, duration_s, seed):
+        """The synthesis that drew each channel, concatenated the draws and sorted a copy."""
+        pair_rate, extra_signal_rate, extra_idler_rate = draw_rates(model, duration_s)
+        rng = np.random.default_rng(seed)
+
+        def poisson_times(rate_hz):
+            if rate_hz == 0.0:
+                return np.empty(0)
+            n = rng.poisson(rate_hz * duration_s)
+            return rng.random(n) * duration_s
+
+        pair_times = poisson_times(pair_rate)
+        signal = pair_times[rng.random(pair_times.size) < model.efficiency_signal]
+        idler = pair_times[rng.random(pair_times.size) < model.efficiency_idler]
+        signal = np.sort(np.concatenate([signal, poisson_times(extra_signal_rate)]))
+        idler = np.sort(np.concatenate([idler, poisson_times(extra_idler_rate)]))
+        return signal, idler
+
+    @pytest.mark.parametrize("seed", [0, 7, 33, 2**40 + 1])
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            dict(pair_rate_hz=2e3, efficiency_signal=0.3, efficiency_idler=0.7,
+                 noise_rate_signal_hz=5e3, noise_rate_idler_hz=8e3, dark_rate_idler_hz=50.0),
+            dict(pair_rate_hz=2e3, efficiency_signal=0.0, efficiency_idler=1.0),  # no noise
+            dict(pair_rate_hz=2e3, efficiency_signal=1.0, efficiency_idler=0.0,
+                 dark_rate_signal_hz=300.0),
+            dict(pair_rate_hz=0.0, noise_rate_signal_hz=4e3, noise_rate_idler_hz=4e3),
+            dict(pair_rate_hz=0.0),
+        ],
+    )
+    def test_streams_are_bit_identical_to_the_concatenating_synthesis(self, seed, rates):
+        model = RateModel(bin_width_s=1e-9, **rates)
+        got = synthesize_timestamps(model, 3.0, seed)
+        expected = self._reference_synthesis(model, 3.0, seed)
+        for channel, reference in zip(got, expected):
+            assert channel.dtype == np.float64 and channel.flags.owndata
+            np.testing.assert_array_equal(channel.view(np.int64), reference.view(np.int64))
+
+    def test_synthesis_holds_each_channel_about_once(self):
+        model = RateModel(pair_rate_hz=1e3, bin_width_s=1e-9, efficiency_signal=0.5,
+                          efficiency_idler=0.5, noise_rate_signal_hz=4e4, noise_rate_idler_hz=6e4)
+        tracemalloc.start()
+        try:
+            signal, idler = synthesize_timestamps(model, 20.0, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = signal.nbytes + idler.nbytes
+        # The two channels and the pair draws (1.04 times the channels here),
+        # not each channel's noise draw, concatenation and sorted copy (1.63).
+        assert peak < 1.2 * result, (peak, result)
+
     def test_duration_must_be_positive(self):
         model = RateModel(pair_rate_hz=1.0, bin_width_s=1e-9)
         with pytest.raises(DomainError):

@@ -323,6 +323,27 @@ def test_reading_a_long_table_holds_its_float_column_about_once(tmp_path):
     assert peak < 1.3 * result, (peak, result)
 
 
+def test_reading_a_long_text_column_holds_its_codes_about_once(tmp_path, monkeypatch):
+    rows = 300_000  # a channel column: the first half "signal", the rest "idler"
+    codes = np.repeat(np.arange(2, dtype=np.uint8), rows // 2)
+    path = tmp_path / "c.csv"
+    write_table(path, ("channel",), (TextColumn(("signal", "idler"), codes),))
+    # 1 K-character read blocks, so that one block's cell strings are small
+    # beside the codes.
+    monkeypatch.setattr(csvio, "_READ_BLOCK_CHARS", 1 << 10)
+    tracemalloc.start()
+    try:
+        (channel,) = read_table(path, ("channel",), text=("channel",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert channel.values == ("signal", "idler")
+    np.testing.assert_array_equal(channel.codes, codes)
+    # The codes, a sixteenth of reserve and one read block (1.22 times the
+    # codes here), not the per-block arrays and their concatenation (2.86).
+    assert peak < 1.4 * channel.codes.nbytes, (peak, channel.codes.nbytes)
+
+
 def test_a_column_whose_early_rows_are_short_is_not_over_reserved(tmp_path):
     # A counter: the first block's rows hold 3 to 8 characters, most later
     # rows 10, so the first block alone suggests 1.3 times the rows there are.

@@ -12,7 +12,7 @@ same bytes or fail with the same ValueError text.
 
 import sys
 from functools import partial
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 from math import isfinite
 from pathlib import Path
 from unittest import mock
@@ -142,6 +142,13 @@ NUMBER_CELLS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "four", "", " 1.5 ", "\t2", "0x1p3", "1_0"]),
 )
 TEXT_CELLS = st.sampled_from(["signal", "idler", " signal ", "idler\t", "x", ""])
+FINITE_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+ZERO_SPELLINGS = st.sampled_from(["0", "-0", "0.0", " 0", "0e0"])
+# How a float column's cells repeat: each cell drawn on its own ("any"), all
+# one text ("one", perhaps with one fault row), a few texts ("few"), one value
+# spelled several ways ("spellings"), or a few texts for the first rows and
+# then each cell drawn on its own ("then_distinct").
+FLOAT_COLUMNS = st.sampled_from(["any", "one", "few", "spellings", "then_distinct"])
 
 
 @st.composite
@@ -150,19 +157,42 @@ def tables(draw):
     n = draw(st.integers(1, 3))
     header = tuple(f"c{j}" for j in range(n))
     text = tuple(name for name in header if draw(st.booleans()))
+    shapes = [draw(FLOAT_COLUMNS) for _ in header]
+    texts = [draw(st.lists(FINITE_CELLS | ZERO_SPELLINGS, min_size=1, max_size=3)) for _ in header]
+    faults = [  # a row of a one-text column that holds a fault cell instead
+        draw(st.none() | st.tuples(st.integers(0, 8), st.sampled_from(["nan", "inf", "x"])))
+        for _ in header
+    ]
+    switch = draw(st.integers(0, 8))  # the first row of a then_distinct column's distinct cells
+    row_numbers = count()
+
+    def cell(j: int, k: int) -> str:
+        """The cell of column ``j`` in the ``k``-th row drawn."""
+        if j < n and header[j] in text:
+            return draw(TEXT_CELLS)
+        if j >= n or shapes[j] == "any":
+            return draw(NUMBER_CELLS)
+        if shapes[j] == "one":
+            return faults[j][1] if faults[j] and faults[j][0] == k else texts[j][0]
+        if shapes[j] == "spellings":
+            return draw(ZERO_SPELLINGS)
+        if shapes[j] == "then_distinct" and k >= switch:
+            return draw(FINITE_CELLS)
+        return draw(st.sampled_from(texts[j]))
 
     def row(width: int) -> str:
-        cells = [
-            draw(TEXT_CELLS if j < n and header[j] in text else NUMBER_CELLS)
-            for j in range(width)
-        ]
-        return ",".join(cells)
+        k = next(row_numbers)
+        return ",".join(cell(j, k) for j in range(width))
 
+    # Half the tables hold only lines the reader skips or takes, so that most
+    # of their float cells reach the parser.
+    malformed = draw(st.booleans())
     kinds = st.sampled_from(
-        ["row"] * 6 + ["comment", "comment_n_cells", "hash_cell", "blank", "space", "wide", "narrow"]
+        ["row"] * 6 + ["comment", "comment_n_cells", "blank", "space"]
+        + (["hash_cell", "wide", "narrow"] if malformed else [])
     )
     lines = []
-    for kind in draw(st.lists(kinds, max_size=30)):
+    for kind in draw(st.lists(kinds, min_size=0 if malformed else 8, max_size=30)):
         if kind == "row":
             lines.append(row(n))
         elif kind == "comment":
@@ -179,10 +209,11 @@ def tables(draw):
             lines.append(row(n + 1))
         else:
             lines.append(row(n - 1))
-    head = draw(st.sampled_from(["exact", "padded", "wrong", "none"]))
+    head = draw(st.sampled_from(["exact", "padded", "wrong", "none"] if malformed else ["exact"]))
     if head != "none":
         names = {"exact": header, "padded": [f" {h} " for h in header], "wrong": ["x"] * n}[head]
-        lines.insert(draw(st.integers(0, min(2, len(lines)))), ",".join(names))
+        first = draw(st.integers(0, min(2, len(lines)))) if malformed else 0
+        lines.insert(first, ",".join(names))
     ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
     if lines and draw(st.booleans()):
         ends[-1] = ""  # no newline after the last line
@@ -190,11 +221,20 @@ def tables(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(table=tables(), block_chars=st.integers(1, 160))
+@given(table=tables(), block_chars=st.integers(1, 160) | st.integers(160, 1000))
 @example(table=(("a", "b"), (), "a,b\n1,2,3\n4\n5,6\n"), block_chars=1000)  # counts balance
 @example(table=(("a", "b"), (), "a,b\n1,2\n#,\n3,4\n"), block_chars=1000)  # comment, n-1 commas
 @example(table=(("a",), (), "a\n1\n\n2\n   \n"), block_chars=1000)  # blank rows, one column
 @example(table=(("a", "b"), ("a",), "a,b\r\nx,1\r\ny,2"), block_chars=1000)  # no final newline
+# one value spelt five ways, each parsed from its own text
+@example(table=(("a",), (), "a\n0\n-0\n0.0\n 0\n0e0\n0\n-0\n0\n0\n0\n"), block_chars=1000)
+@example(table=(("a", "b"), (), "a,b\n0,1\n0,2\nx,3\n0,4\n0,5\n"), block_chars=1000)  # x in a run
+@example(table=(("a", "b"), (), "a,b\n7,1\n7,2\n7,3\ninf,4\n"), block_chars=1000)  # inf ends a run
+@example(table=(("a",), (), "a\nnan\nnan\nnan\n"), block_chars=1000)  # one non-finite text
+@example(  # repeating in the first blocks, distinct in the last
+    table=(("a", "b"), ("b",), "a,b\n" + "1.5,s\n" * 12 + "".join(f"{k}.25,i\n" for k in range(9))),
+    block_chars=40,
+)
 def test_read_table_matches_the_row_by_row_reader(tmp_path_factory, table, block_chars):
     header, text, content = table
     path = tmp_path_factory.mktemp("read") / "t.csv"
