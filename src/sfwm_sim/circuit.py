@@ -9,8 +9,9 @@ coupler passes its transmission T(omega); a segment passes its attenuation
 and adds its transit delay; ports and phase shifters pass everything at no
 delay.  Light enters an input port from outside through its slot 0.
 
-Both graph walks read only that rule.  ``propagate_pump`` walks forward in
-topological order, tracking pump light as a list of pulses per node, each
+Both graph walks read only that rule.  ``propagate_pump``, also the one check
+that the pump enters at input ports and reaches every segment, walks forward
+in topological order, tracking pump light as a list of pulses per node, each
 pulse carrying one power per pump line plus accumulated delay.  Splitting is
 incoherent power bookkeeping; pulses arriving at a node with equal delays
 merge by adding powers, while pulses separated in time stay distinct, so a
@@ -150,11 +151,11 @@ class Edge:
     dst_port: int = 0
 
 
-class GraphError(ConfigError):
-    """A fault in one node or edge of a CircuitGraph.
+class GraphError(TopologyError):
+    """A wiring fault of a CircuitGraph: a node, an edge, a cycle, or where the pump goes.
 
     ``field`` names it as a circuit config does, after ``config.``: for
-    example ``nodes[1].id`` or ``edges[2].to_port``.
+    example ``nodes[1].id``, ``edges[2].to_port``, ``edges`` or ``input_ports``.
     """
 
     def __init__(self, message: str, field: str) -> None:
@@ -209,12 +210,6 @@ class CircuitGraph:
         except KeyError:
             raise ConfigError(f"unknown node {node_id!r}") from None
 
-    def input_port(self, node_id: str) -> PortNode:
-        node = self.node(node_id)
-        if not (isinstance(node, PortNode) and node.direction == "input"):
-            raise ConfigError(f"{node_id!r} is not an input port")
-        return node
-
     def segment(self, node_id: str) -> SegmentNode:
         node = self.node(node_id)
         if not isinstance(node, SegmentNode):
@@ -250,7 +245,7 @@ class CircuitGraph:
             edges = [e for e in self._out_edges.values() if e.src in left and e.dst in left]
             while (feeding := {e.src for e in edges if e.dst in left}) != left:
                 left = feeding
-            raise TopologyError(f"circuit graph is cyclic around {sorted(left)}")
+            raise GraphError(f"circuit graph is cyclic around {sorted(left)}", "edges")
         return tuple(order)
 
 
@@ -322,20 +317,22 @@ def propagate_pump(
 
     ``input_ports`` names one input port (both lines, or the single degenerate
     line) or a pair (one port per pump line).  Every segment must end up with
-    at least one pulse, otherwise the circuit is considered mis-wired.
+    at least one pulse, otherwise the circuit is considered mis-wired.  A
+    fault raises a GraphError on ``input_ports``, or on ``nodes[i]`` for the
+    first segment in node order that no pump reaches.
     """
     if pump.mode == "degenerate":
         line_omegas = (pump.omega_p1,)
         line_powers = (pump.power_w,)
+        lines = "one line, so one input port"
     else:
         line_omegas = (pump.omega_p1, pump.omega_p2)
         line_powers = (pump.power1_w, pump.power2_w)
-    ports = (input_ports,) * len(line_omegas) if isinstance(input_ports, str) else tuple(input_ports)
-    if len(ports) != len(line_omegas):
-        raise ConfigError(
-            f"{pump.mode} pump has {len(line_omegas)} line(s) but "
-            f"{len(ports)} input port(s) were given"
-        )
+        lines = "two lines, so one or two input ports"
+    given = [input_ports] if isinstance(input_ports, str) else list(input_ports)
+    if len(given) not in (1, len(line_omegas)):
+        raise GraphError(f"a {pump.mode} pump has {lines}; got {given!r}", "input_ports")
+    ports = given * len(line_omegas) if len(given) == 1 else given
 
     # The merged pulses pending at each node, by input slot; an input port's
     # slot 0 is where the pump enters from outside, both lines at once when
@@ -343,7 +340,10 @@ def propagate_pump(
     # output slot's list, merged once where it left.
     entering: dict[str, list[Pulse]] = {}
     for line, port_id in enumerate(ports):
-        circuit.input_port(port_id)
+        port = circuit._by_id.get(port_id)
+        if not (isinstance(port, PortNode) and port.direction == "input"):
+            message = f"{port_id!r} is not an input port" if port else f"unknown node {port_id!r}"
+            raise GraphError(message, "input_ports")
         powers = tuple(line_powers[i] if i == line else 0.0 for i in range(len(line_omegas)))
         entering.setdefault(port_id, []).append(Pulse(powers))
     pending = {port_id: {0: _merge_pulses(pulses)} for port_id, pulses in entering.items()}
@@ -369,9 +369,10 @@ def propagate_pump(
                 ]
             pending.setdefault(edge.dst, {})[edge.dst_port] = _merge_pulses(out)
 
-    for segment in circuit.segments():
-        if not arrived.get(segment.id):
-            raise TopologyError(f"segment {segment.id!r} receives no pump (disconnected)")
+    for i, node in enumerate(circuit.nodes):
+        if isinstance(node, SegmentNode) and not arrived[node.id]:
+            message = f"segment {node.id!r} receives no pump from input ports {given}"
+            raise GraphError(message, f"nodes[{i}]")
     return PumpPropagation(arrived, line_omegas)
 
 

@@ -19,12 +19,13 @@ closed-loop tested against the predictor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import inf
 from pathlib import Path
 
 import numpy as np
 
-from .csvio import TextColumn, read_table, row_error, write_table
+from .csvio import TextColumn, _column_blocks, _write, read_table, row_error
 from .errors import DataError, DomainError
 
 CAR_PEAK_BINS = 5
@@ -78,14 +79,30 @@ class CoincidenceHistogram:
         return int(np.searchsorted(self.bin_edges_s, 0.0, side="right") - 1)
 
 
+def _first_break(values: np.ndarray, holds) -> int:
+    """The first index k >= 1 at which ``holds(values[k - 1], values[k])`` is False, else the size.
+
+    Compared ``HISTOGRAM_BLOCK`` pairs at a time, not subtracted (np.diff may overflow).  With
+    ``np.less_equal`` it is the first late stamp or NaN; with ``np.equal``, the first run's end.
+    """
+    for start in range(0, values.size - 1, HISTOGRAM_BLOCK):
+        block = values[start : start + HISTOGRAM_BLOCK + 1]
+        held = holds(block[:-1], block[1:])
+        if not held.all():
+            return start + 1 + int(np.argmin(held))
+    return values.size
+
+
 def _check_sorted(name: str, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
         raise DataError(f"{name} timestamps must be 1-D")
-    for start in range(0, ts.size - 1, HISTOGRAM_BLOCK):
-        block = ts[start : start + HISTOGRAM_BLOCK + 1]
-        if np.any(block[1:] < block[:-1]):  # compared, not subtracted: np.diff may overflow
-            raise DataError(f"{name} timestamps are not sorted ascending")
+    late = _first_break(ts, np.less_equal)
+    if late < ts.size and np.isfinite(ts[late - 1 : late + 1]).all():
+        raise DataError(f"{name} timestamps are not sorted ascending")
+    # With no NaN beside a stamp before it, sorted stamps are finite when their ends are.
+    if late < ts.size or not np.isfinite(ts[:: max(ts.size - 1, 1)]).all():
+        raise DataError(f"{name} timestamps must be finite")
     return ts
 
 
@@ -331,32 +348,22 @@ def write_timestamps_csv(path: str | Path, signal_ts, idler_ts) -> None:
 
     All signal rows come first, then all idler rows, so that
     ``read_timestamps_csv`` returns each channel as a slice of one column.
+    Each channel is written from its own array, with a zero-stride code column.
     """
-    signal = np.asarray(signal_ts, dtype=float)
-    idler = np.asarray(idler_ts, dtype=float)
-    codes = np.repeat(np.arange(2, dtype=np.uint8), (signal.size, idler.size))
-    write_table(
-        path,
-        TIMESTAMP_HEADER,
-        (TextColumn(CHANNELS, codes), np.concatenate([signal, idler])),
-    )
-
-
-def _channel_rows(is_signal: np.ndarray) -> tuple[slice, slice] | tuple[np.ndarray, np.ndarray]:
-    """The signal and the idler rows: slices when each channel's rows are one run, else masks."""
-    start = int(np.argmax(is_signal))
-    stop = start + int(np.count_nonzero(is_signal))
-    if is_signal[start:stop].all() and (start == 0 or stop == is_signal.size):
-        return slice(start, stop), (slice(stop, None) if start == 0 else slice(0, start))
-    return is_signal, ~is_signal
+    runs = []
+    for code, ts in enumerate((signal_ts, idler_ts)):
+        ts = np.asarray(ts, dtype=float)
+        channel = TextColumn(CHANNELS, np.broadcast_to(np.uint8(code), ts.shape))
+        runs.append(_column_blocks(path, (channel, ts)))
+    _write(path, TIMESTAMP_HEADER, (), chain(*runs))
 
 
 def read_timestamps_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read `channel,timestamp_s` data; each channel must be monotone.
 
     When each channel's rows are one run, as ``write_timestamps_csv`` writes
-    them, both channels are slices of the one column read; only a file that
-    interleaves them has each channel copied out.
+    them, both channels are slices of the one column read and no array per row
+    is built; only a file that interleaves them has each channel copied out.
     """
     (names, codes), stamps = read_table(path, TIMESTAMP_HEADER, text=("channel",))
     if not stamps.size:
@@ -365,22 +372,22 @@ def read_timestamps_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     if not known.all():
         row = int(np.argmin(known[codes]))
         raise row_error(path, row, f"unknown channel {names[codes[row]]!r} (signal|idler)")
-    is_signal = np.array([name == "signal" for name in names])[codes]
-    rows = _channel_rows(is_signal)
+    stop = _first_break(codes, np.equal)
+    if stop + _first_break(codes[stop:], np.equal) == codes.size:  # one run per channel
+        rows = (slice(0, stop), slice(stop, None))[:: 1 if names[codes[0]] == "signal" else -1]
+    else:
+        is_signal = codes == names.index("signal")
+        rows = is_signal, ~is_signal
     signal, idler = stamps[rows[0]], stamps[rows[1]]
-    # Per channel, the row of the first timestamp below the one before it
-    # (compared, not subtracted: a difference of two finite stamps may overflow).
+    # The row of each channel's first timestamp below the one before it.
     late = [
-        int(np.arange(stamps.size)[where][np.argmax(ts[1:] < ts[:-1]) + 1])
+        where.start + k if isinstance(where, slice) else int(np.flatnonzero(where)[k])
         for where, ts in zip(rows, (signal, idler))
-        if np.any(ts[1:] < ts[:-1])
+        if (k := _first_break(ts, np.less_equal)) < ts.size
     ]
     if late:
         row = min(late)
-        raise row_error(
-            path,
-            row,
-            f"{names[codes[row]]} timestamp {float(stamps[row])!r} is earlier than the one "
-            "before it on that channel (timestamps must be sorted ascending per channel)",
-        )
+        message = f"{names[codes[row]]} timestamp {float(stamps[row])!r} is earlier than the one "
+        message += "before it on that channel (timestamps must be sorted ascending per channel)"
+        raise row_error(path, row, message)
     return signal, idler

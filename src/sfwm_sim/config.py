@@ -30,6 +30,7 @@ from .circuit import (
     PortNode,
     SegmentNode,
     SplitterNode,
+    propagate_pump,
 )
 from .coincidence import RateModel, draw_rates, histogram_bins
 from .dispersion import (
@@ -376,7 +377,9 @@ def parse_circuit_config(doc: dict) -> CircuitSetup:
     """An explicit circuit graph, named ``circuit``, the prefix of its output files.
 
     Every name the graph is run with, and the selection band, is checked
-    against the graph and the grid here, before anything is evaluated.
+    against the graph and the grid here, before anything is evaluated.  The
+    wiring is checked by walking the pump once with ``propagate_pump``, whose
+    GraphError names the faulty ``input_ports`` or unreached ``nodes[i]``.
     """
     top = _Section(doc, "config")
     template_keys = [key for key in ("all_strip", "template") if top.has(key)]
@@ -416,33 +419,17 @@ def parse_circuit_config(doc: dict) -> CircuitSetup:
         )
         sec.finish()
     try:
-        with _naming("config.edges", TopologyError):  # a cycle
-            graph = CircuitGraph(tuple(nodes), tuple(edges))
+        graph = CircuitGraph(tuple(nodes), tuple(edges))
+        ports = top.take("input_ports")
+        listed = isinstance(ports, list) and all(isinstance(port, str) for port in ports)
+        if listed and len(ports) in (1, 2):
+            ports = ports[0] if len(ports) == 1 else tuple(ports)
+        if not isinstance(ports, (str, tuple)):
+            message = f"expected a port id or a list of 1-2 ids, got {ports!r}"
+            raise ConfigError(f"config.input_ports: {message}")
+        propagate_pump(graph, pump, ports)
     except GraphError as exc:
-        raise ConfigError(f"config.{exc.field}: {exc}") from exc
-
-    inputs = top.take("input_ports")
-    if isinstance(inputs, str):
-        inputs = [inputs]
-    if not (
-        isinstance(inputs, list)
-        and len(inputs) in (1, 2)
-        and all(isinstance(port, str) for port in inputs)
-    ):
-        raise ConfigError(
-            f"config.input_ports: expected a port id or a list of 1-2 ids, got {inputs!r}"
-        )
-    if pump.mode == "degenerate" and len(inputs) == 2:
-        message = f"a degenerate pump has one line, so one input port; got {inputs!r}"
-        raise ConfigError(f"config.input_ports: {message}")
-    with _naming("config.input_ports"):
-        for port in inputs:
-            graph.input_port(port)
-    reached = _reached(graph, inputs)
-    for i, node in enumerate(graph.nodes):
-        if isinstance(node, SegmentNode) and node.id not in reached:
-            message = f"segment {node.id!r} receives no pump from input ports {inputs}"
-            raise TopologyError(f"config.nodes[{i}]: {message}")
+        raise TopologyError(f"config.{exc.field}: {exc}") from exc
     detection = top.take("detection_node", None)
     if detection is not None:
         detection = str(detection)
@@ -460,25 +447,12 @@ def parse_circuit_config(doc: dict) -> CircuitSetup:
         name="circuit",
         graph=graph,
         pump=pump,
-        input_ports=inputs[0] if len(inputs) == 1 else tuple(inputs),
+        input_ports=ports,
         detection_node=detection,
         designated_segments=designated,
         band_detuning_hz=band_hz,
         grid=grid,
     )
-
-
-def _reached(graph: CircuitGraph, start) -> set[str]:
-    """The ids of the nodes that light entering the ``start`` nodes reaches."""
-    reached, todo = set(start), list(start)
-    while todo:
-        node = graph.node(todo.pop())
-        for out_slot in range(node.slots[1]):
-            edge = graph.outgoing(node.id, out_slot)
-            if edge is not None and edge.dst not in reached:
-                reached.add(edge.dst)
-                todo.append(edge.dst)
-    return reached
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """The one CSV table format (see README "File formats"), and the tables on it.
 
-``write_table`` and ``read_table`` are the only code that formats or parses
-CSV: ``# ...`` comment lines ending in LF, then a header and rows ending in
-CRLF, unquoted comma-separated cells, floats in shortest round-trip form.
+``write_table`` (whose block builder writes each timestamp channel) and
+``read_table`` are the only code that formats or parses CSV: ``# ...`` comment
+lines ending in LF, then a header and rows ending in CRLF, unquoted
+comma-separated cells, floats in shortest round-trip form.
 
 A text column (such as the timestamps' ``channel``) is held as a
 ``TextColumn``: its distinct values once, and one small unsigned integer code

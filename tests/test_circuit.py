@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from sfwm_sim import circuit
@@ -32,6 +32,8 @@ from sfwm_sim import (
     segment_contributions,
     selection_ratio,
 )
+from sfwm_sim.circuit import GraphError
+from sfwm_sim.config import parse_circuit_config
 from sfwm_sim.presets import preset_waveguide
 
 OMEGA_P = angular_frequency_from_wavelength(1552.5e-9)
@@ -91,6 +93,69 @@ def random_dags(draw, lossless=False, lengths=st.floats(1e-4, 2e-2)):
         nodes.append(PortNode(f"out{j}", "output"))
         edges.append(Edge(src, f"out{j}", src_port=src_port))
     return CircuitGraph(tuple(nodes), tuple(edges))
+
+
+@st.composite
+def wiring_documents(draw):
+    """A circuit config whose wiring may leave segments unpumped, its input ports and a pump.
+
+    Two input ports, then 1-6 splitters and segments (at least one segment),
+    each fed by 1-2 of the output slots left open before it while any are,
+    an output port on every slot still open, and then each edge dropped with
+    chance 1/6.  The input ports named may leave out one of the two.
+    The node list is shuffled, so node order is not the order they were wired.
+    """
+    nodes = [{"id": f"in{k}", "kind": "port", "direction": "input"} for k in range(2)]
+    open_slots, edges = [("in0", 0), ("in1", 0)], []
+    kinds = draw(st.lists(st.sampled_from(["splitter", "segment"]), max_size=5))
+    kinds.insert(draw(st.integers(0, len(kinds))), "segment")
+    for k, kind in enumerate(kinds):
+        node_id, slots = f"n{k}", 2 if kind == "splitter" else 1
+        node = {"id": node_id, "kind": kind}
+        if kind == "segment":
+            node["waveguide"] = {"kind": "strip", "length_mm": 1.0}
+        for in_slot in draw(st.permutations(range(slots)))[: draw(st.integers(1, slots))]:
+            if open_slots:
+                src, src_port = open_slots.pop(draw(st.integers(0, len(open_slots) - 1)))
+                edge = {"from": src, "to": node_id, "from_port": src_port, "to_port": in_slot}
+                edges.append(edge)
+        open_slots += [(node_id, out_slot) for out_slot in range(slots)]
+        nodes.append(node)
+    for j, (src, src_port) in enumerate(open_slots):
+        nodes.append({"id": f"out{j}", "kind": "port", "direction": "output"})
+        edges.append({"from": src, "to": f"out{j}", "from_port": src_port, "to_port": 0})
+    edges = [edge for edge in edges if draw(st.integers(0, 5))]
+    inputs = draw(st.sampled_from([["in0"], ["in1"], ["in0", "in1"], ["in1", "in0"]]))
+    if len(inputs) == 1 and draw(st.booleans()):
+        pump = PumpConfig.degenerate(OMEGA_P, 1.0)
+        pump_doc = {"mode": "degenerate", "wavelength_nm": 1552.5, "power_w": 1.0}
+    else:
+        pump = PumpConfig.non_degenerate(OMEGA_P * 1.001, OMEGA_P * 0.999, 0.5, 0.5)
+        pump_doc = {"mode": "non-degenerate", "wavelength1_nm": 1550.0, "wavelength2_nm": 1555.0,
+                    "power1_w": 0.5, "power2_w": 0.5}
+    doc = {
+        "pump": pump_doc,
+        "grid": {"span_thz": 12.0, "points": 64},
+        "band_thz": [2.5, 5.0],
+        "input_ports": inputs[0] if len(inputs) == 1 and draw(st.booleans()) else inputs,
+        "designated_segments": [f"n{kinds.index('segment')}"],
+        "nodes": draw(st.permutations(nodes)),
+        "edges": edges,
+    }
+    return doc, inputs, pump
+
+
+def graph_of(doc):
+    """The CircuitGraph that a ``wiring_documents`` config describes, built without the parser."""
+    make = {
+        "port": lambda node: PortNode(node["id"], node["direction"]),
+        "splitter": lambda node: SplitterNode(node["id"]),
+        "segment": lambda node: SegmentNode(node["id"], preset_waveguide("strip", 1e-3)),
+    }
+    return CircuitGraph(
+        tuple(make[node["kind"]](node) for node in doc["nodes"]),
+        tuple(Edge(e["from"], e["to"], e["from_port"], e["to_port"]) for e in doc["edges"]),
+    )
 
 
 def unbalanced_interferometer():
@@ -423,6 +488,44 @@ class TestPropagation:
         prop = propagate_pump(graph, pump, ("in1", "in2"))
         np.testing.assert_allclose(prop.peak_powers_w("a"), (0.005, 0.01), rtol=1e-12)
         np.testing.assert_allclose(prop.peak_powers_w("b"), (0.005, 0.01), rtol=1e-12)
+
+
+class TestWiringCheck:
+    """The parser and ``propagate_pump`` against a plain breadth-first search."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=wiring_documents())
+    def test_a_document_is_rejected_exactly_when_a_segment_is_unreached(self, drawn):
+        doc, inputs, pump = drawn
+        reached, todo = set(inputs), list(inputs)
+        while todo:
+            node_id = todo.pop()
+            for edge in doc["edges"]:
+                if edge["from"] == node_id and edge["to"] not in reached:
+                    reached.add(edge["to"])
+                    todo.append(edge["to"])
+        unreached = [
+            (i, node["id"])
+            for i, node in enumerate(doc["nodes"])
+            if node["kind"] == "segment" and node["id"] not in reached
+        ]
+        event("a segment unreached" if unreached else "every segment reached")
+        graph = graph_of(doc)
+        ports = inputs[0] if len(inputs) == 1 else tuple(inputs)
+        if not unreached:
+            setup = parse_circuit_config(doc)
+            assert (setup.graph, setup.input_ports) == (graph, ports)
+            propagate_pump(graph, setup.pump, ports)
+            return
+        i, segment_id = unreached[0]
+        message = f"segment {segment_id!r} receives no pump from input ports {inputs}"
+        with pytest.raises(TopologyError) as parsed:
+            parse_circuit_config(doc)
+        assert str(parsed.value) == f"config.nodes[{i}]: {message}"
+        with pytest.raises(GraphError) as walked:
+            propagate_pump(graph, pump, ports)
+        assert isinstance(walked.value, TopologyError)
+        assert (walked.value.field, str(walked.value)) == (f"nodes[{i}]", message)
 
 
 class TestContributions:

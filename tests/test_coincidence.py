@@ -156,6 +156,27 @@ class TestBlockedHistogram:
         with pytest.raises(DataError, match=f"{channel} timestamps are not sorted"):
             build_histogram(streams["signal"], streams["idler"], 1.0, 8.0)
 
+    @pytest.mark.parametrize("channel", ["signal", "idler"])
+    @pytest.mark.parametrize(
+        "stamps",
+        [[math.nan, 0.0], [0.0, math.nan], [0.0, math.nan, 1e-9], [math.nan],
+         [0.0, math.inf], [-math.inf, 0.0], [math.inf], [0.0, math.inf, 1e-9]],
+        ids=["nan-first", "nan-last", "nan-inside", "nan-alone", "inf-last", "-inf-first",
+             "inf-alone", "inf-inside"],
+    )
+    def test_non_finite_stamps_are_rejected(self, channel, stamps):
+        streams = {"signal": [0.0], "idler": [0.0, 1e-9], channel: stamps}
+        with pytest.raises(DataError, match=f"^{channel} timestamps must be finite$"):
+            build_histogram(streams["signal"], streams["idler"], 1e-10, 1.2e-9)
+
+    @pytest.mark.parametrize("at", [3, 4, 5])
+    def test_a_nan_at_a_block_edge_is_rejected(self, monkeypatch, at):
+        monkeypatch.setattr(coincidence, "HISTOGRAM_BLOCK", 4)
+        signal = np.arange(9.0)
+        signal[at] = math.nan
+        with pytest.raises(DataError, match="^signal timestamps must be finite$"):
+            build_histogram(signal, np.arange(9.0), 1.0, 8.0)
+
     def test_holds_one_block_not_the_stream(self):
         rng = np.random.default_rng(2)
         signal = np.sort(rng.random(2_100_000) * 100.0)
@@ -495,6 +516,49 @@ class TestTimestampCsv:
             messages.append(str(err.value).replace(str(path.parent), ""))
         assert messages[0] == messages[1]
         assert messages[0].startswith(f"/ts.csv:4: {channel} timestamp 0.2 is earlier")
+
+    @staticmethod
+    def _stream_2m():
+        """1.0 M signal and 1.2 M idler sorted stamps: 17.6 MB."""
+        rng = np.random.default_rng(7)
+        return np.sort(rng.random(1_000_000)) * 60.0, np.sort(rng.random(1_200_000)) * 60.0
+
+    def test_writing_holds_no_copy_of_the_channels(self, tmp_path):
+        signal, idler = self._stream_2m()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_timestamps_csv(tmp_path / "ts.csv", signal, idler)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        stamps = signal.nbytes + idler.nbytes
+        # One block of row text (about 1 MB), not the two channels joined (20.8 MB
+        # above the inputs when they were concatenated first).
+        assert peak < 0.25 * stamps, (peak, stamps)
+
+    def test_read_back_builds_no_row_arrays_after_the_table(self, tmp_path, monkeypatch):
+        signal, idler = self._stream_2m()
+        path = tmp_path / "ts.csv"
+        write_timestamps_csv(path, signal, idler)
+
+        def traced_from_return(*args, **kwargs):
+            columns = read_table(*args, **kwargs)
+            tracemalloc.start()
+            return columns
+
+        read_table = coincidence.read_table
+        monkeypatch.setattr(coincidence, "read_table", traced_from_return)
+        try:
+            got_signal, got_idler = read_timestamps_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got_signal, signal)
+        np.testing.assert_array_equal(got_idler, idler)
+        # One order-check block's booleans, not a channel mask (2.2 MB) and a
+        # full-length compare (1.2 MB).
+        assert peak < 1.5e6, peak
 
     def test_reading_a_grouped_stream_holds_its_stamps_about_once(self, tmp_path):
         rng = np.random.default_rng(6)
