@@ -66,13 +66,16 @@ def cmd_spectrum(args, doc: dict, doc_hash: str, out: Path):
     lines, notes = [], []
     svg_series: dict[str, np.ndarray] = {}
     for spec, label in run.waveguides:
-        # The spectrum first: it stops an overflowing run with a named DomainError.
         spectrum = biphoton_spectrum(spec, run.pump, grid)
         delta_k = total_mismatch(spec, run.pump, grid.omegas)
         write_spectrum_csv(out / f"{label}_spectrum.csv", spectrum, doc_hash)
         write_mismatch_csv(out / f"{label}_mismatch.csv", grid, delta_k, doc_hash)
-        width = bandwidth_3db_hz(spectrum) if spectrum.flux_density.max() > 0 else 0.0
-        lines.append(f"{label}: 3 dB bandwidth {width / 1e12:.3f} THz -> {label}_spectrum.csv")
+        flux = spectrum.flux_density
+        peak = flux.max()
+        width = f"{bandwidth_3db_hz(spectrum) / 1e12 if peak > 0 else 0.0:.3f} THz"
+        if peak > 0 and max(flux[0], flux[-1]) >= 0.5 * peak:  # a -3 dB point lies off the grid
+            width = f"> {width} (the grid span)"
+        lines.append(f"{label}: 3 dB bandwidth {width} -> {label}_spectrum.csv")
         svg_series[label] = spectrum.flux_density
     if args.svg:
         write_line_plot(

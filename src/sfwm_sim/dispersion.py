@@ -159,7 +159,9 @@ def linear_mismatch(model: DispersionModel, omega, pump: PumpConfig):
     truncated at the model's highest order.  ``omega`` may be a scalar or an
     ndarray; the result matches its shape.  A model with a stated reference
     must have been taken at the pump's average frequency (relative offset
-    <= 0.1%); one without is taken there.
+    <= 0.1%); one without is taken there.  This is the raw series: where it
+    overflows float64, numpy warns and the result holds inf or NaN.
+    ``engine.total_mismatch`` adds dk_NL and raises DomainError instead.
     """
     ref = model.omega_c
     if ref is not None and abs(ref - pump.omega_c) > REFERENCE_ALIGNMENT_RTOL * pump.omega_c:

@@ -24,6 +24,12 @@ their own samples of a second buffer.  On a grid mirrored about the pump
 average each mirror pair is evaluated once, and ``band_flux`` reads only the
 samples of its band.
 
+No kernel here returns inf or NaN where float64 overflows: each raises
+DomainError.  The peak gain is checked as a scalar before any sinh runs, and
+an overflow anywhere else in the mismatch or the gain is named as well;
+``total_mismatch``, ``parametric_gain`` and ``biphoton_spectrum`` name the
+waveguide.
+
 The pump is treated as undepleted.  Attenuation is off by default (spectra
 are pure dispersion/gamma/length predictions); when enabled, pump powers are
 replaced by their path averages via the effective length
@@ -33,8 +39,9 @@ propagation loss, photons being generated uniformly along the waveguide.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from math import isfinite, log, sinh, sqrt
 from typing import Iterable
 
@@ -180,7 +187,12 @@ def nonlinear_mismatch(gamma_per_w_m: float, pump: PumpConfig) -> float:
     if not gamma_per_w_m >= 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma_per_w_m!r}")
     # A degenerate pump stores P in both fields: gamma*(P + P) == 2*gamma*P exactly.
-    return gamma_per_w_m * (pump.power1_w + pump.power2_w)
+    delta_k = gamma_per_w_m * (pump.power1_w + pump.power2_w)
+    if not isfinite(delta_k):  # float * reaches inf without raising, unlike float **
+        raise DomainError(
+            f"dk_NL = gamma*(P1 + P2) overflows float64 at gamma = {gamma_per_w_m!r} /(W m)"
+        )
+    return delta_k
 
 
 def _power_term(gamma: float, pump: PumpConfig) -> float:
@@ -190,10 +202,22 @@ def _power_term(gamma: float, pump: PumpConfig) -> float:
     return 4.0 * gamma**2 * pump.power1_w * pump.power2_w
 
 
+@contextmanager
+def _float64_guard(spec: WaveguideSpec | None = None):
+    """Raise DomainError, naming ``spec`` if given, where the block overflows float64."""
+    prefix = "" if spec is None else f"{spec.kind} waveguide of length {spec.length_m:g} m: "
+    try:  # float ** raises OverflowError; numpy raises FloatingPointError here
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (OverflowError, FloatingPointError) as exc:
+        raise DomainError(f"{prefix}the phase mismatch or gain overflows float64 ({exc})") from None
+
+
 def total_mismatch(spec: WaveguideSpec, pump: PumpConfig, omega):
     """dk = dk_NL + dk_L at omega (scalar or ndarray), rad/m."""
-    delta_k = linear_mismatch(spec.dispersion, omega, pump)
-    delta_k += nonlinear_mismatch(spec.gamma_per_w_m, pump)
+    with _float64_guard(spec):
+        delta_k = linear_mismatch(spec.dispersion, omega, pump)
+        delta_k += nonlinear_mismatch(spec.gamma_per_w_m, pump)
     return delta_k
 
 
@@ -206,27 +230,43 @@ def gain_from_mismatch(power_term: float, delta_k, length_m: float):
     """
     if not power_term >= 0.0:
         raise DomainError(f"power term must be >= 0, got {power_term!r}")
+    if not length_m > 0.0:
+        raise DomainError(f"length_m must be > 0, got {length_m!r}")
     dk = np.array(delta_k, dtype=float)  # a copy: G is formed in it
-    gain = _gain(power_term, dk.reshape(-1), length_m).reshape(dk.shape)
+    if not np.isfinite(dk).all():
+        raise DomainError("delta_k must be finite")
+    with _float64_guard():
+        gain = _gain(power_term, dk.reshape(-1), length_m).reshape(dk.shape)
     if np.isscalar(delta_k):
         return float(gain)
     return gain
 
 
-def _gain(power_term: float, dk: np.ndarray, length_m: float, check=None) -> np.ndarray:
+def _gain(power_term: float, dk: np.ndarray, length_m: float) -> np.ndarray:
     """G from a flat dk in one pass, formed in ``dk``'s buffer and returned.
 
-    ``check``, if given, sees the largest q^2 = PT - (dk/2)^2 first.  One buffer
-    holds s = sqrt(|q^2|) L; ``sinh`` writes the samples with q^2 > 0 and ``sin``
-    the rest, then G = PT/|q^2| s^2.  Where q^2 == 0 exactly, the divide gets a
-    placeholder and G is PT L^2.
+    G grows with q^2, so the largest q^2 = PT - (dk/2)^2 carries the peak gain;
+    if that overflows float64, DomainError is raised before any sinh runs.  One
+    buffer holds s = sqrt(|q^2|) L; ``sinh`` writes the samples with q^2 > 0 and
+    ``sin`` the rest, then G = PT/|q^2| s^2.  Where q^2 == 0 exactly, the divide
+    gets a placeholder and G is PT L^2.
     """
     q2 = dk
     q2 *= 0.5
     q2 *= q2
     np.subtract(power_term, q2, out=q2)  # q^2 = PT - (dk/2)^2
-    if check is not None:
-        check(float(q2.max(initial=-np.inf)))
+    peak = float(q2.max(initial=-np.inf))
+    if peak > 0.0:
+        arg = sqrt(peak) * length_m
+        try:
+            finite = isfinite(power_term / peak * sinh(arg) ** 2)
+        except OverflowError:  # math.sinh and float ** raise instead of returning inf
+            finite = False
+        if not finite:
+            raise DomainError(
+                f"the peak parametric gain sinh^2(q*L) at q*L = {arg:.6g} overflows float64; "
+                "the undepleted-pump model holds only for q*L << 1 (gain << 1)"
+            )
     grows = q2 > 0.0
     zero = None if q2.all() else q2 == 0.0
     r = np.abs(q2, out=q2)
@@ -240,31 +280,8 @@ def _gain(power_term: float, dk: np.ndarray, length_m: float, check=None) -> np.
     gain = np.divide(power_term, r, out=r)
     gain *= s
     if zero is not None:
-        gain[zero] = power_term * length_m**2
+        gain[zero] = np.float64(power_term) * length_m**2  # numpy's multiply: overflow raises
     return gain
-
-
-def _check_peak_gain(spec: WaveguideSpec, pump: PumpConfig, power_term: float, q2: float) -> None:
-    """Raise DomainError if the gain at the largest q^2 overflows float64, before any sinh runs.
-
-    G = PT L^2 (sinh(qL)/qL)^2 grows with q, so the sample of smallest |dk|
-    (largest q^2) carries the peak gain; it is evaluated here as a scalar.
-    """
-    if not q2 > 0.0:
-        return
-    arg = sqrt(q2) * spec.length_m
-    try:
-        finite = isfinite(power_term / q2 * sinh(arg) ** 2)
-    except OverflowError:  # math.sinh and float ** raise instead of returning inf
-        finite = False
-    if not finite:
-        rate = "gamma*P" if pump.mode == "degenerate" else "2*gamma*sqrt(P1*P2)"
-        raise DomainError(
-            f"{spec.kind} waveguide of length {spec.length_m * 1e3:g} mm at "
-            f"{rate} = {sqrt(power_term):.6g} /m: the peak parametric gain "
-            f"sinh^2(q*L) at q*L = {arg:.6g} overflows float64; the undepleted-pump "
-            "model holds only for q*L << 1 (gain << 1)"
-        )
 
 
 def parametric_gain(spec: WaveguideSpec, pump: PumpConfig, omega):
@@ -283,19 +300,17 @@ def parametric_gain(spec: WaveguideSpec, pump: PumpConfig, omega):
 
 def _gain_at(spec: WaveguideSpec, pump: PumpConfig, omegas: np.ndarray) -> np.ndarray:
     """G at ``omegas``, formed in the buffer of the dk it comes from."""
-    try:  # float ** raises OverflowError; numpy raises FloatingPointError here
-        with np.errstate(over="raise", invalid="raise"):
-            gamma = spec.gamma_per_w_m
-            dk = linear_mismatch(spec.dispersion, omegas, pump)
-            dk += nonlinear_mismatch(gamma, pump)
-            power_term = _power_term(gamma, pump)
-            check = partial(_check_peak_gain, spec, pump, power_term)
-            return _gain(power_term, dk.reshape(-1), spec.length_m, check).reshape(dk.shape)
-    except (OverflowError, FloatingPointError) as exc:
-        raise DomainError(
-            f"{spec.kind} waveguide of length {spec.length_m:g} m: "
-            f"the phase mismatch or gain overflows float64 ({exc})"
-        ) from None
+    with _float64_guard(spec):
+        gamma = spec.gamma_per_w_m
+        dk = linear_mismatch(spec.dispersion, omegas, pump)
+        dk += nonlinear_mismatch(gamma, pump)
+        power_term = _power_term(gamma, pump)
+        try:
+            return _gain(power_term, dk.reshape(-1), spec.length_m).reshape(dk.shape)
+        except DomainError as exc:  # the peak check: name the waveguide and its gain rate
+            rate = "gamma*P" if pump.mode == "degenerate" else "2*gamma*sqrt(P1*P2)"
+            where = f"{spec.kind} waveguide of length {spec.length_m * 1e3:g} mm"
+            raise DomainError(f"{where} at {rate} = {sqrt(power_term):.6g} /m: {exc}") from None
 
 
 def _attenuated_pump(spec: WaveguideSpec, pump: PumpConfig) -> PumpConfig:

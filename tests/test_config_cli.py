@@ -509,6 +509,52 @@ class TestSpectrumCommand:
         n_points = parse_spectrum_config(load_config(config)).grid.n_points
         assert evaluated == [n_points // 2, n_points] * 4
 
+    @pytest.mark.parametrize(
+        "config, lines",
+        [
+            # The strip's flux is 0.993 of its peak at both edges of the 16 THz grid.
+            ("nondegenerate_bandwidth_contrast.yaml", [
+                "strip_5mm: 3 dB bandwidth > 16.000 THz (the grid span) -> strip_5mm_spectrum.csv",
+                "ridge_8mm: 3 dB bandwidth 6.714 THz -> ridge_8mm_spectrum.csv",
+                "ridge_17mm: 3 dB bandwidth 6.702 THz -> ridge_17mm_spectrum.csv",
+            ]),
+            ("degenerate_bandwidth_contrast.yaml", [
+                "strip_5mm: 3 dB bandwidth 58.865 THz -> strip_5mm_spectrum.csv",
+                "ridge_3mm: 3 dB bandwidth 2.569 THz -> ridge_3mm_spectrum.csv",
+                "ridge_8mm: 3 dB bandwidth 1.846 THz -> ridge_8mm_spectrum.csv",
+                "ridge_15mm: 3 dB bandwidth 1.416 THz -> ridge_15mm_spectrum.csv",
+            ]),
+        ],
+        ids=["nondegenerate", "degenerate"],
+    )
+    def test_width_past_the_grid_reads_as_a_lower_bound(self, tmp_path, capsys, config, lines):
+        config = REPO_CONFIGS / config
+        assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mismatch_first", [False, True], ids=["spectrum-first", "mismatch-first"])
+    def test_mismatch_overflow_exits_4_in_either_order(
+        self, tmp_path, capsys, monkeypatch, mismatch_first
+    ):
+        if mismatch_first:
+            spectrum = sfwm_sim.cli.biphoton_spectrum
+
+            def after_mismatch(spec, pump, grid):
+                sfwm_sim.cli.total_mismatch(spec, pump, grid.omegas)
+                return spectrum(spec, pump, grid)
+
+            monkeypatch.setattr(sfwm_sim.cli, "biphoton_spectrum", after_mismatch)
+        # beta4 * dw^4 overflows in the dispersion series on every grid sample off the pump.
+        dispersion = {"beta2_s2_per_m": 1e-24, "beta4_s4_per_m": 1e300}
+        waveguide = {"label": "wild", "kind": "strip", "length_mm": 5.0, "dispersion": dispersion}
+        cfg = write_yaml(tmp_path / "run.yaml", {**SPECTRUM_DOC, "waveguides": [waveguide]})
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err.startswith(
+            "domain error: strip waveguide of length 0.005 m: the phase mismatch or gain "
+            "overflows float64 ("
+        )
+
     def test_svg_emitted(self, tmp_path):
         cfg = write_yaml(tmp_path / "run.yaml", SPECTRUM_DOC)
         out = tmp_path / "out"

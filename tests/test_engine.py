@@ -54,6 +54,17 @@ class TestNonlinearMismatch:
         pump = PumpConfig.degenerate(OMEGA_P, 0.0)
         assert nonlinear_mismatch(223.3, pump) == 0.0
 
+    @pytest.mark.parametrize("kernel", ["nonlinear", "total"])
+    def test_past_float64_raises(self, kernel):
+        # gamma*(P1 + P2) = 2e310: float * would return inf without a warning.
+        pump = PumpConfig.degenerate(OMEGA_P, 1e10)
+        message = r"dk_NL = gamma\*\(P1 \+ P2\) overflows float64 at gamma = 1e\+300 /\(W m\)"
+        with pytest.raises(DomainError, match=message):
+            if kernel == "nonlinear":
+                nonlinear_mismatch(1e300, pump)
+            else:
+                total_mismatch(make_spec(-3e-26, gamma=1e300), pump, np.array([OMEGA_P]))
+
 
 class TestParametricGain:
     def test_degenerate_perfect_matching(self):
@@ -533,3 +544,48 @@ def test_mismatch_past_float64_named(pump, betas, length_m):
     grid = SpectralGrid.symmetric(pump.omega_c, 2 * math.pi * 40e12, 64)
     with pytest.raises(DomainError, match="the phase mismatch or gain overflows float64"):
         biphoton_spectrum(spec, pump, grid)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega", [1.2e15 + 1e100, np.array([1.2e15 + 1e100])], ids=["scalar", "array"])
+def test_total_mismatch_past_float64_named(omega):
+    # beta6 * dw^6 overflows in the dispersion series: numpy would warn and return NaN.
+    pump = PumpConfig.degenerate(1.2e15, 1.0)
+    spec = WaveguideSpec("custom", 5e-3, 223.3, DispersionModel(None, (1e-25, -1e-40, 1e-60)))
+    with pytest.raises(DomainError) as info:
+        total_mismatch(spec, pump, omega)
+    assert str(info.value).startswith(
+        "custom waveguide of length 0.005 m: the phase mismatch or gain overflows float64 ("
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "power_term, delta_k, length_m, message",
+    [
+        (1e6, 0.0, 1.0, "the peak parametric gain sinh^2(q*L) at q*L = 1000 overflows float64; "
+         "the undepleted-pump model holds only for q*L << 1 (gain << 1)"),
+        (100.0, 1e200, 0.01, "the phase mismatch or gain overflows float64 ("),
+        (100.0, np.array([5.0, 1e200]), 0.01, "the phase mismatch or gain overflows float64 ("),
+        (100.0, 5.0, -0.01, "length_m must be > 0, got -0.01"),
+        (100.0, 5.0, 0.0, "length_m must be > 0, got 0.0"),
+        (100.0, math.nan, 0.01, "delta_k must be finite"),
+        (100.0, np.array([5.0, -math.inf]), 0.01, "delta_k must be finite"),
+    ],
+    ids=["peak-gain", "mismatch-squared", "mismatch-squared-array", "negative-length",
+         "zero-length", "nan-mismatch", "infinite-mismatch"],
+)
+def test_gain_from_mismatch_out_of_domain_raises(power_term, delta_k, length_m, message):
+    with pytest.raises(DomainError) as info:
+        gain_from_mismatch(power_term, delta_k, length_m)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gain_at_exact_phase_matching_past_float64_named():
+    # No dispersion and a degenerate pump put q^2 exactly on 0 at the pump, where
+    # G = PT L^2 = (gamma P L)^2 overflows though no sinh is evaluated.
+    pump = PumpConfig.degenerate(OMEGA_P, 1e76)
+    spec = WaveguideSpec("custom", 1e76, 223.3, DispersionModel(None, (0.0,)))
+    with pytest.raises(DomainError, match="custom waveguide of length 1e[+]76 m: the phase mismatch"):
+        parametric_gain(spec, pump, OMEGA_P)

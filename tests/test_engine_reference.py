@@ -217,7 +217,8 @@ class TestGain:
     @example(1.0, 0.01, [("on", 0.0, False)])
     @example(1.0, 0.01, [("inside", 0.0, False)] * 3 + [("on", 0.0, True)] * 2)
     def test_gain_from_mismatch_matches_reference(self, root_pt, length, samples):
-        # gain_from_mismatch has no overflow check: keep sinh^2(q L) finite.
+        # gain_from_mismatch raises DomainError where sinh^2(q L) overflows, but the
+        # reference has no such check: keep the gain finite.
         assume(root_pt * length < 300.0)
         power_term = root_pt * root_pt
         dk = _mismatch(root_pt, samples)
