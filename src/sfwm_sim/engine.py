@@ -18,11 +18,12 @@ lobes of strongly mismatched spectra and keeps G >= 0 and continuous for all
 dk.  Semi-classically the signal/idler photon flux per unit frequency equals
 G, so a sampled G(omega) doubles as the biphoton spectrum.
 
-The kernel allocates little beyond what it returns.  G is formed in the
-buffer of the dk it comes from, in one pass: sinh and sin each write only
-their own samples of a second buffer.  On a grid mirrored about the pump
-average each mirror pair is evaluated once, and ``band_flux`` reads only the
-samples of its band.
+Equal grids share one read-only sample array, so a scan that builds the
+same grid at every point builds its samples once.  The kernel allocates
+little beyond what it returns.  G is formed in the buffer of the dk it comes
+from, in one pass: sinh and sin each write only their own samples of a
+second buffer.  On a grid mirrored about the pump average each mirror pair
+is evaluated once, and ``band_flux`` reads only the samples of its band.
 
 No kernel here returns inf or NaN where float64 overflows: each raises
 DomainError.  The peak gain is checked as a scalar before any sinh runs, and
@@ -41,8 +42,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isfinite, log, sinh, sqrt
+from numbers import Integral
 from typing import Iterable
 
 import numpy as np
@@ -103,8 +105,9 @@ class SpectralGrid:
 
     The samples mirror exactly about ``center``: each pair sums to
     2*center in floating point, so even functions of the detuning evaluate
-    exactly symmetrically.  ``omegas`` is computed on first use and cached on
-    the (frozen) grid; ``replace`` gives a new grid with its own samples.
+    exactly symmetrically.  ``omegas`` is looked up on first use and cached
+    on the (frozen) grid; every equal grid, a ``replace`` copy included,
+    returns the same read-only array (see ``_mirrored_samples``).
     """
 
     center: float
@@ -118,6 +121,9 @@ class SpectralGrid:
             raise DomainError("half_span must be smaller than omega_c")
         if not self.omega_min < self.omega_max:
             raise ConfigError("omega_min must be < omega_max")
+        # Equal grids share samples, so 4096.0 must not pass for 4096.
+        if not isinstance(self.n_points, Integral) or isinstance(self.n_points, bool):
+            raise ConfigError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 2:
             raise ConfigError("grid needs at least 2 points")
 
@@ -136,25 +142,37 @@ class SpectralGrid:
 
     @cached_property
     def omegas(self) -> np.ndarray:
-        """The samples (rad/s), built once per grid and read-only."""
-        step = (self.omega_max - self.omega_min) / (self.n_points - 1)
-        n_upper, odd = divmod(self.n_points, 2)
-        upper = np.arange(n_upper, dtype=float)
-        upper += 0.5 if not odd else 1.0
-        upper *= step
-        upper += self.center
-        samples = np.empty(self.n_points)
-        samples[self.n_points - n_upper :] = upper
-        # 2c - x is exact for x in [c, 2c) (Sterbenz), so pairs sum to 2c.
-        np.subtract(2.0 * self.center, upper[::-1], out=samples[:n_upper])
-        if odd:
-            samples[n_upper] = self.center
-        samples.flags.writeable = False
-        return samples
+        """The samples (rad/s), read-only and shared by every equal grid."""
+        return _mirrored_samples(self.center, self.half_span, self.n_points)
 
     def detunings_hz(self) -> np.ndarray:
         """Ordinary-frequency detuning (omega - center)/2pi in Hz."""
         return (self.omegas - self.center) / (2.0 * np.pi)
+
+
+@lru_cache(maxsize=4)
+def _mirrored_samples(center: float, half_span: float, n_points: int) -> np.ndarray:
+    """The samples of ``SpectralGrid(center, half_span, n_points)``, memoised.
+
+    The cache holds the 4 most recent grids (a CLI run builds one, a design
+    scan alternates between two), so at most 4 x 8 MiB at config's
+    MAX_GRID_POINTS = 2^20.  The array returned is a view of a read-only base,
+    so its writeable flag cannot be set again.
+    """
+    step = ((center + half_span) - (center - half_span)) / (n_points - 1)
+    n_upper, odd = divmod(n_points, 2)
+    upper = np.arange(n_upper, dtype=float)
+    upper += 0.5 if not odd else 1.0
+    upper *= step
+    upper += center
+    samples = np.empty(n_points)
+    samples[n_points - n_upper :] = upper
+    # 2c - x is exact for x in [c, 2c) (Sterbenz), so pairs sum to 2c.
+    np.subtract(2.0 * center, upper[::-1], out=samples[:n_upper])
+    if odd:
+        samples[n_upper] = center
+    samples.flags.writeable = False
+    return samples.view()
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,10 +220,23 @@ def _power_term(gamma: float, pump: PumpConfig) -> float:
     return 4.0 * gamma**2 * pump.power1_w * pump.power2_w
 
 
+def _waveguide_prefix(spec: WaveguideSpec | None) -> str:
+    # The prefix every float64 fault of a waveguide's mismatch or gain carries.
+    return "" if spec is None else f"{spec.kind} waveguide of length {spec.length_m:g} m: "
+
+
+def _waveguide_nonlinear_mismatch(spec: WaveguideSpec, pump: PumpConfig) -> float:
+    """dk_NL of ``spec``; its overflow names the waveguide like ``_float64_guard``."""
+    try:
+        return nonlinear_mismatch(spec.gamma_per_w_m, pump)
+    except DomainError as exc:
+        raise DomainError(f"{_waveguide_prefix(spec)}{exc}") from None
+
+
 @contextmanager
 def _float64_guard(spec: WaveguideSpec | None = None):
     """Raise DomainError, naming ``spec`` if given, where the block overflows float64."""
-    prefix = "" if spec is None else f"{spec.kind} waveguide of length {spec.length_m:g} m: "
+    prefix = _waveguide_prefix(spec)
     try:  # float ** raises OverflowError; numpy raises FloatingPointError here
         with np.errstate(over="raise", invalid="raise"):
             yield
@@ -217,7 +248,7 @@ def total_mismatch(spec: WaveguideSpec, pump: PumpConfig, omega):
     """dk = dk_NL + dk_L at omega (scalar or ndarray), rad/m."""
     with _float64_guard(spec):
         delta_k = linear_mismatch(spec.dispersion, omega, pump)
-        delta_k += nonlinear_mismatch(spec.gamma_per_w_m, pump)
+        delta_k += _waveguide_nonlinear_mismatch(spec, pump)
     return delta_k
 
 
@@ -301,10 +332,9 @@ def parametric_gain(spec: WaveguideSpec, pump: PumpConfig, omega):
 def _gain_at(spec: WaveguideSpec, pump: PumpConfig, omegas: np.ndarray) -> np.ndarray:
     """G at ``omegas``, formed in the buffer of the dk it comes from."""
     with _float64_guard(spec):
-        gamma = spec.gamma_per_w_m
         dk = linear_mismatch(spec.dispersion, omegas, pump)
-        dk += nonlinear_mismatch(gamma, pump)
-        power_term = _power_term(gamma, pump)
+        dk += _waveguide_nonlinear_mismatch(spec, pump)
+        power_term = _power_term(spec.gamma_per_w_m, pump)
         try:
             return _gain(power_term, dk.reshape(-1), spec.length_m).reshape(dk.shape)
         except DomainError as exc:  # the peak check: name the waveguide and its gain rate

@@ -65,6 +65,21 @@ class TestNonlinearMismatch:
             else:
                 total_mismatch(make_spec(-3e-26, gamma=1e300), pump, np.array([OMEGA_P]))
 
+    def test_overflow_names_the_waveguide(self):
+        spec, pump = make_spec(-3e-26, gamma=1e300), PumpConfig.degenerate(OMEGA_P, 1e10)
+        message = (
+            "custom waveguide of length 0.005 m: "
+            "dk_NL = gamma*(P1 + P2) overflows float64 at gamma = 1e+300 /(W m)"
+        )
+        grid = SpectralGrid(OMEGA_P, 1e13, 16)
+        for kernel in (
+            lambda: total_mismatch(spec, pump, grid.omegas),
+            lambda: biphoton_spectrum(spec, pump, grid),
+        ):
+            with pytest.raises(DomainError) as exc:
+                kernel()
+            assert str(exc.value) == message
+
 
 class TestParametricGain:
     def test_degenerate_perfect_matching(self):
@@ -442,6 +457,47 @@ class TestKernelMirrorAndOracle:
         assert "omegas" not in repr(grid)
         finer = dataclasses.replace(grid, n_points=33)
         assert finer.omegas.size == 33 and finer.omegas is not grid.omegas
+        # Equal grids share one array, which cannot be made writeable again.
+        twin = SpectralGrid(np.float64(grid.center), grid.half_span, grid.n_points)
+        assert twin.omegas is grid.omegas and dataclasses.replace(grid).omegas is grid.omegas
+        with pytest.raises(ValueError):
+            grid.omegas.flags.writeable = True
+        for change in ({"center": grid.center * 1.01}, {"half_span": grid.half_span / 2}):
+            assert dataclasses.replace(grid, **change).omegas is not grid.omegas
+
+    @pytest.mark.parametrize("n_points", [4096, 4097, np.int64(4096)])
+    def test_equal_grids_share_samples_bit_for_bit(self, n_points):
+        center, half_span = OMEGA_P * 1.001, 2 * math.pi * 7.5e12
+        first = SpectralGrid(center, half_span, n_points).omegas
+        tracemalloc.start()
+        try:
+            second = SpectralGrid(center, half_span, n_points).omegas
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert second is first and peak < 1024
+        assert first.tobytes() == _built_samples(center, half_span, n_points).tobytes()
+
+    @pytest.mark.parametrize("n_points", [4096.0, 2.5, "8", None, True, np.bool_(True)])
+    def test_n_points_must_be_an_integer(self, n_points):
+        with pytest.raises(ConfigError, match=r"^n_points must be an integer, got "):
+            SpectralGrid(OMEGA_P, 1e13, n_points)
+
+
+def _built_samples(center, half_span, n_points):
+    # A grid's samples as each grid built its own before they were shared.
+    step = ((center + half_span) - (center - half_span)) / (n_points - 1)
+    n_upper, odd = divmod(n_points, 2)
+    upper = np.arange(n_upper, dtype=float)
+    upper += 0.5 if not odd else 1.0
+    upper *= step
+    upper += center
+    samples = np.empty(n_points)
+    samples[n_points - n_upper :] = upper
+    np.subtract(2.0 * center, upper[::-1], out=samples[:n_upper])
+    if odd:
+        samples[n_upper] = center
+    return samples
 
 
 class TestMirrorPath:
