@@ -19,11 +19,16 @@ dk.  Semi-classically the signal/idler photon flux per unit frequency equals
 G, so a sampled G(omega) doubles as the biphoton spectrum.
 
 Equal grids share one read-only sample array, so a scan that builds the
-same grid at every point builds its samples once.  The kernel allocates
-little beyond what it returns.  G is formed in the buffer of the dk it comes
-from, in one pass: sinh and sin each write only their own samples of a
-second buffer.  On a grid mirrored about the pump average each mirror pair
-is evaluated once, and ``band_flux`` reads only the samples of its band.
+same grid at every point builds its samples once (at most 4 grids, 32 MiB at
+config's MAX_GRID_POINTS = 2^20).  On a grid centred on the pump average the
+linear mismatch dk_L of the grid's upper half is evaluated once per
+dispersion model, pump lines and grid, and shared read-only by every length
+and power (at most 4 halves, 16 MiB at MAX_GRID_POINTS); only dk_NL is added
+per call.  The kernel allocates little beyond what it returns.  G is formed
+in the buffer of the dk it comes from, in one pass: sinh and sin each write
+only their own samples of a second buffer.  On a grid mirrored about the
+pump average each mirror pair is evaluated once, and ``band_flux`` reads only
+the samples of its band.
 
 No kernel here returns inf or NaN where float64 overflows: each raises
 DomainError.  The peak gain is checked as a scalar before any sinh runs, and
@@ -40,6 +45,7 @@ propagation loss, photons being generated uniformly along the waveguide.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -150,14 +156,21 @@ class SpectralGrid:
         return (self.omegas - self.center) / (2.0 * np.pi)
 
 
+# The grid (center, half_span, n_points) of each live array that
+# ``_mirrored_samples`` returned, by the array's id.  An entry goes when its
+# array does, so this holds no array alive beyond the grid cache and its grids.
+_SHARED_GRIDS: dict[int, tuple[float, float, int]] = {}
+
+
 @lru_cache(maxsize=4)
 def _mirrored_samples(center: float, half_span: float, n_points: int) -> np.ndarray:
     """The samples of ``SpectralGrid(center, half_span, n_points)``, memoised.
 
     The cache holds the 4 most recent grids (a CLI run builds one, a design
-    scan alternates between two), so at most 4 x 8 MiB at config's
+    scan alternates between two), so at most 4 x 8 MiB = 32 MiB at config's
     MAX_GRID_POINTS = 2^20.  The array returned is a view of a read-only base,
-    so its writeable flag cannot be set again.
+    so its writeable flag cannot be set again.  It is listed in
+    ``_SHARED_GRIDS`` while it lives, so ``total_mismatch`` knows it.
     """
     step = ((center + half_span) - (center - half_span)) / (n_points - 1)
     n_upper, odd = divmod(n_points, 2)
@@ -172,7 +185,36 @@ def _mirrored_samples(center: float, half_span: float, n_points: int) -> np.ndar
     if odd:
         samples[n_upper] = center
     samples.flags.writeable = False
-    return samples.view()
+    shared = samples.view()
+    _SHARED_GRIDS[id(shared)] = (center, half_span, n_points)
+    weakref.finalize(shared, _SHARED_GRIDS.pop, id(shared))
+    return shared
+
+
+@lru_cache(maxsize=4)
+def _upper_linear_mismatch(
+    model: DispersionModel, lines: tuple[str, float, float], grid: tuple[float, float, int]
+) -> np.ndarray:
+    """dk_L on the upper half of a grid centred on the pump average, memoised.
+
+    ``lines`` is the pump's (mode, omega_p1, omega_p2) and ``grid`` the grid's
+    (center, half_span, n_points); powers are not in the key, as dk_L does not
+    depend on them.  Float == is a sound key: ``linear_mismatch`` skips +-0
+    beta terms, and every other float in it is > 0.  The upper half is the
+    samples from n//2 on, the centre one included when n is odd; mirror pairs
+    have bit-equal (omega - omega_c)^2, so it holds every value of the grid.
+    The cache holds 4 halves (design-scan evaluates two models on each of two
+    grids), at most 4 x 4 MiB = 16 MiB at MAX_GRID_POINTS = 2^20.  A raise is
+    never cached: a misaligned model raises ConfigError and an overflow
+    FloatingPointError on every call, for the caller to name its waveguide.
+    """
+    upper = _mirrored_samples(*grid)[grid[2] // 2 :]
+    with np.errstate(over="raise", invalid="raise"):
+        delta_k = linear_mismatch(model, upper, PumpConfig(*lines, 0.0, 0.0))
+    for array in (delta_k, delta_k.base):  # a view's base too, or the flag could be set again
+        if array is not None:
+            array.flags.writeable = False
+    return delta_k
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,11 +287,43 @@ def _float64_guard(spec: WaveguideSpec | None = None):
 
 
 def total_mismatch(spec: WaveguideSpec, pump: PumpConfig, omega):
-    """dk = dk_NL + dk_L at omega (scalar or ndarray), rad/m."""
+    """dk = dk_NL + dk_L at omega (scalar or ndarray), rad/m.
+
+    Given a grid's own ``omegas`` on a grid centred on the pump average, the
+    cached dk_L of the grid's upper half is used and reflected; any other
+    omega (a copy, a slice, a scalar) is evaluated sample by sample.  The
+    values are the same bit for bit.
+    """
+    grid = _SHARED_GRIDS.get(id(omega))  # a live id is omega's own
+    if grid is None or grid[0] != pump.omega_c:
+        return _sampled_mismatch(spec, pump, omega)
+    n = grid[2]
+    delta_k = np.empty(n)
+    upper = _upper_mismatch(spec, pump, grid, delta_k[n // 2 :])
+    delta_k[: n // 2] = upper[n % 2 :][::-1]
+    return delta_k
+
+
+def _sampled_mismatch(spec: WaveguideSpec, pump: PumpConfig, omega):
+    """dk at each sample of omega, in a new buffer (a float for a scalar)."""
     with _float64_guard(spec):
         delta_k = linear_mismatch(spec.dispersion, omega, pump)
         delta_k += _waveguide_nonlinear_mismatch(spec, pump)
     return delta_k
+
+
+def _upper_mismatch(
+    spec: WaveguideSpec, pump: PumpConfig, grid: tuple[float, float, int], out: np.ndarray
+) -> np.ndarray:
+    """dk on the upper half of the grid (center, half_span, n_points), into ``out``.
+
+    The grid is centred on the pump average; dk_L comes from
+    ``_upper_linear_mismatch`` and dk_NL is added to it per call.
+    """
+    lines = (pump.mode, pump.omega_p1, pump.omega_p2)
+    with _float64_guard(spec):
+        linear = _upper_linear_mismatch(spec.dispersion, lines, grid)
+        return np.add(linear, _waveguide_nonlinear_mismatch(spec, pump), out=out)
 
 
 def gain_from_mismatch(power_term: float, delta_k, length_m: float):
@@ -323,20 +397,18 @@ def parametric_gain(spec: WaveguideSpec, pump: PumpConfig, omega):
     om = np.asarray(omega, dtype=float)
     if not np.all(om > 0.0):
         raise DomainError("omega must be > 0")
-    gain = _gain_at(spec, pump, om)
+    gain = _gain_at(spec, pump, _sampled_mismatch(spec, pump, om))
     if np.isscalar(omega):
         return float(gain)
     return gain
 
 
-def _gain_at(spec: WaveguideSpec, pump: PumpConfig, omegas: np.ndarray) -> np.ndarray:
-    """G at ``omegas``, formed in the buffer of the dk it comes from."""
+def _gain_at(spec: WaveguideSpec, pump: PumpConfig, delta_k: np.ndarray) -> np.ndarray:
+    """G from the waveguide's dk, formed in ``delta_k``'s buffer."""
     with _float64_guard(spec):
-        dk = linear_mismatch(spec.dispersion, omegas, pump)
-        dk += _waveguide_nonlinear_mismatch(spec, pump)
         power_term = _power_term(spec.gamma_per_w_m, pump)
         try:
-            return _gain(power_term, dk.reshape(-1), spec.length_m).reshape(dk.shape)
+            return _gain(power_term, delta_k.reshape(-1), spec.length_m).reshape(delta_k.shape)
         except DomainError as exc:  # the peak check: name the waveguide and its gain rate
             rate = "gamma*P" if pump.mode == "degenerate" else "2*gamma*sqrt(P1*P2)"
             where = f"{spec.kind} waveguide of length {spec.length_m * 1e3:g} mm"
@@ -357,21 +429,27 @@ def biphoton_spectrum(
 
     On a grid mirrored about the pump average the signal at omega and the
     idler at 2*omega_c - omega have the same gain bit for bit, so each mirror
-    pair is evaluated once: G is computed on the upper half of the samples
-    (the centre sample included when n is odd) and reflected.  Any other grid
-    is evaluated sample by sample.  With attenuation enabled the pump is
+    pair is evaluated once: dk and then G are formed in the upper half of the
+    returned array (the centre sample included when n is odd), from the
+    grid's cached dk_L, and reflected onto the lower half.  Any other grid is
+    evaluated sample by sample.  With attenuation enabled the pump is
     path-averaged and the emitted flux pays half the propagation loss in dB.
     """
     n = grid.n_points
-    mirrored = grid.center == pump.omega_c
-    omegas = grid.omegas[n // 2 :] if mirrored else grid.omegas
     # The path-averaged pump has the same frequencies, so the same dk_L.
-    gain = _gain_at(spec, _attenuated_pump(spec, pump), omegas)
-    if mirrored:  # the upper half, reflected onto the lower one
-        gain = np.concatenate([gain[n % 2 :][::-1], gain])
+    pumped = _attenuated_pump(spec, pump)
+    mirrored = grid.center == pump.omega_c
+    if mirrored:
+        flux = np.empty(n)
+        delta_k = _upper_mismatch(spec, pumped, (grid.center, grid.half_span, n), flux[n // 2 :])
+    else:
+        flux = delta_k = _sampled_mismatch(spec, pumped, grid.omegas)
+    gain = _gain_at(spec, pumped, delta_k)
     if spec.attenuation_db_per_cm > 0.0:
         gain *= 10.0 ** (-spec.loss_db / 20.0)
-    return BiphotonSpectrum(grid, gain)
+    if mirrored:  # the upper half, reflected onto the lower one
+        flux[: n // 2] = gain[n % 2 :][::-1]
+    return BiphotonSpectrum(grid, flux)
 
 
 def band_flux(spectrum: BiphotonSpectrum, passband: tuple[float, float]) -> float:

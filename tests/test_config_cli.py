@@ -492,10 +492,11 @@ class TestSpectrumCommand:
         message = f"{source}: a grid may have at most {MAX_GRID_POINTS} points, got {points}"
         assert f"config error: {message}" in capsys.readouterr().err
 
-    def test_one_mismatch_evaluation_per_waveguide(self, tmp_path, monkeypatch):
-        # Per waveguide the spectrum evaluates dk_L on one sample of each
-        # mirror pair, then the mismatch CSV takes total_mismatch on the full
-        # grid; the shipped config has four waveguides.
+    def test_one_mismatch_evaluation_per_dispersion_model(self, tmp_path, monkeypatch):
+        # dk_L is evaluated on one sample of each mirror pair, once per
+        # dispersion model on the grid; the spectrum and the mismatch CSV of
+        # every waveguide share it.  The shipped config has four waveguides:
+        # the strip and three shallow ridges of one model.
         evaluated = []
         linear_mismatch = sfwm_sim.engine.linear_mismatch
 
@@ -504,10 +505,11 @@ class TestSpectrumCommand:
             return linear_mismatch(model, omega, pump)
 
         monkeypatch.setattr(sfwm_sim.engine, "linear_mismatch", counted)
+        sfwm_sim.engine._upper_linear_mismatch.cache_clear()
         config = REPO_CONFIGS / "degenerate_bandwidth_contrast.yaml"
         assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 0
         n_points = parse_spectrum_config(load_config(config)).grid.n_points
-        assert evaluated == [n_points // 2, n_points] * 4
+        assert evaluated == [n_points - n_points // 2] * 2
 
     @pytest.mark.parametrize(
         "config, lines",

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sfwm_sim import engine
 from sfwm_sim import (
     BiphotonSpectrum,
     ConfigError,
@@ -31,6 +34,7 @@ from sfwm_sim import (
 )
 from sfwm_sim.csvio import SPECTRUM_HEADER, read_table, write_spectrum_csv
 from sfwm_sim.presets import preset_waveguide
+from sfwm_sim.templates import build_template, evaluate_circuit
 
 OMEGA_P = angular_frequency_from_wavelength(1552.5e-9)
 
@@ -549,6 +553,212 @@ class TestMirrorPath:
         flux = biphoton_spectrum(spec, pump, grid).flux_density
         assert flux.tobytes() == self._sample_by_sample(spec, pump, grid).tobytes()
 
+
+
+def _lines_pump(omega_d, power):
+    if omega_d == 0.0:
+        return PumpConfig.degenerate(OMEGA_P, power)
+    return PumpConfig.non_degenerate(OMEGA_P + omega_d, OMEGA_P - omega_d, power, power)
+
+
+@pytest.fixture
+def counted_linear_mismatch(monkeypatch):
+    """The sizes of the omega arrays dk_L is evaluated on, from a cold cache."""
+    evaluated = []
+    linear_mismatch = engine.linear_mismatch
+
+    def counted(model, omega, pump):
+        evaluated.append(np.size(omega))
+        return linear_mismatch(model, omega, pump)
+
+    monkeypatch.setattr(engine, "linear_mismatch", counted)
+    engine._upper_linear_mismatch.cache_clear()
+    return evaluated
+
+
+class TestLinearMismatchCache:
+    """dk_L of a grid centred on the pump is evaluated once per dispersion
+    model, pump lines and grid, and shared by every length and power; the
+    results must still be the sample-by-sample ones, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_points=N_POINTS,
+        omega_d=st.sampled_from([0.0, 1e13, 1.2e14]),
+        beta2=BETA2,
+        beta4=st.one_of(st.sampled_from([0.0, -0.0]), BETA4),
+        beta6=st.one_of(st.none(), BETA6),
+        attenuation=st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+        half_span_thz=HALF_SPAN_THZ,
+        points=st.lists(
+            st.tuples(st.floats(1e-3, 20e-3), st.floats(0.0, 2.0)), min_size=2, max_size=4
+        ),
+    )
+    @example(65_536, 0.0, -3e-26, 0.0, None, 0.0, 40.0, [(3e-3, 0.25), (12e-3, 1.0)])
+    @example(65_535, 0.0, 5e-25, 2e-48, None, 0.0, 40.0, [(5e-3, 0.5), (8e-3, 0.25)])
+    @example(2, 1e13, -3e-26, -0.0, 1e-70, 2.0, 8.0, [(3e-3, 0.02), (3e-3, 0.0)])
+    @example(4097, 1.2e14, 5e-25, 2e-48, -1e-70, 0.5, 8.0, [(8e-3, 0.01), (5e-3, 0.02)])
+    def test_cached_path_is_the_sample_by_sample_path(
+        self, n_points, omega_d, beta2, beta4, beta6, attenuation, half_span_thz, points
+    ):
+        pump = _lines_pump(omega_d, 1.0)
+        betas = (beta2, beta4) if beta6 is None else (beta2, beta4, beta6)
+        model = DispersionModel(pump.omega_c, betas)
+        grid = SpectralGrid(pump.omega_c, 2 * math.pi * half_span_thz * 1e12, n_points)
+        hits = engine._upper_linear_mismatch.cache_info().hits
+        for length, power in points:
+            local = pump.with_powers(power, power)
+            spec = WaveguideSpec("custom", length, 223.3, model, attenuation)
+            delta_k = total_mismatch(spec, local, grid.omegas)
+            assert delta_k.tobytes() == total_mismatch(spec, local, np.array(grid.omegas)).tobytes()
+            flux = biphoton_spectrum(spec, local, grid).flux_density
+            assert flux.tobytes() == TestMirrorPath._sample_by_sample(spec, local, grid).tobytes()
+        # Every call after the first found the grid's dk_L in the cache.
+        assert engine._upper_linear_mismatch.cache_info().hits >= hits + 2 * len(points) - 1
+
+    def test_each_model_lines_and_grid_has_its_own_entry(self):
+        cache = engine._upper_linear_mismatch
+        model = DispersionModel(None, (5e-25, 2e-48))
+        pump = _lines_pump(1e13, 0.01)
+        half_span, n_points = 2 * math.pi * 8e12, 1025
+        variants = [
+            (model, pump, half_span, n_points),
+            (DispersionModel(pump.omega_c, model.beta_even), pump, half_span, n_points),
+            (DispersionModel(None, (5e-25, 3e-48)), pump, half_span, n_points),
+            (DispersionModel(None, (5e-25, 2e-48, 0.0)), pump, half_span, n_points),
+            (model, _lines_pump(2e13, 0.01), half_span, n_points),
+            (model, _lines_pump(0.0, 0.01), half_span, n_points),
+            (model, pump, half_span / 2, n_points),
+            (model, pump, half_span, n_points + 1),
+        ]
+        cache.cache_clear()
+        for misses, (dispersion, lines, span, n) in enumerate(variants, start=1):
+            grid = SpectralGrid(lines.omega_c, span, n)
+            assert grid.center == OMEGA_P  # every variant's grid is centred on its pump
+            spec = WaveguideSpec("custom", 5e-3, 93.5, dispersion)
+            delta_k = total_mismatch(spec, lines, grid.omegas)
+            assert delta_k.tobytes() == total_mismatch(spec, lines, np.array(grid.omegas)).tobytes()
+            assert cache.cache_info().misses == misses
+            # Powers, lengths and gamma are not in the key.
+            other = WaveguideSpec("custom", 9e-3, 223.3, dispersion)
+            biphoton_spectrum(other, lines.with_powers(0.02, 0.03), grid)
+            assert cache.cache_info().misses == misses
+        assert cache.cache_info().currsize == cache.cache_info().maxsize == 4
+
+    def test_cached_arrays_are_read_only(self):
+        pump, grid = _lines_pump(0.0, 1.0), SpectralGrid(OMEGA_P, 1e13, 33)
+        model = DispersionModel(None, (-3e-26,))
+        key = (model, (pump.mode, OMEGA_P, OMEGA_P), (OMEGA_P, 1e13, 33))
+        half = engine._upper_linear_mismatch(*key)
+        assert half.size == 17 and half is engine._upper_linear_mismatch(*key)
+        assert half.tobytes() == linear_mismatch(model, np.array(grid.omegas[16:]), pump).tobytes()
+        with pytest.raises(ValueError):
+            half[0] = 1.0
+        with pytest.raises(ValueError):
+            half.flags.writeable = True
+
+    def test_mutating_a_result_leaves_later_calls_unchanged(self):
+        spec, pump = make_spec(5e-25, gamma=93.5), _lines_pump(0.0, 0.5)
+        grid = SpectralGrid(OMEGA_P, 2 * math.pi * 20e12, 257)
+        delta_k = total_mismatch(spec, pump, grid.omegas)
+        flux = biphoton_spectrum(spec, pump, grid).flux_density
+        want = delta_k.tobytes(), flux.tobytes()
+        delta_k[:] = 7.0
+        flux[:] = 7.0
+        again = total_mismatch(spec, pump, grid.omegas), biphoton_spectrum(spec, pump, grid)
+        assert (again[0].tobytes(), again[1].flux_density.tobytes()) == want
+        assert again[0].flags.writeable and again[1].flux_density.flags.writeable
+
+    def test_only_the_grids_own_samples_take_the_cache(self, counted_linear_mismatch):
+        spec, pump = make_spec(-3e-26), _lines_pump(0.0, 1.0)
+        grid = SpectralGrid(OMEGA_P, 1e13, 64)
+        for omega in (np.array(grid.omegas), grid.omegas[:], grid.omegas[::-1], OMEGA_P):
+            total_mismatch(spec, pump, omega)
+        total_mismatch(spec, pump, grid.omegas)
+        total_mismatch(spec, pump, grid.omegas)
+        # A grid not centred on the pump is evaluated sample by sample too.
+        off = SpectralGrid(OMEGA_P * (1 + 1e-5), 1e13, 64)
+        total_mismatch(spec, pump, off.omegas)
+        biphoton_spectrum(spec, pump, off)
+        assert counted_linear_mismatch == [64, 64, 64, 1, 32, 64, 64]
+
+    def test_the_id_lookup_keeps_no_grid_alive(self):
+        grid = SpectralGrid(OMEGA_P, 1.234e13, 48)
+        samples = weakref.ref(grid.omegas)
+        key = id(grid.omegas)
+        assert engine._SHARED_GRIDS[key] == (OMEGA_P, 1.234e13, 48)
+        total_mismatch(make_spec(-3e-26), _lines_pump(0.0, 1.0), grid.omegas)
+        del grid
+        for n_points in range(49, 53):  # evict it from the grid cache
+            SpectralGrid(OMEGA_P, 1.234e13, n_points).omegas
+        gc.collect()
+        assert samples() is None and key not in engine._SHARED_GRIDS
+
+    def test_a_scan_evaluates_each_linear_mismatch_once(self, counted_linear_mismatch):
+        # Two waveguides on each of two pump settings, 4 lengths x 3 powers each.
+        models = [DispersionModel(None, (-3e-26, 0.0)), DispersionModel(None, (5e-25, 2e-48))]
+        settings_ = [(_lines_pump(0.0, 1.0), 4097), (_lines_pump(5e13, 0.01), 2048)]
+        for pump, n_points in settings_:
+            grid = SpectralGrid(pump.omega_c, 2 * math.pi * 10e12, n_points)
+            for length in (3e-3, 5e-3, 8e-3, 12e-3):
+                for scale in (0.25, 0.5, 1.0):
+                    local = pump.with_powers(pump.power1_w * scale, pump.power2_w * scale)
+                    for model in models:
+                        spec = WaveguideSpec("custom", length, 223.3, model)
+                        total_mismatch(spec, local, grid.omegas)
+                        biphoton_spectrum(spec, local, grid)
+        assert counted_linear_mismatch == [2049, 2049, 1024, 1024]
+
+    def test_a_circuit_evaluates_each_linear_mismatch_once(self, counted_linear_mismatch):
+        # app1's umzi_long and umzi_short share one shallow-ridge model.
+        setup = build_template("app1_timebin")
+        evaluate_circuit(setup)
+        assert counted_linear_mismatch == [setup.grid.n_points // 2] * 2
+
+    def test_errors_are_raised_on_every_call(self):
+        cache = engine._upper_linear_mismatch
+        grid = SpectralGrid(OMEGA_P, 2 * math.pi * 8e12, 64)
+        pump = _lines_pump(0.0, 1e-3)
+        # A misaligned reference is never cached.
+        misaligned = make_spec(-3e-26, omega_c=OMEGA_P * 1.01)
+        size = cache.cache_info().currsize
+        for _ in range(2):
+            for kernel in (total_mismatch, lambda s, p, g: biphoton_spectrum(s, p, grid)):
+                with pytest.raises(ConfigError, match="is not aligned with the pump average"):
+                    kernel(misaligned, pump, grid.omegas)
+        assert cache.cache_info().currsize == size
+        # Nor is an overflowing dk_L; each call names its own waveguide.
+        for length in (5e-3, 7e-3):
+            spec = WaveguideSpec("strip", length, 223.3, DispersionModel(None, (1e-24, 1e300)))
+            with pytest.raises(DomainError, match=f"^strip waveguide of length {length:g} m: the"):
+                total_mismatch(spec, pump, grid.omegas)
+        assert cache.cache_info().currsize == size
+        # dk_L near the float64 limit: dk_NL on top overflows dk, after a hit.
+        steep = DispersionModel(None, (4e280,))
+        total_mismatch(WaveguideSpec("custom", 5e-3, 1.0, steep), pump, grid.omegas)
+        hits = cache.cache_info().hits
+        spec = WaveguideSpec("custom", 5e-3, 5e299, steep)
+        big = pump.with_powers(1e8)
+        for kernel in (lambda: total_mismatch(spec, big, grid.omegas),
+                       lambda: biphoton_spectrum(spec, big, grid)):
+            with pytest.raises(DomainError) as info:
+                kernel()
+            assert str(info.value) == (
+                "custom waveguide of length 0.005 m: the phase mismatch or gain "
+                "overflows float64 (overflow encountered in add)"
+            )
+        # An overflowing dk_NL, after a hit.
+        huge = WaveguideSpec("custom", 5e-3, 1e300, steep)
+        with pytest.raises(DomainError, match=r"^custom waveguide of length 0.005 m: dk_NL"):
+            biphoton_spectrum(huge, pump.with_powers(1e10), grid)
+        # The peak-gain check (q*L = 893 at 20 W in 200 mm), after a hit on the strip's entry.
+        wide = SpectralGrid(OMEGA_P, 2 * math.pi * 100e12, 4096)
+        strip = WaveguideSpec("strip", 1e-3, 223.3, DispersionModel(None, (-3e-26,)))
+        biphoton_spectrum(strip, pump, wide)
+        strip = dataclasses.replace(strip, length_m=0.2)
+        with pytest.raises(DomainError, match=r"^strip waveguide of length 200 mm at gamma\*P = "):
+            biphoton_spectrum(strip, pump.with_powers(20.0), wide)
+        assert cache.cache_info().hits == hits + 4
 
 @pytest.mark.filterwarnings("error")
 def test_sinh_overflow_named_before_evaluation():
