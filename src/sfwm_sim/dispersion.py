@@ -76,7 +76,7 @@ class DispersionModel:
         beta = tuple(float(b) for b in self.beta_even)
         if len(beta) == 0:
             raise ConfigError("beta_even must contain at least beta_2")
-        if not all(np.isfinite(beta)):
+        if not all(-inf < b < inf for b in beta):
             raise ConfigError(f"beta_even must be finite, got {beta!r}")
         object.__setattr__(self, "beta_even", beta)
 

@@ -34,7 +34,8 @@ No kernel here returns inf or NaN where float64 overflows: each raises
 DomainError.  The peak gain is checked as a scalar before any sinh runs, and
 an overflow anywhere else in the mismatch or the gain is named as well;
 ``total_mismatch``, ``parametric_gain`` and ``biphoton_spectrum`` name the
-waveguide.
+waveguide.  Each public call enters one float64 guard around all of its
+mismatch and gain work, and formats the waveguide only on a raise.
 
 The pump is treated as undepleted.  Attenuation is off by default (spectra
 are pure dispersion/gamma/length predictions); when enabled, pump powers are
@@ -46,7 +47,6 @@ propagation loss, photons being generated uniformly along the waveguide.
 from __future__ import annotations
 
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import isfinite, log, sinh, sqrt
@@ -71,10 +71,14 @@ class WaveguideSpec:
     n_eff: float = 2.5
 
     def __post_init__(self) -> None:
-        from .presets import waveguide_kinds  # presets builds its specs from this module
+        from . import presets  # presets builds its specs from this module
 
-        if self.kind not in waveguide_kinds():
-            raise ConfigError(f"unknown kind {self.kind!r}; the kinds are {waveguide_kinds()}")
+        # The kinds of ``presets.waveguide_kinds()``, without building its tuple.
+        table = presets.packaged_yaml("defaults")["waveguides"]
+        if self.kind != "custom" and self.kind not in table:
+            raise ConfigError(
+                f"unknown kind {self.kind!r}; the kinds are {presets.waveguide_kinds()}"
+            )
         if not self.length_m > 0.0:
             raise DomainError(f"length_m must be > 0, got {self.length_m!r}")
         if not self.gamma_per_w_m >= 0.0:
@@ -231,7 +235,7 @@ class BiphotonSpectrum:
                 f"flux_density shape {flux.shape} does not match grid ({self.grid.n_points},)"
             )
         # One pass each and no boolean temporary; NaN fails the first test.
-        if not (flux.min() >= 0.0 and flux.max() < np.inf):
+        if not (np.minimum.reduce(flux) >= 0.0 and np.maximum.reduce(flux) < np.inf):
             raise DomainError("flux_density must be finite and >= 0 everywhere")
         object.__setattr__(self, "flux_density", flux)
 
@@ -268,22 +272,36 @@ def _waveguide_prefix(spec: WaveguideSpec | None) -> str:
 
 
 def _waveguide_nonlinear_mismatch(spec: WaveguideSpec, pump: PumpConfig) -> float:
-    """dk_NL of ``spec``; its overflow names the waveguide like ``_float64_guard``."""
+    """dk_NL of ``spec``; its overflow names the waveguide like ``_Float64Guard``."""
     try:
         return nonlinear_mismatch(spec.gamma_per_w_m, pump)
     except DomainError as exc:
         raise DomainError(f"{_waveguide_prefix(spec)}{exc}") from None
 
 
-@contextmanager
-def _float64_guard(spec: WaveguideSpec | None = None):
-    """Raise DomainError, naming ``spec`` if given, where the block overflows float64."""
-    prefix = _waveguide_prefix(spec)
-    try:  # float ** raises OverflowError; numpy raises FloatingPointError here
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except (OverflowError, FloatingPointError) as exc:
-        raise DomainError(f"{prefix}the phase mismatch or gain overflows float64 ({exc})") from None
+class _Float64Guard:
+    """Raise DomainError, naming ``spec`` if given, where the block overflows float64.
+
+    float ** raises OverflowError; numpy raises FloatingPointError in the block.
+    Each public kernel call enters one guard; ``_sampled_mismatch``,
+    ``_upper_mismatch`` and ``_gain_at`` run inside their caller's.
+    """
+
+    __slots__ = ("spec", "errstate")
+
+    def __init__(self, spec: WaveguideSpec | None = None) -> None:
+        self.spec = spec
+        self.errstate = np.errstate(over="raise", invalid="raise")
+
+    def __enter__(self) -> None:
+        self.errstate.__enter__()
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        self.errstate.__exit__(kind, exc, traceback)
+        if isinstance(exc, (OverflowError, FloatingPointError)):
+            prefix = _waveguide_prefix(self.spec)
+            message = f"{prefix}the phase mismatch or gain overflows float64 ({exc})"
+            raise DomainError(message) from None
 
 
 def total_mismatch(spec: WaveguideSpec, pump: PumpConfig, omega):
@@ -295,20 +313,20 @@ def total_mismatch(spec: WaveguideSpec, pump: PumpConfig, omega):
     values are the same bit for bit.
     """
     grid = _SHARED_GRIDS.get(id(omega))  # a live id is omega's own
-    if grid is None or grid[0] != pump.omega_c:
-        return _sampled_mismatch(spec, pump, omega)
-    n = grid[2]
-    delta_k = np.empty(n)
-    upper = _upper_mismatch(spec, pump, grid, delta_k[n // 2 :])
+    with _Float64Guard(spec):
+        if grid is None or grid[0] != pump.omega_c:
+            return _sampled_mismatch(spec, pump, omega)
+        n = grid[2]
+        delta_k = np.empty(n)
+        upper = _upper_mismatch(spec, pump, grid, delta_k[n // 2 :])
     delta_k[: n // 2] = upper[n % 2 :][::-1]
     return delta_k
 
 
 def _sampled_mismatch(spec: WaveguideSpec, pump: PumpConfig, omega):
     """dk at each sample of omega, in a new buffer (a float for a scalar)."""
-    with _float64_guard(spec):
-        delta_k = linear_mismatch(spec.dispersion, omega, pump)
-        delta_k += _waveguide_nonlinear_mismatch(spec, pump)
+    delta_k = linear_mismatch(spec.dispersion, omega, pump)
+    delta_k += _waveguide_nonlinear_mismatch(spec, pump)
     return delta_k
 
 
@@ -321,9 +339,8 @@ def _upper_mismatch(
     ``_upper_linear_mismatch`` and dk_NL is added to it per call.
     """
     lines = (pump.mode, pump.omega_p1, pump.omega_p2)
-    with _float64_guard(spec):
-        linear = _upper_linear_mismatch(spec.dispersion, lines, grid)
-        return np.add(linear, _waveguide_nonlinear_mismatch(spec, pump), out=out)
+    linear = _upper_linear_mismatch(spec.dispersion, lines, grid)
+    return np.add(linear, _waveguide_nonlinear_mismatch(spec, pump), out=out)
 
 
 def gain_from_mismatch(power_term: float, delta_k, length_m: float):
@@ -340,7 +357,7 @@ def gain_from_mismatch(power_term: float, delta_k, length_m: float):
     dk = np.array(delta_k, dtype=float)  # a copy: G is formed in it
     if not np.isfinite(dk).all():
         raise DomainError("delta_k must be finite")
-    with _float64_guard():
+    with _Float64Guard():
         gain = _gain(power_term, dk.reshape(-1), length_m).reshape(dk.shape)
     if np.isscalar(delta_k):
         return float(gain)
@@ -360,7 +377,7 @@ def _gain(power_term: float, dk: np.ndarray, length_m: float) -> np.ndarray:
     q2 *= 0.5
     q2 *= q2
     np.subtract(power_term, q2, out=q2)  # q^2 = PT - (dk/2)^2
-    peak = float(q2.max(initial=-np.inf))
+    peak = float(np.maximum.reduce(q2, initial=-np.inf))
     if peak > 0.0:
         arg = sqrt(peak) * length_m
         try:
@@ -397,7 +414,8 @@ def parametric_gain(spec: WaveguideSpec, pump: PumpConfig, omega):
     om = np.asarray(omega, dtype=float)
     if not np.all(om > 0.0):
         raise DomainError("omega must be > 0")
-    gain = _gain_at(spec, pump, _sampled_mismatch(spec, pump, om))
+    with _Float64Guard(spec):
+        gain = _gain_at(spec, pump, _sampled_mismatch(spec, pump, om))
     if np.isscalar(omega):
         return float(gain)
     return gain
@@ -405,14 +423,13 @@ def parametric_gain(spec: WaveguideSpec, pump: PumpConfig, omega):
 
 def _gain_at(spec: WaveguideSpec, pump: PumpConfig, delta_k: np.ndarray) -> np.ndarray:
     """G from the waveguide's dk, formed in ``delta_k``'s buffer."""
-    with _float64_guard(spec):
-        power_term = _power_term(spec.gamma_per_w_m, pump)
-        try:
-            return _gain(power_term, delta_k.reshape(-1), spec.length_m).reshape(delta_k.shape)
-        except DomainError as exc:  # the peak check: name the waveguide and its gain rate
-            rate = "gamma*P" if pump.mode == "degenerate" else "2*gamma*sqrt(P1*P2)"
-            where = f"{spec.kind} waveguide of length {spec.length_m * 1e3:g} mm"
-            raise DomainError(f"{where} at {rate} = {sqrt(power_term):.6g} /m: {exc}") from None
+    power_term = _power_term(spec.gamma_per_w_m, pump)
+    try:
+        return _gain(power_term, delta_k.reshape(-1), spec.length_m).reshape(delta_k.shape)
+    except DomainError as exc:  # the peak check: name the waveguide and its gain rate
+        rate = "gamma*P" if pump.mode == "degenerate" else "2*gamma*sqrt(P1*P2)"
+        where = f"{spec.kind} waveguide of length {spec.length_m * 1e3:g} mm"
+        raise DomainError(f"{where} at {rate} = {sqrt(power_term):.6g} /m: {exc}") from None
 
 
 def _attenuated_pump(spec: WaveguideSpec, pump: PumpConfig) -> PumpConfig:
@@ -439,12 +456,14 @@ def biphoton_spectrum(
     # The path-averaged pump has the same frequencies, so the same dk_L.
     pumped = _attenuated_pump(spec, pump)
     mirrored = grid.center == pump.omega_c
-    if mirrored:
-        flux = np.empty(n)
-        delta_k = _upper_mismatch(spec, pumped, (grid.center, grid.half_span, n), flux[n // 2 :])
-    else:
-        flux = delta_k = _sampled_mismatch(spec, pumped, grid.omegas)
-    gain = _gain_at(spec, pumped, delta_k)
+    with _Float64Guard(spec):
+        if mirrored:
+            flux = np.empty(n)
+            upper = flux[n // 2 :]
+            delta_k = _upper_mismatch(spec, pumped, (grid.center, grid.half_span, n), upper)
+        else:
+            flux = delta_k = _sampled_mismatch(spec, pumped, grid.omegas)
+        gain = _gain_at(spec, pumped, delta_k)
     if spec.attenuation_db_per_cm > 0.0:
         gain *= 10.0 ** (-spec.loss_db / 20.0)
     if mirrored:  # the upper half, reflected onto the lower one
@@ -473,18 +492,19 @@ def band_flux(spectrum: BiphotonSpectrum, passband: tuple[float, float]) -> floa
     # The samples inside the band are one slice of the ascending grid.  Each
     # edge is interpolated on the two samples around it, as on the whole grid,
     # so np.interp copies two samples, not the read-only grid.
-    first = int(np.searchsorted(omegas, lo, side="right"))
-    stop = int(np.searchsorted(omegas, hi, side="left"))
+    first = int(omegas.searchsorted(lo, side="right"))
+    stop = int(omegas.searchsorted(hi, side="left"))
     lo_pair, hi_pair = slice(max(first - 1, 0), first + 1), slice(max(stop - 1, 0), stop + 1)
-    xs = np.concatenate(([lo], omegas[first:stop], [hi]))
-    ys = np.concatenate(
-        (
-            [np.interp(lo, omegas[lo_pair], flux[lo_pair])],
-            flux[first:stop],
-            [np.interp(hi, omegas[hi_pair], flux[hi_pair])],
-        )
-    )
-    return float(np.trapezoid(ys, xs)) / (2.0 * np.pi)
+    xs, ys = np.empty(stop - first + 2), np.empty(stop - first + 2)
+    xs[0], xs[1:-1], xs[-1] = lo, omegas[first:stop], hi
+    ys[0] = np.interp(lo, omegas[lo_pair], flux[lo_pair])
+    ys[1:-1] = flux[first:stop]
+    ys[-1] = np.interp(hi, omegas[hi_pair], flux[hi_pair])
+    # np.trapezoid's own ufunc order: (x[k+1] - x[k]) * (y[k+1] + y[k]) / 2, summed.
+    area = ys[1:] + ys[:-1]
+    area *= xs[1:] - xs[:-1]
+    area /= 2.0
+    return float(np.add.reduce(area)) / (2.0 * np.pi)
 
 
 def bandwidth_3db_hz(spectrum: BiphotonSpectrum) -> float:
@@ -494,11 +514,11 @@ def bandwidth_3db_hz(spectrum: BiphotonSpectrum) -> float:
     wider than the grid saturate at the grid span.
     """
     flux = spectrum.flux_density
-    peak = float(flux.max())
+    peak = float(np.maximum.reduce(flux))
     if peak <= 0.0:
         raise DomainError("cannot measure bandwidth of an all-zero spectrum")
     above = flux >= 0.5 * peak
-    first, last = int(np.argmax(above)), len(above) - 1 - int(np.argmax(above[::-1]))
+    first, last = int(above.argmax()), len(above) - 1 - int(above[::-1].argmax())
     omegas = spectrum.grid.omegas
     return float(omegas[last] - omegas[first]) / (2.0 * np.pi)
 

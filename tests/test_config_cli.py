@@ -18,6 +18,7 @@ from sfwm_sim import (
     BiphotonSpectrum,
     ConfigError,
     CouplerNode,
+    DataError,
     DomainError,
     MaterialConstants,
     RateModel,
@@ -811,6 +812,36 @@ class TestCarCommand:
         assert main(["car", "--config", cfg2, "--out", str(out2)]) == 0
         centers2, counts2 = read_table(out2 / "histogram.csv", HISTOGRAM_HEADER)
         np.testing.assert_array_equal(counts, counts2)
+
+    def test_each_channel_order_is_scanned_once(self, tmp_path, monkeypatch):
+        # The reader names the first late stamp of each channel by its line, and
+        # synthesised channels are sorted in place, so `car` scans no order twice.
+        doc = self._synth_doc()
+        doc["synthesize"]["duration_s"] = 2.0
+        synthesized = tmp_path / "synthesized"
+        doc2 = {"bin_width_ps": 1000.0, "window_ns": 41.0,
+                "timestamps_csv": str(synthesized / "timestamps.csv")}
+        runs = [
+            (["car", "--config", write_yaml(tmp_path / "car.yaml", doc), "--seed", "7"], synthesized),
+            (["car", "--config", write_yaml(tmp_path / "car2.yaml", doc2)], tmp_path / "read_back"),
+        ]
+        first_break, scans = sfwm_sim.coincidence._first_break, []
+
+        def counting(values, holds):
+            if holds is np.less_equal:
+                scans.append(values.size)
+            return first_break(values, holds)
+
+        monkeypatch.setattr(sfwm_sim.coincidence, "_first_break", counting)
+        for argv, out in runs:
+            scans.clear()
+            assert main([*argv, "--out", str(out)]) == 0
+            assert len(scans) == (0 if out == synthesized else 2)
+        histograms = [(out / "histogram.csv").read_text().splitlines()[1:] for _, out in runs]
+        assert histograms[0] == histograms[1]
+        # A library caller's channels are still checked.
+        with pytest.raises(DataError, match="idler timestamps are not sorted ascending"):
+            sfwm_sim.coincidence.build_histogram([0.0, 1.0], [1.0, 0.0], 1.0, 41.0)
 
     def test_seed_changes_output(self, tmp_path):
         cfg = write_yaml(tmp_path / "car.yaml", self._synth_doc())

@@ -4,8 +4,10 @@
 in one pass over one buffer (``sin`` and ``sinh`` each write only their own
 samples through ``where=``) and take the overflow check from the largest
 q^2; ``linear_mismatch`` builds every power before it sums the terms;
-``band_flux`` slices the band out of the grid and interpolates each edge on
-the two samples around it.  The functions below are the earlier versions,
+``band_flux`` slices the band out of the grid, interpolates each edge on
+the two samples around it and forms the trapezoid sum in place;
+``bandwidth_3db_hz`` takes the outermost samples within 3 dB through the
+ndarray methods.  The functions below are the earlier versions,
 kept as the reference: every result must equal theirs bit for bit (compared
 as int64), and at the overflow limit the same DomainError text must come out.
 """
@@ -27,6 +29,7 @@ from sfwm_sim import (
     WaveguideSpec,
     angular_frequency_from_wavelength,
     band_flux,
+    bandwidth_3db_hz,
     gain_from_mismatch,
     linear_mismatch,
     nonlinear_mismatch,
@@ -160,6 +163,17 @@ def reference_band_flux(spectrum, passband):
         )
     )
     return float(np.trapezoid(ys, xs)) / (2.0 * np.pi)
+
+
+def reference_bandwidth_3db_hz(spectrum):
+    flux = spectrum.flux_density
+    peak = float(flux.max())
+    if peak <= 0.0:
+        raise DomainError("cannot measure bandwidth of an all-zero spectrum")
+    above = flux >= 0.5 * peak
+    first, last = int(np.argmax(above)), len(above) - 1 - int(np.argmax(above[::-1]))
+    omegas = spectrum.grid.omegas
+    return float(omegas[last] - omegas[first]) / (2.0 * np.pi)
 
 
 # ---------------------------------------------------------------- comparison
@@ -352,3 +366,43 @@ class TestBandFlux:
         lo, hi = sorted(omega(edge) for edge in edges)
         assume(lo < hi)
         assert_same_bits(band_flux(spectrum, (lo, hi)), reference_band_flux(spectrum, (lo, hi)))
+
+
+# Flux levels relative to the peak: exactly half of it (on the 3 dB line), one
+# ulp either side of half, zero, the peak itself, or anything up to the peak.
+LEVELS = st.sampled_from(["zero", "below", "half", "above", "peak", "any"])
+
+
+class TestBandwidth:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_points=st.one_of(
+            st.just(2),
+            st.integers(1, 2048).map(lambda k: 2 * k + 1),
+            st.integers(2, 2048).map(lambda k: 2 * k),
+            st.just(65_536),
+        ),
+        peak=st.one_of(
+            st.sampled_from([0.0, 5e-324, 2.0**-1022, 1.0, 1e300]), st.floats(1e-300, 1e300)
+        ),
+        fraction=st.floats(0.0, 1.0),
+        runs=st.lists(st.tuples(LEVELS, st.integers(1, 300)), min_size=1, max_size=12),
+        at=st.one_of(st.sampled_from(["first", "last"]), st.floats(0.0, 1.0, exclude_max=True)),
+    )
+    @example(2, 1.0, 0.5, [("peak", 1)], "first")  # all equal
+    @example(2, 0.0, 0.5, [("zero", 1)], "first")  # all zero: both raise
+    @example(3, 1.0, 0.5, [("half", 1)], "last")
+    @example(4, 1.0, 0.5, [("below", 1)], "first")
+    @example(65_536, 2.0, 0.5, [("half", 7), ("below", 3000), ("peak", 9)], "last")
+    @example(65_536, 1.0, 0.5, [("peak", 1)], 0.5)  # all equal
+    def test_matches_reference(self, n_points, peak, fraction, runs, at):
+        """Plateaus (runs of one level, repeated to fill the grid) around one peak sample."""
+        half = 0.5 * peak
+        level = {"zero": 0.0, "below": np.nextafter(half, 0.0), "half": half,
+                 "above": min(np.nextafter(half, np.inf), peak), "peak": peak,
+                 "any": fraction * peak}
+        values, counts = zip(*runs)
+        flux = np.resize(np.repeat([level[v] for v in values], counts), n_points)
+        flux[{"first": 0, "last": -1}.get(at) if isinstance(at, str) else int(at * n_points)] = peak
+        grid = SpectralGrid.symmetric(OMEGA_P, 2 * math.pi * 5e12, n_points)
+        same_outcome(bandwidth_3db_hz, reference_bandwidth_3db_hz, BiphotonSpectrum(grid, flux))
