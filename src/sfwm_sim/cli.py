@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .coincidence import (
     CAR_PEAK_BINS,
-    _sorted_histogram,
+    build_histogram,
     car_from_histogram,
     predict_rates,
     read_timestamps_csv,
@@ -181,8 +181,7 @@ def cmd_car(args, doc: dict, doc_hash: str, out: Path):
         predicted = predict_rates(run.model)
     else:
         signal, idler = read_timestamps_csv(run.timestamps_csv)
-    # Both sources give sorted, finite channels, so their order is not scanned again.
-    hist = _sorted_histogram(signal, idler, run.bin_width_s, run.window_s)
+    hist = build_histogram(signal, idler, run.bin_width_s, run.window_s)
     car = car_from_histogram(hist, guard_bins=run.guard_bins)
     write_histogram_csv(out / "histogram.csv", hist, doc_hash)
 

@@ -141,22 +141,12 @@ def build_histogram(
     sweep over ``HISTOGRAM_BLOCK`` signal events at a time: each block
     searches only the idler events its window can reach, and its counts are
     added to the histogram's.  Besides the histogram, it holds one block's
-    arrays and its matches.
+    arrays and its matches.  A read-back's channels are scanned here a second
+    time, after ``read_timestamps_csv``, because the block scan costs little
+    next to the sweep and one checked entry serves every caller.
     """
     signal = _check_sorted("signal", signal_ts)
     idler = _check_sorted("idler", idler_ts)
-    return _sorted_histogram(signal, idler, bin_width_s, window_s)
-
-
-def _sorted_histogram(
-    signal: np.ndarray, idler: np.ndarray, bin_width_s: float, window_s: float
-) -> CoincidenceHistogram:
-    """``build_histogram`` of 1-D float64 channels known to be sorted and finite.
-
-    ``read_timestamps_csv`` names the line of any late or non-finite stamp and
-    ``synthesize_timestamps`` sorts each channel, so their channels need no
-    second order scan.
-    """
     n_bins = histogram_bins(bin_width_s, window_s)
     half = 0.5 * window_s
     edges = -half + bin_width_s * np.arange(n_bins + 1)

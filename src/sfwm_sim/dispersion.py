@@ -177,25 +177,17 @@ def linear_mismatch(model: DispersionModel, omega, pump: PumpConfig):
     # (dw^2)^m by repeated products: numpy's array pow is slow for exponents
     # above 2 and not bit-even in dw; products of dw2 are fast and exactly
     # even, so every model is exactly mirror-symmetric on a symmetric grid.
-    # A zero beta adds a +-0 term, which leaves a sum started at +0 unchanged,
-    # so it is skipped.
-    terms = [(m, beta) for m, beta in enumerate(model.beta_even, start=1) if beta != 0.0]
-    # Every power is built first, one buffer per term, so that each term is
-    # formed in its power's buffer and the sum in the first (dw2 if beta_2 != 0).
-    powers, power, order = [], dw2, 1
-    for m, _ in terms:
-        for _ in range(order, m):
+    # The sum starts at +0; a zero beta adds a +-0 term, which leaves it
+    # unchanged, so it is skipped, and no power past the last nonzero beta is
+    # formed (it could overflow).
+    out = np.zeros_like(dw2)
+    power = dw2
+    last = max((m for m, beta in enumerate(model.beta_even, start=1) if beta != 0.0), default=0)
+    for m, beta in enumerate(model.beta_even[:last], start=1):
+        if m > 1:
             power = power * dw2
-        powers.append(power)
-        order = m
-    for (m, beta), term in zip(terms, powers):
-        if wd != 0.0:  # x - 0.0 == x for every float
-            term -= wd ** (2 * m)
-        term *= 2.0 * beta / factorial(2 * m)
-    out = powers[0] if powers else np.zeros_like(dw2)
-    out += 0.0  # the sum starts at +0, so a -0 first term reads +0
-    for term in powers[1:]:
-        out += term
+        if beta != 0.0:
+            out += (power - wd ** (2 * m)) * (2.0 * beta / factorial(2 * m))
     out = out.reshape(om.shape)
     if np.isscalar(omega):
         return float(out)

@@ -71,14 +71,10 @@ class WaveguideSpec:
     n_eff: float = 2.5
 
     def __post_init__(self) -> None:
-        from . import presets  # presets builds its specs from this module
+        from .presets import waveguide_kinds  # presets builds its specs from this module
 
-        # The kinds of ``presets.waveguide_kinds()``, without building its tuple.
-        table = presets.packaged_yaml("defaults")["waveguides"]
-        if self.kind != "custom" and self.kind not in table:
-            raise ConfigError(
-                f"unknown kind {self.kind!r}; the kinds are {presets.waveguide_kinds()}"
-            )
+        if self.kind not in waveguide_kinds():
+            raise ConfigError(f"unknown kind {self.kind!r}; the kinds are {waveguide_kinds()}")
         if not self.length_m > 0.0:
             raise DomainError(f"length_m must be > 0, got {self.length_m!r}")
         if not self.gamma_per_w_m >= 0.0:

@@ -813,9 +813,9 @@ class TestCarCommand:
         centers2, counts2 = read_table(out2 / "histogram.csv", HISTOGRAM_HEADER)
         np.testing.assert_array_equal(counts, counts2)
 
-    def test_each_channel_order_is_scanned_once(self, tmp_path, monkeypatch):
-        # The reader names the first late stamp of each channel by its line, and
-        # synthesised channels are sorted in place, so `car` scans no order twice.
+    def test_each_run_histograms_through_build_histogram(self, tmp_path, monkeypatch):
+        # A synthesising and a read-back `car` both histogram through the one
+        # public build_histogram, which checks each channel's order itself.
         doc = self._synth_doc()
         doc["synthesize"]["duration_s"] = 2.0
         synthesized = tmp_path / "synthesized"
@@ -825,21 +825,20 @@ class TestCarCommand:
             (["car", "--config", write_yaml(tmp_path / "car.yaml", doc), "--seed", "7"], synthesized),
             (["car", "--config", write_yaml(tmp_path / "car2.yaml", doc2)], tmp_path / "read_back"),
         ]
-        first_break, scans = sfwm_sim.coincidence._first_break, []
+        build_histogram, calls = sfwm_sim.cli.build_histogram, []
 
-        def counting(values, holds):
-            if holds is np.less_equal:
-                scans.append(values.size)
-            return first_break(values, holds)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_histogram(*args, **kwargs)
 
-        monkeypatch.setattr(sfwm_sim.coincidence, "_first_break", counting)
+        monkeypatch.setattr(sfwm_sim.cli, "build_histogram", counting)
         for argv, out in runs:
-            scans.clear()
+            calls.clear()
             assert main([*argv, "--out", str(out)]) == 0
-            assert len(scans) == (0 if out == synthesized else 2)
+            assert len(calls) == 1
         histograms = [(out / "histogram.csv").read_text().splitlines()[1:] for _, out in runs]
         assert histograms[0] == histograms[1]
-        # A library caller's channels are still checked.
+        # A caller's unsorted channel is rejected.
         with pytest.raises(DataError, match="idler timestamps are not sorted ascending"):
             sfwm_sim.coincidence.build_histogram([0.0, 1.0], [1.0, 0.0], 1.0, 41.0)
 

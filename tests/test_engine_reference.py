@@ -3,8 +3,7 @@
 ``gain_from_mismatch`` and ``parametric_gain`` now run the three q^2 branches
 in one pass over one buffer (``sin`` and ``sinh`` each write only their own
 samples through ``where=``) and take the overflow check from the largest
-q^2; ``linear_mismatch`` builds every power before it sums the terms;
-``band_flux`` slices the band out of the grid, interpolates each edge on
+q^2; ``band_flux`` slices the band out of the grid, interpolates each edge on
 the two samples around it and forms the trapezoid sum in place;
 ``bandwidth_3db_hz`` takes the outermost samples within 3 dB through the
 ndarray methods.  The functions below are the earlier versions,
@@ -330,6 +329,32 @@ class TestLinearMismatch:
             assert_same_bits(
                 linear_mismatch(model, omega, pump), reference_linear_mismatch(model, omega, pump)
             )
+
+
+class TestLinearMismatchZeroBetas:
+    @pytest.mark.parametrize("omega_d", [0.0, 1e13])
+    def test_trailing_zero_beta_forms_no_overflowing_power(self, omega_d):
+        # At 1e100 rad/s of detuning dw^2 = 1e200 is finite but (dw^2)^2 is not,
+        # so the zero beta_4 must not form it.
+        pump = PumpConfig.degenerate(OMEGA_P, 1.0) if omega_d == 0.0 else PumpConfig.non_degenerate(
+            OMEGA_P + omega_d, OMEGA_P - omega_d, 1.0, 1.0
+        )
+        model = DispersionModel(None, (1e-24, 0.0))
+        for omega in (pump.omega_c + 1e100, pump.omega_c + np.array([-1e100, 0.0, 1e100])):
+            with np.errstate(over="raise", invalid="raise"):
+                got = linear_mismatch(model, omega, pump)
+            assert np.isfinite(got).all()
+            assert_same_bits(got, reference_linear_mismatch(model, omega, pump))
+
+    @pytest.mark.parametrize("middle", [0.0, -0.0])
+    def test_signed_zero_beta_between_nonzero_ones(self, middle):
+        pump = PumpConfig.non_degenerate(OMEGA_P + 1e13, OMEGA_P - 1e13, 1.0, 1.0)
+        grid = SpectralGrid(pump.omega_c, 2 * math.pi * 20e12, 1001)
+        model = DispersionModel(None, (5e-25, middle, 1e-70))
+        got = linear_mismatch(model, grid.omegas, pump)
+        assert_same_bits(got, reference_linear_mismatch(model, grid.omegas, pump))
+        plus_zero = DispersionModel(None, (5e-25, 0.0, 1e-70))
+        assert_same_bits(got, linear_mismatch(plus_zero, grid.omegas, pump))
 
 
 class TestBandFlux:
